@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, PreconditionError
 from .potentials import Potential, TailModel
@@ -108,7 +107,10 @@ def renewal_analysis(spec: RenewalSpec, tol: float = 1e-12) -> RenewalReport:
     trip = rpf_triplet(tm, tol=tol)
     lam_m = trip.lam
 
-    # The series is strictly decreasing in lam; bracket and solve.
+    # The series is strictly decreasing in lam; bracket and solve.  scipy's
+    # optimizer is imported here so that importing the package stays cheap.
+    from scipy.optimize import brentq
+
     lo, hi = lam_m, lam_m
     while _renewal_equation(spec, lo) < 1.0:
         lo *= 0.5

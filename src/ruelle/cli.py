@@ -283,9 +283,7 @@ def cmd_escape(cfg: SystemConfig) -> Bundle:
     b.results["lam_open"] = rep.lam_open
     b.results["period"] = rep.period
     mc = cfg.mc_params()
-    tm = build_transfer_matrix(hole.closed, phi, depth=cfg.depth)
-    trip = rpf_triplet(tm, tol=cfg.tolerance)
-    est = monte_carlo_survival(hole, phi, trip, mc["n"], mc["samples"], seed=cfg.seed)
+    est = monte_carlo_survival(hole, phi, rep.triplet_closed, mc["n"], mc["samples"], seed=cfg.seed)
     exact = math.exp(rep.log_masses[mc["n"] - 1])
     b.results["monte_carlo"] = {
         "n": mc["n"],

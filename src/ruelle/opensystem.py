@@ -66,6 +66,7 @@ class EscapeReport:
     lam_closed: float
     lam_open: float
     period: int
+    triplet_closed: RpfTriplet
 
     @property
     def masses(self) -> tuple:
@@ -161,6 +162,7 @@ def escape_rate(
         lam_closed=trip_closed.lam,
         lam_open=lam_open,
         period=p,
+        triplet_closed=trip_closed,
     )
 
 

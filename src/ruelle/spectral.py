@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonUniqueDominantError, PreconditionError
+from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
 from .potentials import Potential, lex_min_point
 from .shifts import PeriodClasses, TransitionStructure, period_classes, scc_quotient
-from .transfer import RpfTriplet, TransferMatrix, build_transfer_matrix, rpf_triplet
+from .transfer import RpfTriplet, TransferMatrix, _perron_vector, build_transfer_matrix, rpf_triplet
 
 DENSE_ORACLE_LIMIT = 200
 
@@ -257,8 +257,12 @@ def component_decomposition(
     classes = period_classes(ts, component=dag.components[dom].symbols)
     p = classes.p
     kappa = cmath.exp(2j * math.pi / p)
-    trip1 = _block_triplet(B11, p, tol)
-    h1, nu1 = trip1
+    _, g1, _, ok_r = _perron_vector(B11, p, tol)
+    _, nu1, _, ok_l = _perron_vector(B11.T, p, tol)
+    if not (ok_r and ok_l):
+        raise ConvergenceError(f"dominant block eigenvectors did not reach tol={tol}")
+    nu1 = nu1 / nu1.sum()
+    h1 = g1 / (nu1 @ g1)
     class_of = {}
     for j, cls in enumerate(classes.classes):
         for s in cls:
@@ -317,22 +321,6 @@ def component_decomposition(
         dominant_component=dom,
         support_patterns=support,
     )
-
-
-def _block_triplet(B11: np.ndarray, p: int, tol: float):
-    """Positive eigendata of the dominant block, normalized nu(h) = 1."""
-    import scipy.sparse as sp
-
-    from .transfer import _power_iteration
-
-    mat = sp.csr_matrix(B11)
-    lam_r, g, _, _, ok_r = _power_iteration(mat, p, tol, 100_000)
-    lam_l, nu, _, _, ok_l = _power_iteration(mat.T.tocsr(), p, tol, 100_000)
-    if lam_r <= 0.0:
-        raise PreconditionError("dominant block has zero spectral radius")
-    nu = nu / nu.sum()
-    h = g / (nu @ g)
-    return h, nu
 
 
 def _support_patterns(tm, dag, dom, peripherals) -> dict:

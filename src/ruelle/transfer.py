@@ -208,60 +208,69 @@ class RpfTriplet:
         return float(total)
 
 
-def _power_iteration(mat, p: int, tol: float, max_iter: int):
-    """Cesaro-averaged power iteration for nonnegative matrices of period p.
+def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
+    """Positive eigenvector of a nonnegative matrix of period p.
 
-    Returns (lam, vector, residual, iterations, converged).  The vector is
-    the period-averaged limit, an eigenvector for the positive radius.
+    Each step replaces u by the sup-normalized Cesaro average
+    sum_{i=1..p} (mat/lam)^i u, lam = (|mat^p u|_1 / |u|_1)^(1/p), which
+    cancels the peripheral rotation.  The loop stops once the componentwise
+    relative change on the entries above the smallest normal float bounds
+    the remaining error by ``tol`` (``_settled``), so a vector spanning
+    hundreds of decades converges entry by entry.  Entries off the support
+    of a reducible matrix's eigenvector decay to zero, not always
+    monotonically; once below ``tol`` and below their value two steps back
+    they are left out of that test if they can be that zero set.
+    Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
     """
-    n = mat.shape[0]
-    u = np.full(n, 1.0 / n)
+    tiny = np.finfo(float).tiny
+    u = older = np.ones(mat.shape[0])
+    rel_prev = np.full_like(u, np.inf)
     lam = 0.0
     it = 0
-    resid = math.inf
-    vec = u
     while it < max_iter:
         block = [u]
         for _ in range(p):
             block.append(mat @ block[-1])
-        norm_p = float(np.abs(block[-1]).sum())
-        base = float(np.abs(block[0]).sum())
         it += p
-        if norm_p == 0.0 or base == 0.0:
-            return 0.0, np.zeros(n), 0.0, it, True
-        lam = (norm_p / base) ** (1.0 / p)
-        avg = np.zeros(n)
-        for i in range(p):
-            avg += block[i] / lam**i
-        s = float(np.abs(avg).sum())
-        if s == 0.0:
-            u = block[-1] / norm_p
-            continue
-        vec = avg / s
-        resid = float(np.abs(mat @ vec - lam * vec).max()) / max(lam, 1e-300)
-        if resid <= tol:
-            return lam, vec, resid, it, True
-        u = block[-1] / norm_p
-    return lam, vec, resid, it, False
+        norm_p = float(block[-1].sum())
+        if norm_p == 0.0:
+            return 0.0, np.zeros_like(u), it, True
+        lam = (norm_p / float(u.sum())) ** (1.0 / p)
+        avg = sum(block[i] / lam**i for i in range(1, p + 1))
+        new = avg / float(avg.max())
+        big = np.maximum(new, u)
+        rel = np.divide(np.abs(new - u), big, out=np.zeros_like(u), where=big >= tiny)
+        fading = (new < older) & (new <= tol)
+        if _settled(rel, rel_prev, tol) or (
+            fading.any()
+            and _settled(rel[~fading], rel_prev[~fading], tol)
+            and _off_support(mat, fading, new >= tiny)
+        ):
+            return lam, new, it, True
+        u, older, rel_prev = new, u, rel
+    return lam, u, it, False
 
 
-def _relative_refine(mat, v: np.ndarray, lam: float, p: int, sweeps: int) -> np.ndarray:
-    """Normalized extra iterations preserving the converged direction."""
-    if lam <= 0.0:
-        return v
-    out = v.copy()
-    for _ in range(sweeps):
-        block = [out]
-        for _ in range(p):
-            block.append(mat @ block[-1])
-        avg = np.zeros_like(out)
-        for i in range(1, p + 1):
-            avg += block[i] / lam**i
-        top = float(np.abs(avg).max())
-        if top <= 0.0:
-            return v
-        out = avg / top
-    return out
+def _settled(rel: np.ndarray, rel_prev: np.ndarray, tol: float) -> bool:
+    """Whether two steps' componentwise changes bound the error by ``tol``.
+
+    The error is change * rho / (1 - rho), rho the ratio of the successive
+    largest changes; a change <= tol that no longer shrinks is at rounding.
+    """
+    change, prev = float(rel.max(initial=0.0)), float(rel_prev.max(initial=0.0))
+    rho = change / prev if change < prev else 1.0
+    return change <= tol and (rho >= 1.0 or change * rho <= tol * (1.0 - rho))
+
+
+def _off_support(mat, fading: np.ndarray, live: np.ndarray) -> bool:
+    """Whether ``fading`` can be the zero set of a positive eigenvector.
+
+    No fading entry may have a successor among the other live entries, and
+    each of those needs one among them (a support carries a cycle).
+    """
+    keep = live & ~fading
+    reach = mat @ keep
+    return not reach[fading].any() and bool(reach[keep].all())
 
 
 def rpf_triplet(
@@ -271,33 +280,28 @@ def rpf_triplet(
 ) -> RpfTriplet:
     """Positive radius with right eigenfunction and left cylinder masses.
 
-    Power iteration with period averaging; the peripheral rotation of a
-    period-p structure defeats plain iteration, so blocks of p iterates are
-    averaged with the rotation weights.  A zero radius (no periodic point in
-    the governing table) is reported as an error.
+    Both vectors come from the period-averaged power iteration of
+    ``_perron_vector`` (the peripheral rotation of a period-p structure
+    defeats plain iteration); the radius is the Rayleigh quotient of the
+    pair.  A zero radius (no periodic point in the governing table) is a
+    precondition error; a run that misses ``tol`` raises ConvergenceError
+    carrying the partial triplet.
     """
     if tm.dim == 0:
         raise PreconditionError(
             "zero spectral radius: the index carries no nonempty cylinders"
         )
     p = tm.cesaro_period
-    lam_r, g, res_g, it_g, ok_g = _power_iteration(tm.matrix, p, tol, max_iter)
+    lam_r, g, it_g, ok_g = _perron_vector(tm.matrix, p, tol, max_iter)
     if lam_r <= 0.0:
         raise PreconditionError(
             "zero spectral radius: the governing structure has no periodic point"
         )
-    lam_l, nu, res_nu, it_nu, ok_l = _power_iteration(tm.matrix.T.tocsr(), p, tol, max_iter)
-    lam = 0.5 * (lam_r + lam_l)
-    # Relative-accuracy refinement: extra normalized sweeps let componentwise
-    # relative errors contract along dominant inflows, which matters when the
-    # eigenvector spans hundreds of orders of magnitude (log-space consumers).
-    g = _relative_refine(tm.matrix, g, lam, p, sweeps=tm.dim + 16)
-    nu = _relative_refine(tm.matrix.T.tocsr(), nu, lam, p, sweeps=tm.dim + 16)
-    sup = float(np.max(np.abs(g)))
-    g = np.maximum(g / sup, 0.0)
-    total = float(nu.sum())
-    nu = np.maximum(nu / total, 0.0)
-    res_g = float(np.abs(tm.apply(g) - lam * g).max()) / lam
+    _, nu, it_nu, ok_l = _perron_vector(tm.matrix.T.tocsr(), p, tol, max_iter)
+    nu = nu / float(nu.sum())
+    lg = tm.apply(g)
+    lam = float(nu @ lg) / float(nu @ g)
+    res_g = float(np.abs(lg - lam * g).max()) / lam
     res_nu = float(np.abs(tm.apply_left(nu) - lam * nu).sum()) / lam
     converged = ok_g and ok_l and res_g <= 10 * tol and res_nu <= 10 * tol
     trip = RpfTriplet(
@@ -311,10 +315,10 @@ def rpf_triplet(
         converged=converged,
         period_used=p,
     )
-    if not converged and not (ok_g and ok_l):
+    if not converged:
         raise ConvergenceError(
-            f"power iteration did not reach tol={tol} within {max_iter} iterations "
-            f"(residuals {res_g:.3e}, {res_nu:.3e}); Cesaro fallback attached",
+            f"power iteration did not reach tol={tol} within {max_iter} matvecs "
+            f"(residuals {res_g:.3e}, {res_nu:.3e}); partial triplet attached",
             partial=trip,
         )
     return trip

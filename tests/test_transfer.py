@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from ruelle import (
+    ConvergenceError,
     PreconditionError,
     admissible_words,
     apply_operator,
+    banded_structure,
     build_transfer_matrix,
     constant_potential,
+    from_entries,
+    full_shift,
     potential_from_weights,
     rpf_triplet,
     spectral_radius_sup_route,
@@ -145,6 +149,54 @@ class TestRpfTriplet:
             assert trip.mu_mass(w) == pytest.approx(
                 sum(trip.mu_mass(k) for k in kids), rel=1e-10
             )
+
+    def test_deep_reduction_radius_matches_minimal_depth(self):
+        # Full 4-shift, seeded depth-3 potential, m = 7 (dim 16384): the
+        # radius must equal the dense radius of the m = 2 reduction.
+        ts = full_shift((0, 1, 2, 3))
+        vals = np.random.default_rng(7).uniform(-1.0, 1.0, size=4**3)
+        phi = potential_from_weights(dict(zip(admissible_words(ts, 3), vals)))
+        tol = 1e-12
+        trip = rpf_triplet(build_transfer_matrix(ts, phi, depth=7), tol=tol)
+        assert trip.tm.dim == 4**7
+        assert trip.converged
+        assert trip.residual_g <= 10 * tol and trip.residual_nu <= 10 * tol
+        small = build_transfer_matrix(ts, phi, depth=2).dense()
+        oracle = float(np.abs(np.linalg.eigvals(small)).max())
+        assert abs(trip.lam - oracle) <= 1e-13 * oracle
+
+    def test_eigenvector_spanning_hundreds_of_decades(self):
+        ts = banded_structure(200, 2)
+        phi = potential_from_weights({(i,): -2.0 * math.log(i) for i in range(1, 201)})
+        tm = build_transfer_matrix(ts, phi, depth=1)
+        trip = rpf_triplet(tm)
+        tiny = np.finfo(float).tiny
+        for vec, op in ((trip.g, tm.apply), (trip.nu, tm.apply_left)):
+            live = vec >= tiny
+            assert np.log10(vec[live].max() / vec[live].min()) > 250
+            rel = (op(vec) - trip.lam * vec)[live] / (trip.lam * vec[live])
+            assert float(np.abs(rel).max()) <= 1e-10
+        with pytest.raises(ConvergenceError) as exc:
+            rpf_triplet(tm, max_iter=40)
+        assert not exc.value.partial.converged
+
+    def test_reducible_small_pressure_gap(self):
+        # 0 -> 0, 0 -> 1, 1 -> 1 with weights 0 and -delta: radius 1, right
+        # eigenvector (1 - e^-delta, 1), left eigenvector (1, 0).  The second
+        # entry of nu decays by e^-delta per step and never settles in
+        # relative terms, so it has to be recognized as off the support.
+        delta, tol = 5e-3, 1e-12
+        ts = from_entries((0, 1), {(0, 0), (0, 1), (1, 1)})
+        phi = potential_from_weights({(0,): 0.0, (1,): -delta})
+        trip = rpf_triplet(build_transfer_matrix(ts, phi, depth=1), tol=tol)
+        assert abs(trip.lam - 1.0) <= 1e-13
+        assert trip.g[0] == pytest.approx(-math.expm1(-delta), rel=1e-9)
+        assert trip.g[1] == 1.0
+        assert trip.nu[0] == pytest.approx(1.0, abs=10 * tol)
+        assert 0.0 <= trip.nu[1] <= 10 * tol
+        # Both vectors need about log(1/tol)/delta steps; decaying until
+        # underflow would take more than 700/delta.
+        assert trip.iterations <= 4 * math.log(1 / tol) / delta
 
 
 class TestSupRoute:
