@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import ConfigError, EnumerationCapExceeded, PreconditionError
 
 DEFAULT_WORD_CAP = 20_000_000
@@ -62,6 +64,10 @@ class Alphabet:
 
     def sort_key(self, word):
         return tuple(self.rank[s] for s in word)
+
+    def words_of(self, ranks) -> list:
+        """The symbol tuples of an integer array of rank rows."""
+        return [tuple(self.symbols[r] for r in row) for row in ranks.tolist()]
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,21 @@ class TransitionStructure:
                     viable.add(p)
                     stack.append(p)
         return frozenset(viable)
+
+    @cached_property
+    def successor_ranks(self) -> tuple:
+        """The successor table over alphabet ranks as CSR: (indptr, ranks)."""
+        rank = self.alphabet.rank
+        succ = [[rank[t] for t in self.successors[s]] for s in self.alphabet.symbols]
+        deg = np.array([len(v) for v in succ], dtype=np.int64)
+        indptr = np.concatenate(([0], np.cumsum(deg)))
+        return indptr, np.array([r for v in succ for r in v], dtype=np.int32)
+
+    @cached_property
+    def viable_ranks(self) -> np.ndarray:
+        """Boolean mask over alphabet ranks of the viable symbols."""
+        viable = self.viable_symbols
+        return np.array([s in viable for s in self.alphabet.symbols], dtype=bool)
 
     def is_admissible(self, word) -> bool:
         return all(self.allows(a, b) for a, b in zip(word, word[1:])) and all(
@@ -216,12 +237,32 @@ def count_admissible_words(ts: TransitionStructure, n: int) -> int:
     return sum(counts.values())
 
 
-def admissible_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> list:
-    """All admissible words of length ``n`` in lexicographic order.
+def _extend_ranks(ts: TransitionStructure, rows: np.ndarray, steps: int) -> tuple:
+    """Extend rank rows by ``steps`` admissible symbols, in lexicographic order.
 
-    Length-1 words are the alphabet itself (a single symbol is vacuously
-    admissible).  Refuses with :class:`EnumerationCapExceeded` when the result
-    would exceed ``cap`` entries.
+    Returns the extended rows and, for each, the index of the row it extends.
+    """
+    indptr, succ = ts.successor_ranks
+    parent = np.arange(len(rows))
+    for _ in range(steps):
+        first = indptr[rows[:, -1]]
+        src, pos = _ranges(first, indptr[rows[:, -1] + 1] - first)
+        rows = np.column_stack((rows[src], succ[pos]))
+        parent = parent[src]
+    return rows, parent
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple:
+    """The runs first[i], ..., first[i] + count[i] - 1 concatenated, with their i."""
+    src = np.repeat(np.arange(len(count)), count)
+    return src, np.arange(len(src)) + np.repeat(first - (np.cumsum(count) - count), count)
+
+
+def _word_ranks(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> np.ndarray:
+    """Admissible words of length ``n`` as int32 alphabet ranks, ``(|W_n|, n)``.
+
+    Rows are in lexicographic order.  Refuses with
+    :class:`EnumerationCapExceeded` before allocating when ``|W_n| > cap``.
     """
     if n < 1:
         raise PreconditionError("word length must be positive")
@@ -230,10 +271,18 @@ def admissible_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CA
         raise EnumerationCapExceeded(
             f"enumeration too large: |W_{n}| = {total} exceeds cap {cap}"
         )
-    words = [(s,) for s in ts.alphabet.symbols]
-    for _ in range(n - 1):
-        words = [w + (t,) for w in words for t in ts.successors[w[-1]]]
-    return words
+    first = np.arange(len(ts.alphabet), dtype=np.int32)[:, None]
+    return _extend_ranks(ts, first, n - 1)[0]
+
+
+def admissible_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> list:
+    """All admissible words of length ``n`` in lexicographic order.
+
+    Length-1 words are the alphabet itself (a single symbol is vacuously
+    admissible).  Refuses with :class:`EnumerationCapExceeded` when the result
+    would exceed ``cap`` entries.
+    """
+    return ts.alphabet.words_of(_word_ranks(ts, n, cap))
 
 
 def nonempty_cylinder_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> list:
@@ -337,8 +386,9 @@ def scc_quotient(ts: TransitionStructure) -> QuotientDag:
     """Quotient by mutual reachability, with reachability order and flags."""
     rank = ts.alphabet.rank
     active = [s for s in ts.alphabet.symbols if ts.successors[s] or ts.predecessors[s]]
-    isolated = tuple(s for s in ts.alphabet.symbols if s not in set(active))
-    raw = _tarjan_sccs(active, {s: [t for t in ts.successors[s] if t in set(active)] for s in active})
+    live = set(active)
+    isolated = tuple(s for s in ts.alphabet.symbols if s not in live)
+    raw = _tarjan_sccs(active, {s: [t for t in ts.successors[s] if t in live] for s in active})
     raw = [sorted(c, key=rank.__getitem__) for c in raw]
     raw.sort(key=lambda c: rank[c[0]])
 

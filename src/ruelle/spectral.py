@@ -64,11 +64,14 @@ def _radius_power_estimate(mat: np.ndarray, iters: int = 400, seed: int = 7) -> 
 
     Deflation is assumed done by the caller (the peripheral part already
     subtracted), so plain iteration with a trailing-window growth average is
-    stable against rotating phases.
+    stable against rotating phases.  It runs on a copy with the entries
+    below the smallest normal float set to zero: subnormal arithmetic is
+    many times slower, and entries that small do not reach the estimate.
     """
     n = mat.shape[0]
     if n == 0:
         return 0.0
+    mat = np.where(np.abs(mat) < np.finfo(float).tiny, 0.0, mat)
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(3):

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError, PreconditionError
 from .potentials import Potential, summability_certificate
-from .shifts import TransitionStructure, admissible_words, scc_quotient
+from .shifts import TransitionStructure, _extend_ranks, _ranges, _word_ranks, scc_quotient
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -35,14 +35,23 @@ DEFAULT_MAX_ITER = 100_000
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Exact reduction of the transfer operator on depth-m words."""
+    """Exact reduction of the transfer operator on depth-m words.
+
+    ``ranks`` holds the index words as alphabet ranks of the index
+    structure, one int32 row per word in lexicographic order; ``words`` is
+    their tuple view, built on first use.
+    """
 
     depth: int
-    words: tuple
+    ranks: np.ndarray
     matrix: sp.csr_matrix  # [target, source]
     governing: TransitionStructure
     index_structure: TransitionStructure
     potential: Potential
+
+    @cached_property
+    def words(self) -> tuple:
+        return tuple(self.index_structure.alphabet.words_of(self.ranks))
 
     @cached_property
     def word_index(self) -> dict:
@@ -50,7 +59,7 @@ class TransferMatrix:
 
     @property
     def dim(self) -> int:
-        return len(self.words)
+        return len(self.ranks)
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -96,31 +105,53 @@ def build_transfer_matrix(
         raise PreconditionError(
             f"matrix depth {m} too small for potential depth {phi.depth}"
         )
-    words = [w for w in admissible_words(ind, m) if ind.has_nonempty_cylinder(w)]
-    index = {w: i for i, w in enumerate(words)}
-    rows, cols, vals = [], [], []
-    for w, j in index.items():  # w = source word
-        a = w[0]
-        for c in ind.successors[w[-1]]:
-            v = w[1:] + (c,)
-            i = index.get(v)
-            if i is None:
-                continue
-            if not ts.allows(a, v[0]):
-                continue
-            rows.append(i)
-            cols.append(j)
-            vals.append(math.exp(phi.value(w + (c,))))
-    n = len(words)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    ranks = _word_ranks(ind, m)
+    ranks = ranks[ind.viable_ranks[ranks[:, -1]]]
+    n = len(ranks)
+    # Source w and successor c give the entry (w[1:] + (c,), w) when the
+    # target's cylinder is nonempty and the governing table allows w[0] -> w[1].
+    ext, src = _extend_ranks(ind, ranks, 1)
+    keep = ind.viable_ranks[ext[:, -1]] & _allows(ts, ind, ext[:, 0], ext[:, 1])
+    ext, src = ext[keep], src[keep]
+    tgt = np.searchsorted(_lex_keys(ranks), _lex_keys(ext[:, 1:]))
+    # Rows of ext are in lexicographic order, so equal d-prefixes are adjacent.
+    pre = ext[:, : phi.depth]
+    fresh = np.ones(len(pre), dtype=bool)
+    fresh[1:] = (pre[1:] != pre[:-1]).any(axis=1)
+    table = [math.exp(phi.value(w)) for w in ind.alphabet.words_of(pre[fresh])]
+    vals = np.array(table, dtype=float)[np.cumsum(fresh) - 1]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    mat = sp.csc_matrix((vals, tgt, indptr), shape=(n, n)).tocsr()
     return TransferMatrix(
         depth=m,
-        words=tuple(words),
+        ranks=ranks,
         matrix=mat,
         governing=ts,
         index_structure=ind,
         potential=phi,
     )
+
+
+def _lex_keys(rows: np.ndarray) -> np.ndarray:
+    """Rank rows as big-endian byte strings, ordered like the rows themselves."""
+    rows = np.ascontiguousarray(rows, dtype=">i4")
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+
+
+def _key_rows(keys: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of ``_lex_keys``: the rank rows of the keys."""
+    return keys.view(">i4").reshape(len(keys), width).astype(np.int32)
+
+
+def _allows(ts: TransitionStructure, ind: TransitionStructure, a: np.ndarray, b: np.ndarray):
+    """Whether ``ts`` allows each pair of ``ind``-ranks (a, b)."""
+    rank = ind.alphabet.rank
+    k = len(rank)
+    codes = [rank[i] * k + rank[j] for (i, j) in ts.entries if i in rank and j in rank]
+    # The sentinel k * k exceeds every pair code, so each query lands on an entry.
+    table = np.sort(np.array(codes + [k * k], dtype=np.int64))
+    query = a.astype(np.int64) * k + b
+    return table[np.searchsorted(table, query)] == query
 
 
 def apply_operator(tm: TransferMatrix, f: np.ndarray, n: int = 1) -> np.ndarray:
@@ -394,26 +425,37 @@ def _continuation_bounds(tm: TransferMatrix) -> tuple:
 
     For index word v these bound the sum of the potential over windows whose
     start lies in v but whose support runs d-1 symbols beyond; the extremes
-    are over extendable continuations.
+    are over extendable continuations.  Each sum adds the window values left
+    to right from 0.0, as the tuple definition does.
     """
     ts = tm.index_structure
     phi = tm.potential
-    m = tm.depth
-    d = phi.depth
+    m, d = tm.depth, phi.depth
+    # Continuations past v depend only on its last d - 1 symbols (at least
+    # one): extend each distinct suffix once and keep the viable ends.
+    width = max(d - 1, 1)
+    keys, of_word = np.unique(_lex_keys(tm.ranks[:, m - width :]), return_inverse=True)
+    ctx, of_ctx = _extend_ranks(ts, _key_rows(keys, width), d - 1)
+    live = ts.viable_ranks[ctx[:, -1]]
+    ctx, count = ctx[live], np.bincount(of_ctx[live], minlength=len(keys))
+    first = np.cumsum(count) - count
+    parent, row = _ranges(first[of_word], count[of_word])
+    # Windows j <= m - d lie inside v; the d - 1 later ones run into ctx.
+    wins = [tm.ranks[:, j : j + d] for j in range(m - d + 1)]
+    wins += [ctx[:, j : j + d] for j in range(d - 1)]
+    uniq, inv = np.unique(_lex_keys(np.concatenate(wins)), return_inverse=True)
+    table = [phi.value(w) for w in ts.alphabet.words_of(_key_rows(uniq, d))]
+    vals = np.split(np.array(table, dtype=float)[inv], np.cumsum([len(w) for w in wins]))
+    inner = np.zeros(tm.dim)
+    for j in range(m - d + 1):
+        inner += vals[j]
+    total = inner[parent]
+    for j in range(m - d + 1, m):
+        total += vals[j][row]
     sup = np.full(tm.dim, -np.inf)
     inf = np.full(tm.dim, np.inf)
-    viable = ts.viable_symbols
-    for v, i in tm.word_index.items():
-        exts = [v]
-        for _ in range(d - 1):
-            exts = [w + (c,) for w in exts for c in ts.successors[w[-1]]]
-        exts = [w for w in exts if w[-1] in viable]
-        for w in exts:
-            s = sum(phi.value(w[j : j + d]) for j in range(m))
-            if s > sup[i]:
-                sup[i] = s
-            if s < inf[i]:
-                inf[i] = s
+    np.maximum.at(sup, parent, total)
+    np.minimum.at(inf, parent, total)
     return sup, inf
 
 
@@ -464,15 +506,14 @@ def topological_pressure(
     # Lower route: return sums pinned at one cycle word per cyclic component.
     lowers = {n: -math.inf for n in uppers}
     dag = scc_quotient(tm.governing)
+    rank = tm.index_structure.alphabet.rank
     pins = []
     for comp in dag.components:
         if not comp.has_periodic_point:
             continue
-        pin = next(
-            (i for i, w in enumerate(tm.words) if all(s in comp.symbols for s in w)), None
-        )
-        if pin is not None:
-            pins.append(pin)
+        inside = np.zeros(len(rank), dtype=bool)
+        inside[[rank[s] for s in comp.symbols]] = True
+        pins.extend(np.flatnonzero(inside[tm.ranks].all(axis=1))[:1].tolist())
     for pin in pins:
         u = np.zeros(tm.dim)
         u[pin] = 1.0

@@ -24,6 +24,7 @@ from conftest import (
     PHI,
     SQRT5,
     direct_operator_apply,
+    f4_spec,
     f1,
     f2,
     f3,
@@ -298,3 +299,133 @@ class TestStructureProperties:
         for depth in (1, 2, 3):
             trip = rpf_triplet(build_transfer_matrix(f2(), zero_potential(f2()), depth=depth))
             assert trip.lam == pytest.approx(PHI, abs=1e-10)
+
+
+# -- assembly from rank arrays against the tuple-loop definition -----------------------
+
+
+def _reference_words(ts, m):
+    """Admissible depth-m words with a nonempty cylinder, by tuple concatenation."""
+    words = [(s,) for s in ts.alphabet.symbols]
+    for _ in range(m - 1):
+        words = [w + (t,) for w in words for t in ts.successors[w[-1]]]
+    return [w for w in words if ts.has_nonempty_cylinder(w)]
+
+
+def _reference_matrix(ts, phi, m, ind):
+    """The reduction entry by entry: source w, successor c, target w[1:] + (c,)."""
+    import scipy.sparse as sp
+
+    words = _reference_words(ind, m)
+    index = {w: i for i, w in enumerate(words)}
+    rows, cols, vals = [], [], []
+    for w, j in index.items():
+        for c in ind.successors[w[-1]]:
+            v = w[1:] + (c,)
+            i = index.get(v)
+            if i is None or not ts.allows(w[0], v[0]):
+                continue
+            rows.append(i)
+            cols.append(j)
+            vals.append(math.exp(phi.value(w + (c,))))
+    n = len(words)
+    return words, sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _reference_bounds(ind, phi, words, m):
+    """Extremes over viable continuations of the m window sums, in sum() order."""
+    d = phi.depth
+    sup = np.full(len(words), -np.inf)
+    inf = np.full(len(words), np.inf)
+    for i, v in enumerate(words):
+        exts = [v]
+        for _ in range(d - 1):
+            exts = [w + (c,) for w in exts for c in ind.successors[w[-1]]]
+        for w in exts:
+            if w[-1] in ind.viable_symbols:
+                s = sum(phi.value(w[j : j + d]) for j in range(m))
+                sup[i] = max(sup[i], s)
+                inf[i] = min(inf[i], s)
+    return sup, inf
+
+
+def _seeded_weights(ts, depth, seed):
+    rng = np.random.default_rng(seed)
+    words = admissible_words(ts, depth)
+    return potential_from_weights(dict(zip(words, rng.uniform(-2.0, 1.0, len(words)).tolist())))
+
+
+def _cycle_structure(n):
+    return from_entries(tuple(range(n)), [(i, (i + 1) % n) for i in range(n)])
+
+
+def _assembly_cases():
+    from ruelle import HoleSpec, renewal_structure
+    from ruelle.applications import renewal_potential
+
+    full4 = full_shift((0, 1, 2, 3))
+    phi3 = _seeded_weights(full4, 3, 11)
+    for m in (2, 3, 4, 5):
+        yield f"full4-m{m}", full4, phi3, m, None
+    hole = HoleSpec.from_hole(full4, [(1, 1), (2, 3)])
+    yield "open-on-closed", hole.open_, _seeded_weights(full4, 2, 12), 3, hole.closed
+    # Deleting every transition out of 3 leaves 3 without a forward path.
+    dead = full4.restrict([(3, 0), (3, 1), (3, 2), (3, 3)])
+    assert 3 not in dead.viable_symbols
+    yield "pure-open-nonviable", dead, _seeded_weights(dead, 2, 13), 3, None
+    renewal = renewal_structure(60)
+    yield "renewal-t60", renewal, renewal_potential(f4_spec(60), renewal), 1, None
+    banded = banded_structure(300, 2)
+    yield "banded300-m3", banded, _seeded_weights(banded, 2, 14), 3, None
+    # 5000**6 exceeds the int64 range: no rank code of a depth-6 word fits.
+    cycle = _cycle_structure(5000)
+    yield "cycle5000-m6", cycle, _seeded_weights(cycle, 2, 15), 6, None
+
+
+@pytest.mark.parametrize("case", list(_assembly_cases()), ids=lambda c: c[0])
+def test_assembly_bitwise_equals_tuple_definition(case):
+    from ruelle.transfer import _continuation_bounds
+
+    _, ts, phi, m, ind = case
+    tm = build_transfer_matrix(ts, phi, depth=m, index_structure=ind)
+    words, ref = _reference_matrix(ts, phi, m, ind if ind is not None else ts)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(tm.matrix, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    sup, inf = _continuation_bounds(tm)
+    ref_sup, ref_inf = _reference_bounds(tm.index_structure, phi, words, m)
+    assert sup.tobytes() == ref_sup.tobytes()
+    assert inf.tobytes() == ref_inf.tobytes()
+    assert tm.words == tuple(words)
+
+
+def test_eigendata_and_pressure_leave_words_unbuilt(monkeypatch):
+    import ruelle.transfer as transfer
+
+    built = []
+
+    def recording_build(*args, **kwargs):
+        built.append(build_transfer_matrix(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(transfer, "build_transfer_matrix", recording_build)
+    ts = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(ts, 3, 16)
+    tm = build_transfer_matrix(ts, phi, depth=4)
+    rpf_triplet(tm)
+    topological_pressure(ts, phi, n_max=12, depth=4)
+    assert len(built) == 1
+    for t in (tm, built[0]):
+        assert "words" not in t.__dict__
+
+
+def test_assembly_refuses_over_cap_before_allocating():
+    import time
+
+    from ruelle import EnumerationCapExceeded
+
+    ts = full_shift(range(5))  # |W_11| = 5**11 = 48.8M words
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded):
+        build_transfer_matrix(ts, zero_potential(ts), depth=11)
+    assert time.perf_counter() - start < 1.0
