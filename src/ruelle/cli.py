@@ -236,7 +236,7 @@ def cmd_spectrum(cfg: SystemConfig) -> Bundle:
     dag = scc_quotient(ts)
     if len(dag.components) == 1 and not dag.isolated:
         tm = build_transfer_matrix(ts, phi, depth=cfg.depth)
-        dec = spectral_decomposition(tm, tol=max(cfg.tolerance, 1e-10))
+        dec = spectral_decomposition(tm, tol=cfg.tolerance)
     else:
         dec = component_decomposition(ts, phi, depth=cfg.depth, tol=cfg.tolerance)
     b.results["lam"] = dec.lam

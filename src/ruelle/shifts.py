@@ -206,7 +206,11 @@ def renewal_structure(truncation: int) -> TransitionStructure:
 
 def banded_structure(truncation: int, width: int) -> TransitionStructure:
     syms = tuple(range(1, truncation + 1))
-    ent = {(i, j) for i in syms for j in syms if abs(i - j) <= width}
+    ent = {
+        (i, j)
+        for i in syms
+        for j in range(max(1, i - width), min(truncation, i + width) + 1)
+    }
     return TransitionStructure(
         Alphabet(syms, family="banded", truncation=truncation), frozenset(ent), name="banded"
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,14 @@ import numpy as np
 from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
 from .potentials import Potential, lex_min_point
 from .shifts import PeriodClasses, TransitionStructure, period_classes, scc_quotient
-from .transfer import RpfTriplet, TransferMatrix, _perron_vector, build_transfer_matrix, rpf_triplet
+from .transfer import (
+    DEFAULT_TOL,
+    RpfTriplet,
+    TransferMatrix,
+    _perron_vector,
+    build_transfer_matrix,
+    rpf_triplet,
+)
 
 DENSE_ORACLE_LIMIT = 200
 
@@ -97,13 +104,14 @@ def spectral_decomposition(
     tm: TransferMatrix,
     classes: Optional[PeriodClasses] = None,
     triplet: Optional[RpfTriplet] = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> SpectralDecomposition:
     """Peripheral decomposition of an irreducible reduction.
 
     The twisted vectors are h_i = sum_j kappa^{-ji} h 1_{class j} and
     nu_i = sum_j kappa^{ji} nu 1_{class j}; the remainder is what is left
-    after removing the p rank-one peripheral terms.
+    after removing the p rank-one peripheral terms.  Without ``triplet``
+    the positive pair is solved to ``tol``.
     """
     dag = scc_quotient(tm.governing)
     live = [c for c in dag.components if c.has_periodic_point]
@@ -115,32 +123,56 @@ def spectral_decomposition(
     if classes is None:
         classes = period_classes(tm.governing)
     if triplet is None:
-        triplet = rpf_triplet(tm)
-    lam = triplet.lam
+        triplet = rpf_triplet(tm, tol=tol)
+    every = np.ones(tm.dim, dtype=bool)
+    return _decompose(tm, every, classes, triplet.lam, triplet.h, triplet.nu)
+
+
+def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecomposition:
+    """Peripheral decomposition from the positive pair of the dominant rows.
+
+    ``dom_rows`` marks the index words that start in the dominant component and
+    (h1, nu1) is the positive pair of that block.  The pair is twisted by
+    the cyclic classes; across the other rows it extends by the resolvent
+    solves h_2 = (lam_i - B22)^{-1} B21 h_1 and
+    nu_2 = (lam_i - B22)^{-T} B12^T nu_1, after which nu_i is normalized to
+    nu_i . h_i = 1.  ``extra`` fills the reducible-only fields.
+    """
     p = classes.p
     kappa = cmath.exp(2j * math.pi / p)
-
-    class_of = {}
+    rank = tm.index_structure.alphabet.rank
+    class_of = np.full(len(rank), -1)
     for j, cls in enumerate(classes.classes):
-        for s in cls:
-            class_of[s] = j
-    word_class = np.array([class_of[w[0]] for w in tm.words])
+        class_of[[rank[s] for s in cls]] = j
+    word_class = class_of[tm.ranks[dom_rows, 0]]
     masks = [(word_class == j).astype(float) for j in range(p)]
 
-    h = triplet.h
-    nu = triplet.nu
+    dense = tm.dense()
+    idx1, idx2 = np.flatnonzero(dom_rows), np.flatnonzero(~dom_rows)
+    B12 = dense[np.ix_(idx1, idx2)].astype(complex)
+    B21 = dense[np.ix_(idx2, idx1)].astype(complex)
+    B22 = dense[np.ix_(idx2, idx2)]
     peripherals = []
     for i in range(p):
+        lam_i = lam * kappa**i
+        hi1 = np.zeros(len(idx1), dtype=complex)
+        nui1 = np.zeros(len(idx1), dtype=complex)
+        for j in range(p):
+            hi1 += kappa ** (-j * i) * (h1 * masks[j])
+            nui1 += kappa ** (j * i) * (nu1 * masks[j])
         hi = np.zeros(tm.dim, dtype=complex)
         nui = np.zeros(tm.dim, dtype=complex)
-        for j in range(p):
-            hi += kappa ** (-j * i) * (h * masks[j])
-            nui += kappa ** (j * i) * (nu * masks[j])
-        peripherals.append(Peripheral(eigenvalue=lam * kappa**i, h=hi, nu=nui))
+        hi[idx1] = hi1
+        nui[idx1] = nui1
+        if len(idx2):
+            A22 = lam_i * np.eye(len(idx2), dtype=complex) - B22
+            hi[idx2] = np.linalg.solve(A22, B21 @ hi1)
+            nui[idx2] = np.linalg.solve(A22.T, B12.T @ nui1)
+            nui = nui / (nui @ hi)
+        peripherals.append(Peripheral(eigenvalue=lam_i, h=hi, nu=nui))
 
-    dense = tm.dense().astype(complex)
-    remainder = dense.copy()
-    for i, per in enumerate(peripherals):
+    remainder = dense.astype(complex)
+    for per in peripherals:
         remainder -= per.eigenvalue * np.outer(per.h, per.nu)
     if float(np.abs(remainder.imag).max(initial=0.0)) < 1e-9 * max(lam, 1.0):
         remainder = remainder.real.astype(complex)
@@ -161,29 +193,39 @@ def spectral_decomposition(
         remainder_radius=radius,
         remainder_method=method,
         checks=checks,
+        **extra,
     )
 
 
 def _projection_checks(dense, peripherals, remainder, lam) -> dict:
+    """Projection identities of P_i = h_i (x) nu_i in rank-one form.
+
+    P_i P_j = (nu_i . h_j) h_i (x) nu_j, P_i R = h_i (x) (nu_i R) and
+    R P_i = (R h_i) (x) nu_i, and the largest entry of a (x) b is
+    |a|_inf |b|_inf, so no projection is formed; only the reconstruction
+    error R + sum lam_i P_i - L is taken entrywise.
+    """
     scale = max(lam, 1.0)
-    recon = remainder.astype(complex).copy()
-    worst_orth = 0.0
-    worst_idem = 0.0
-    worst_commute = 0.0
-    projs = [np.outer(per.h, per.nu) for per in peripherals]
-    for i, per in enumerate(peripherals):
-        recon += per.eigenvalue * projs[i]
-        worst_idem = max(worst_idem, float(np.abs(projs[i] @ projs[i] - projs[i]).max()))
+    hs = [per.h for per in peripherals]
+    nus = [per.nu for per in peripherals]
+    h_sup = [float(np.abs(h).max()) for h in hs]
+    nu_sup = [float(np.abs(nu).max()) for nu in nus]
+    worst_idem = worst_orth = worst_commute = 0.0
+    for i in range(len(peripherals)):
+        worst_idem = max(worst_idem, abs(nus[i] @ hs[i] - 1.0) * h_sup[i] * nu_sup[i])
         worst_commute = max(
             worst_commute,
-            float(np.abs(projs[i] @ remainder).max()),
-            float(np.abs(remainder @ projs[i]).max()),
+            h_sup[i] * float(np.abs(nus[i] @ remainder).max()),
+            float(np.abs(remainder @ hs[i]).max()) * nu_sup[i],
         )
-        for jj in range(i + 1, len(peripherals)):
-            worst_orth = max(worst_orth, float(np.abs(projs[i] @ projs[jj]).max()))
-    recon_err = float(np.abs(recon - dense).max())
+        for j in range(i + 1, len(peripherals)):
+            worst_orth = max(worst_orth, abs(nus[i] @ hs[j]) * h_sup[i] * nu_sup[j])
+    eigs = np.array([per.eigenvalue for per in peripherals])
+    recon = (np.stack(hs, axis=1) * eigs) @ np.stack(nus)
+    recon += remainder
+    recon -= dense
     return {
-        "reconstruction_error": recon_err / scale,
+        "reconstruction_error": float(np.abs(recon).max()) / scale,
         "projection_orthogonality": worst_orth / scale,
         "projection_idempotence": worst_idem,
         "remainder_commutation": worst_commute / scale,
@@ -229,12 +271,6 @@ def component_decomposition(
     """
     dag = scc_quotient(ts)
     pressures = component_pressures(ts, phi, depth=depth, tol=tol)
-    if len(dag.components) == 1 and not dag.isolated:
-        tm = build_transfer_matrix(ts, phi, depth=depth)
-        dec = spectral_decomposition(tm, tol=max(tol, 1e-10))
-        return SpectralDecomposition(
-            **{**dec.__dict__, "component_pressures": pressures, "dominant_component": 0}
-        )
     best = max(pressures)
     if not math.isfinite(best):
         raise PreconditionError("no component carries a cycle; spectral radius is zero")
@@ -245,85 +281,26 @@ def component_decomposition(
             tied=tied,
         )
     dom = tied[0]
-    dom_symbols = set(dag.components[dom].symbols)
+    symbols = dag.components[dom].symbols
 
     tm = build_transfer_matrix(ts, phi, depth=depth)
-    lam = math.exp(best)
-    idx1 = [i for i, w in enumerate(tm.words) if w[0] in dom_symbols]
-    idx2 = [i for i, w in enumerate(tm.words) if w[0] not in dom_symbols]
-    dense = tm.dense()
-    B11 = dense[np.ix_(idx1, idx1)]
-    B12 = dense[np.ix_(idx1, idx2)]
-    B21 = dense[np.ix_(idx2, idx1)]
-    B22 = dense[np.ix_(idx2, idx2)]
-
-    classes = period_classes(ts, component=dag.components[dom].symbols)
-    p = classes.p
-    kappa = cmath.exp(2j * math.pi / p)
-    _, g1, _, ok_r = _perron_vector(B11, p, tol)
-    _, nu1, _, ok_l = _perron_vector(B11.T, p, tol)
+    rank = ts.alphabet.rank
+    inside = np.zeros(len(rank), dtype=bool)
+    inside[[rank[s] for s in symbols]] = True
+    rows = inside[tm.ranks[:, 0]]
+    B11 = tm.matrix[rows][:, rows].toarray()
+    classes = period_classes(ts, component=symbols)
+    _, g1, _, ok_r = _perron_vector(B11, classes.p, tol)
+    _, nu1, _, ok_l = _perron_vector(B11.T, classes.p, tol)
     if not (ok_r and ok_l):
         raise ConvergenceError(f"dominant block eigenvectors did not reach tol={tol}")
     nu1 = nu1 / nu1.sum()
     h1 = g1 / (nu1 @ g1)
-    class_of = {}
-    for j, cls in enumerate(classes.classes):
-        for s in cls:
-            class_of[s] = j
-    word_class = np.array(
-        [class_of.get(tm.words[i][0], -1) for i in idx1]
+    dec = _decompose(
+        tm, rows, classes, math.exp(best), h1, nu1,
+        component_pressures=pressures, dominant_component=dom,
     )
-    masks = [(word_class == j).astype(float) for j in range(p)]
-
-    peripherals = []
-    n = tm.dim
-    for i in range(p):
-        lam_i = lam * kappa**i
-        hi1 = np.zeros(len(idx1), dtype=complex)
-        nui1 = np.zeros(len(idx1), dtype=complex)
-        for j in range(p):
-            hi1 += kappa ** (-j * i) * (h1 * masks[j])
-            nui1 += kappa ** (j * i) * (nu1 * masks[j])
-        A22 = lam_i * np.eye(len(idx2), dtype=complex) - B22
-        hi2 = np.linalg.solve(A22, B21.astype(complex) @ hi1) if idx2 else np.zeros(0, complex)
-        nui2 = (
-            np.linalg.solve(A22.T, (B12.astype(complex)).T @ nui1) if idx2 else np.zeros(0, complex)
-        )
-        hi = np.zeros(n, dtype=complex)
-        nui = np.zeros(n, dtype=complex)
-        hi[idx1] = hi1
-        hi[idx2] = hi2
-        nui[idx1] = nui1
-        nui[idx2] = nui2
-        norm = nui @ hi
-        nui = nui / norm
-        peripherals.append(Peripheral(eigenvalue=lam_i, h=hi, nu=nui))
-
-    remainder = dense.astype(complex).copy()
-    for per in peripherals:
-        remainder -= per.eigenvalue * np.outer(per.h, per.nu)
-    checks = _projection_checks(dense.astype(complex), peripherals, remainder, lam)
-    radius = _radius_power_estimate(remainder)
-    method = "power_deflated"
-    if tm.dim <= DENSE_ORACLE_LIMIT:
-        radius = max(radius, float(np.abs(np.linalg.eigvals(remainder)).max(initial=0.0)))
-        method = "power_deflated+dense"
-
-    support = _support_patterns(tm, dag, dom, peripherals)
-    return SpectralDecomposition(
-        lam=lam,
-        p=p,
-        kappa=kappa,
-        words=tm.words,
-        peripherals=tuple(peripherals),
-        remainder=remainder,
-        remainder_radius=radius,
-        remainder_method=method,
-        checks=checks,
-        component_pressures=pressures,
-        dominant_component=dom,
-        support_patterns=support,
-    )
+    return replace(dec, support_patterns=_support_patterns(tm, dag, dom, dec.peripherals))
 
 
 def _support_patterns(tm, dag, dom, peripherals) -> dict:
@@ -333,10 +310,8 @@ def _support_patterns(tm, dag, dom, peripherals) -> dict:
     the eigenvector on components that reach it (meeting the subshift).
     """
     n_comp = len(dag.components)
-    comp_of_word = []
-    for w in tm.words:
-        comp_of_word.append(dag.component_of(w[0]))
-    comp_of_word = np.array([c if c is not None else -1 for c in comp_of_word])
+    comp_of = [dag.component_of(s) for s in tm.index_structure.alphabet.symbols]
+    comp_of_word = np.array([-1 if c is None else c for c in comp_of])[tm.ranks[:, 0]]
     h0 = peripherals[0].h
     nu0 = peripherals[0].nu
     scale_h = float(np.abs(h0).max(initial=0.0)) or 1.0

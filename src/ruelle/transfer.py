@@ -477,6 +477,8 @@ def topological_pressure(
     if not cert.summable:
         raise PreconditionError("potential is not summable; pressure undefined")
     tm = build_transfer_matrix(ts, phi, depth=depth)
+    if tm.dim == 0:
+        raise PreconditionError("pressure undefined: the index carries no nonempty cylinders")
     m = tm.depth
     if n_max < m:
         raise PreconditionError(f"n_max = {n_max} is below the matrix depth {m}")

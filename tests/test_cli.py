@@ -1,10 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from ruelle import ConfigError, SystemConfig
 from ruelle.cli import main
+from ruelle.config import CONFIG_SCHEMA
 
 GOLDEN = {
     "alphabet": {"symbols": [0, 1]},
@@ -55,6 +57,10 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             cfg.closed_structure()
         assert "2" in str(exc.value)
+
+    def test_published_schema_is_the_validated_one(self):
+        doc = Path(__file__).resolve().parent.parent / "docs" / "config_schema.json"
+        assert json.loads(doc.read_text()) == CONFIG_SCHEMA
 
     def test_epsilon_schedules(self):
         cfg = SystemConfig.from_dict({"epsilons": {"ratio": 0.5, "count": 3}})

@@ -8,6 +8,7 @@ from ruelle import (
     EnumerationCapExceeded,
     PreconditionError,
     admissible_words,
+    banded_structure,
     classify,
     from_entries,
     full_shift,
@@ -218,6 +219,12 @@ class TestConstruction:
     def test_undeclared_symbols_rejected(self):
         with pytest.raises(ConfigError):
             from_entries((0, 1), [(0, 2)])
+
+    def test_banded_entries_match_the_all_pairs_definition(self):
+        for n, w in [(1, 0), (7, 1), (12, 2), (9, 4), (5, 6)]:
+            syms = range(1, n + 1)
+            pairs = {(i, j) for i in syms for j in syms if abs(i - j) <= w}
+            assert banded_structure(n, w).entries == pairs
 
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ConfigError):

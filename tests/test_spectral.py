@@ -20,6 +20,7 @@ from ruelle import (
     spectral_decomposition,
     zero_potential,
 )
+from ruelle.spectral import Peripheral, _projection_checks
 
 from conftest import (
     PHI,
@@ -104,11 +105,98 @@ class TestSpectralDecomposition:
             s = np.linalg.svd(dense - per.eigenvalue * np.eye(tm.dim), compute_uv=False)
             assert sum(1 for v in s if v <= 1e-9 * dec.lam) == 1
 
+    def test_tol_reaches_the_triplet(self):
+        ts, phi = period2_rich()
+        tm = build_transfer_matrix(ts, phi, depth=1)
+        assert spectral_decomposition(tm, tol=1e-6).lam == rpf_triplet(tm, tol=1e-6).lam
+
     def test_reducible_rejected(self):
         ts, phi = two_component_dag()
         tm = build_transfer_matrix(ts, phi, depth=1)
         with pytest.raises(PreconditionError):
             spectral_decomposition(tm)
+
+
+def dense_projection_checks(dense, peripherals, remainder, lam) -> dict:
+    """Reference: the projection identities on the n x n projections."""
+    scale = max(lam, 1.0)
+    recon = remainder.astype(complex).copy()
+    worst_orth = 0.0
+    worst_idem = 0.0
+    worst_commute = 0.0
+    projs = [np.outer(per.h, per.nu) for per in peripherals]
+    for i, per in enumerate(peripherals):
+        recon += per.eigenvalue * projs[i]
+        worst_idem = max(worst_idem, float(np.abs(projs[i] @ projs[i] - projs[i]).max()))
+        worst_commute = max(
+            worst_commute,
+            float(np.abs(projs[i] @ remainder).max()),
+            float(np.abs(remainder @ projs[i]).max()),
+        )
+        for jj in range(i + 1, len(peripherals)):
+            worst_orth = max(worst_orth, float(np.abs(projs[i] @ projs[jj]).max()))
+    recon_err = float(np.abs(recon - dense).max())
+    return {
+        "reconstruction_error": recon_err / scale,
+        "projection_orthogonality": worst_orth / scale,
+        "projection_idempotence": worst_idem,
+        "remainder_commutation": worst_commute / scale,
+    }
+
+
+def fixture_decompositions():
+    for ts, phi in [
+        (f2(), zero_potential(f2())),
+        (f3(), zero_potential(f3())),
+        (f3p(), zero_potential(f3p())),
+        period2_rich(),
+    ]:
+        tm = build_transfer_matrix(ts, phi, depth=1)
+        yield tm, spectral_decomposition(tm)
+    for depth in (1, 2):
+        ts, phi = two_component_dag()
+        yield build_transfer_matrix(ts, phi, depth=depth), component_decomposition(
+            ts, phi, depth=depth
+        )
+
+
+class TestRankOneChecks:
+    def test_match_the_dense_reference_on_fixtures(self):
+        for tm, dec in fixture_decompositions():
+            ref = dense_projection_checks(tm.dense(), dec.peripherals, dec.remainder, dec.lam)
+            assert dec.checks.keys() == ref.keys()
+            for key, value in ref.items():
+                assert abs(dec.checks[key] - value) <= 1e-15, (tm.dim, key)
+
+    def test_corrupted_decomposition_reported_as_the_dense_reference(self):
+        # nu_0 scaled and mixed with nu_1, h_1 mixed into h_0: the pair is
+        # neither idempotent nor orthogonal.  Against the original remainder
+        # the reconstruction fails; against the remainder of the corrupted
+        # pair the commutation does.  The transposed decomposition (h and nu
+        # swapped) exercises the other side of each product.
+        ts, phi = period2_rich()
+        tm = build_transfer_matrix(ts, phi, depth=1)
+        dec = spectral_decomposition(tm)
+        (p0, p1) = dec.peripherals
+        bad = (
+            Peripheral(p0.eigenvalue, p0.h + 0.25 * p1.h, 1.01 * p0.nu + 0.2 * p1.nu),
+            p1,
+        )
+        own = tm.dense() - sum(per.eigenvalue * np.outer(per.h, per.nu) for per in bad)
+        for transpose in (False, True):
+            dense = tm.dense().T if transpose else tm.dense()
+            pers = tuple(Peripheral(q.eigenvalue, q.nu, q.h) for q in bad) if transpose else bad
+            for remainder, violated in [
+                (dec.remainder, "reconstruction_error"),
+                (own, "remainder_commutation"),
+            ]:
+                remainder = remainder.T if transpose else remainder
+                new = _projection_checks(dense, pers, remainder, dec.lam)
+                ref = dense_projection_checks(dense, pers, remainder, dec.lam)
+                for key in ("projection_idempotence", "projection_orthogonality", violated):
+                    assert new[key] >= 1e-3
+                for key, value in ref.items():
+                    assert new[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
 
 
 class TestComponentDecomposition:

@@ -261,6 +261,12 @@ class TestPressure:
         with pytest.raises(PreconditionError):
             topological_pressure(f4(6), phi, n_max=6)
 
+    def test_no_nonempty_cylinder_rejected(self):
+        # 0 -> 1 is the only transition: no infinite path, an empty index.
+        ts = from_entries((0, 1), [(0, 1)])
+        with pytest.raises(PreconditionError, match="no nonempty cylinders"):
+            topological_pressure(ts, zero_potential(ts))
+
 
 class TestStructureProperties:
     def test_radius_is_max_over_components(self):
