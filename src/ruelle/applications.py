@@ -159,9 +159,15 @@ def renewal_analysis(spec: RenewalSpec, tol: float = 1e-12) -> RenewalReport:
         i: sum(v for (r, _), v in fwd.items() if r == i) for i in range(1, spec.truncation + 1)
     }
 
+    # Deep in the chain the kernel and h underflow; pairs with a value below
+    # the smallest normal float have no usable logarithm and are left out.
     resid = 0.0
+    left_out = 0
     for (i, j), pij in kernel.items():
         hi_, hj_ = h[idx[(i,)]], h[idx[(j,)]]
+        if min(pij, hi_, hj_) < np.finfo(float).tiny:
+            left_out += 1
+            continue
         rhs = phi.value((i, j)) - math.log(lam_m) + math.log(hi_) - math.log(hj_)
         resid = max(resid, abs(math.log(pij) - rhs))
 
@@ -172,6 +178,9 @@ def renewal_analysis(spec: RenewalSpec, tol: float = 1e-12) -> RenewalReport:
         "conformal-mass normalization",
         f"summable maxima partial sum {cert_total:.6g}",
     )
+    if left_out:
+        notes += (f"cohomology residual over {len(kernel) - left_out} of {len(kernel)} pairs: "
+                  f"{left_out} with a value below the smallest normal float left out",)
     return RenewalReport(
         truncation=spec.truncation,
         lam_matrix=lam_m,

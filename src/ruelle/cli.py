@@ -95,13 +95,12 @@ class Bundle:
             "results": _jsonify(self.results),
             "statements": self.statements,
         }
-        body = json.dumps(doc, sort_keys=True, indent=2)
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        # Keys sorted at every level, then the timestamp as the last key.
+        doc = json.loads(json.dumps(doc, sort_keys=True))
+        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         path = out_dir / "report.json"
         with open(path, "w") as fh:
-            fh.write(body[:-2])
-            fh.write(',\n  "timestamp": ' + json.dumps(stamp) + "\n}")
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2) + "\n")
         for name, (header, rows) in self.tables.items():
             with open(out_dir / f"{name}.csv", "w", newline="") as fh:
                 w = csv.writer(fh)

@@ -27,6 +27,7 @@ from .shifts import TransitionStructure
 from .transfer import (
     RpfTriplet,
     TransferMatrix,
+    _allows,
     build_transfer_matrix,
     rpf_triplet,
 )
@@ -93,12 +94,7 @@ def log_survivor_masses(
     """
     if n_max < 1:
         raise PreconditionError("need at least one step")
-    tm_open = build_transfer_matrix(
-        hole.open_,
-        phi,
-        depth=triplet_closed.tm.depth,
-        index_structure=triplet_closed.tm.index_structure,
-    )
+    tm_open = open_operator(hole, phi, triplet_closed.tm.depth)
     lam = triplet_closed.lam
     nu = triplet_closed.nu
     v = triplet_closed.h.copy()
@@ -177,6 +173,33 @@ class MonteCarloEstimate:
     seed: int
 
 
+def _step_table(hole: HoleSpec, triplet_closed: RpfTriplet) -> tuple:
+    """The sampler's word-level kernel, read off the closed operator.
+
+    The step w -> v has probability L[v, w] nu(v) / (lam nu(w)), so row w of
+    the transpose lists the targets v = w[1:] + (c,) in successor order.
+    Returns its (indptr, targets), each row's cumulative probabilities, and
+    whether the step's transition is allowed by the subsystem.
+    """
+    tm, nu = triplet_closed.tm, triplet_closed.nu
+    steps_of = tm.matrix.T.tocsr()
+    degree = np.diff(steps_of.indptr)
+    src = np.repeat(np.arange(tm.dim), degree)
+    den = triplet_closed.lam * nu[src]
+    prob = np.divide(steps_of.data * nu[steps_of.indices], den, out=np.zeros_like(den), where=den > 0)
+    # Rows of equal degree are normalized and accumulated as one 2-D block,
+    # which sums each row exactly as a per-row array would.
+    cum = np.empty_like(prob)
+    for d in np.unique(degree[degree > 0]):
+        at = steps_of.indptr[:-1][degree == d][:, None] + np.arange(d)
+        block = prob[at]
+        total = block.sum(axis=1, keepdims=True)
+        cum[at] = np.cumsum(np.divide(block, total, out=block, where=total > 0), axis=1)
+    last = tm.ranks[:, -1]
+    step_ok = _allows(hole.open_, tm.index_structure, last[src], last[steps_of.indices])
+    return steps_of.indptr, steps_of.indices, cum, step_ok
+
+
 def monte_carlo_survival(
     hole: HoleSpec,
     phi: Potential,
@@ -191,56 +214,30 @@ def monte_carlo_survival(
     Paths of n+1 symbols are drawn from the exact word-level Markov kernel of
     the closed system's invariant measure (initial block from the invariant
     block masses, steps from the conformal-mass transition rule); a path
-    survives when none of its n transitions falls in the hole.  Chunks use
-    seeds derived from the master seed, so the estimate is reproducible and
-    independent of the chunking.
+    survives when none of its n transitions falls in the hole.  The kernel
+    is read from the operator of ``triplet_closed``, whose potential is
+    ``phi``.  Chunks use seeds derived from the master seed, so the estimate
+    is reproducible and independent of the chunking.
     """
     if sample_count < 100:
         raise PreconditionError("sample_count below 100 is statistically meaningless")
     tm = triplet_closed.tm
     m = tm.depth
-    lam = triplet_closed.lam
-    words = tm.words
-    nwords = len(words)
+    ranks = tm.ranks
 
     # Initial distribution over depth-m blocks: invariant masses h * nu.
     init = np.maximum(triplet_closed.h * triplet_closed.nu, 0.0)
     init = init / init.sum()
 
-    # Step rule u -> u' = u[1:] + (c,):  weight(u,c) * nu(u') / (lam nu(u)).
-    succ_idx = []
-    succ_cum = []
-    step_ok = []
-    word_index = tm.word_index
-    nu = triplet_closed.nu
-    open_allows = hole.open_.allows
-    for j, w in enumerate(words):
-        tos, probs, oks = [], [], []
-        for c in tm.index_structure.successors[w[-1]]:
-            v = w[1:] + (c,)
-            i = word_index.get(v)
-            if i is None:
-                continue
-            weight = math.exp(phi.value(w + (c,)))
-            pr = weight * nu[i] / (lam * nu[j]) if nu[j] > 0 else 0.0
-            tos.append(i)
-            probs.append(pr)
-            oks.append(open_allows(w[-1], c))
-        probs = np.array(probs, dtype=float)
-        total = probs.sum()
-        if total > 0:
-            probs = probs / total
-        succ_idx.append(np.array(tos, dtype=np.int64))
-        succ_cum.append(np.cumsum(probs))
-        step_ok.append(np.array(oks, dtype=bool))
+    indptr, targets, cum, step_ok = _step_table(hole, triplet_closed)
+    start, stop = indptr[:-1], indptr[1:]
 
     # A depth-m block already contains m-1 transitions; only the first n count.
-    t0 = min(m - 1, n)
-    block_ok = np.array(
-        [all(open_allows(a, b) for a, b in zip(w[:t0], w[1 : t0 + 1])) for w in words],
-        dtype=bool,
-    )
+    block_ok = np.ones(tm.dim, dtype=bool)
+    for t in range(min(m - 1, n)):
+        block_ok &= _allows(hole.open_, tm.index_structure, ranks[:, t], ranks[:, t + 1])
     steps = max(0, (n + 1) - m)
+    halvings = int((stop - start).max(initial=0)).bit_length()
 
     seeds = np.random.SeedSequence(seed).spawn(max(1, math.ceil(sample_count / chunk_size)))
     survived = 0
@@ -250,20 +247,21 @@ def monte_carlo_survival(
         if size <= 0:
             break
         rng = np.random.default_rng(chunk_seed)
-        state = rng.choice(nwords, size=size, p=init)
-        alive = block_ok[state].copy()
+        state = rng.choice(tm.dim, size=size, p=init)
+        alive = block_ok[state]
         for _ in range(steps):
             u = rng.random(size)
-            new_state = state.copy()
-            for j in np.unique(state):
-                sel = state == j
-                if not np.any(sel):
-                    continue
-                slot = np.searchsorted(succ_cum[j], u[sel], side="right")
-                slot = np.minimum(slot, len(succ_cum[j]) - 1)
-                new_state[sel] = succ_idx[j][slot]
-                alive[sel] &= step_ok[j][slot]
-            state = new_state
+            # Bisect each path's row of the flat cumulative table for the
+            # first entry above u (searchsorted side="right").
+            lo, hi = start[state], stop[state]
+            for _ in range(halvings):
+                mid = (lo + hi) >> 1
+                below = cum[np.minimum(mid, len(cum) - 1)] <= u
+                lo = np.where((lo < hi) & below, mid + 1, lo)
+                hi = np.where(below, hi, mid)
+            slot = np.minimum(lo, stop[state] - 1)
+            state = targets[slot]
+            alive &= step_ok[slot]
         survived += int(alive.sum())
         drawn += size
     p_hat = survived / drawn

@@ -11,13 +11,13 @@ masses converge on every finite cylinder algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
-from .opensystem import HoleSpec
+from .opensystem import HoleSpec, open_operator
 from .potentials import (
     Potential,
     cylinder_sup,
@@ -25,9 +25,8 @@ from .potentials import (
     seminorm_bracket,
     summability_certificate,
 )
-from .shifts import admissible_words
 from .spectral import component_decomposition
-from .transfer import RpfTriplet, build_transfer_matrix, rpf_triplet
+from .transfer import TransferMatrix, build_transfer_matrix, rpf_triplet
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,14 @@ class PerturbationConditionsReport:
     failures: tuple
 
 
-def _psi_value(phi: Potential, hole: HoleSpec, word) -> float:
-    """exp(potential) off the hole, zero on it."""
-    if hole.open_.allows(word[0], word[1]):
-        return math.exp(phi.value(word))
-    return 0.0
+def _sup_distance(tm_eps: TransferMatrix, tm_open: TransferMatrix) -> float:
+    """Largest row sum of |L_eps - L_open|, both on the closed system's words.
+
+    Row v sums the weight gaps on the words a v over the prepended symbols
+    a, left to right as the sparse product adds them.
+    """
+    gap = abs(tm_eps.matrix - tm_open.matrix)
+    return float((gap @ np.ones(tm_eps.dim)).max(initial=0.0))
 
 
 def verify_perturbation_conditions(
@@ -66,49 +68,43 @@ def verify_perturbation_conditions(
     """
     A = hole.closed
     eps = tuple(sorted(epsilons, reverse=True))
+    symbols = [s for s in A.alphabet.symbols if A.has_nonempty_cylinder((s,))]
     failures = []
 
     semis = []
+    sup_by_symbol = {}
+    worst_by_rank = []  # per epsilon: largest gap entry per source first symbol
+    tm_open = None
     for e in eps:
         pe = perturbed_potential(phi, A, hole.open_, e)
-        enum_depth = max(pe.depth, k + 1)
-        semis.append(seminorm_bracket(pe, A, k + 1, enum_depth, theta=theta).upper)
+        semis.append(seminorm_bracket(pe, A, k + 1, max(pe.depth, k + 1), theta=theta).upper)
+        for s in symbols:
+            sup_by_symbol[s] = max(sup_by_symbol.get(s, -math.inf), cylinder_sup(pe, A, (s,)))
+        tm = build_transfer_matrix(A, pe)
+        if tm_open is None:
+            tm_open = open_operator(hole, phi, tm.depth)
+        # Entry (v, w) is the gap on the word w[0] v: key it by the source.
+        gap = abs(tm.matrix - tm_open.matrix)
+        worst = np.zeros(len(A.alphabet.symbols))
+        np.maximum.at(worst, tm.ranks[gap.indices, 0], gap.data)
+        worst_by_rank.append(worst)
     uniform_semi = max(semis)
     ref = seminorm_bracket(phi, A, k + 1, max(phi.depth, k + 1), theta=theta).upper
     if not math.isfinite(uniform_semi):
         failures.append("seminorm: unbounded over the epsilon schedule")
 
-    sup_by_symbol = {}
-    for e in eps:
-        pe = perturbed_potential(phi, A, hole.open_, e)
-        for s in A.alphabet.symbols:
-            if not A.has_nonempty_cylinder((s,)):
-                continue
-            v = cylinder_sup(pe, A, (s,))
-            sup_by_symbol[s] = max(sup_by_symbol.get(s, -math.inf), v)
     uniform_sum = sum(math.exp(v) for v in sup_by_symbol.values())
     cert = summability_certificate(phi, A)
     if uniform_sum > cert.total_upper + 1e-9 * max(1.0, cert.total_upper):
         failures.append("summability: uniform symbol sum exceeds the certificate")
 
-    depth = max(phi.depth, 2)
     tables = {}
     bounds = {}
-    for s in A.alphabet.symbols:
-        if not A.has_nonempty_cylinder((s,)):
-            continue
+    rank = A.alphabet.rank
+    for s in symbols:
         sup_s = cylinder_sup(phi, A, (s,))
-        per_eps = []
-        per_bound = []
-        for e in eps:
-            pe = perturbed_potential(phi, A, hole.open_, e)
-            worst = 0.0
-            for w in admissible_words(A, depth):
-                if w[0] != s or not A.has_nonempty_cylinder(w):
-                    continue
-                worst = max(worst, abs(math.exp(pe.value(w)) - _psi_value(phi, hole, w)))
-            per_eps.append(worst)
-            per_bound.append(2.0 * math.exp(sup_s) * math.exp(-1.0 / e))
+        per_eps = [float(worst[rank[s]]) for worst in worst_by_rank]
+        per_bound = [2.0 * math.exp(sup_s) * math.exp(-1.0 / e) for e in eps]
         tables[s] = tuple(per_eps)
         bounds[s] = tuple(per_bound)
         for a, b in zip(per_eps, per_bound):
@@ -134,25 +130,13 @@ def verify_perturbation_conditions(
 def operator_distance(phi: Potential, hole: HoleSpec, epsilon: float) -> float:
     """Sup-norm distance between the perturbed closed and open operators.
 
-    Exact for locally constant potentials: the sup over cylinder contexts of
-    the summed absolute weight differences across prepended symbols.
+    Exact for locally constant potentials: the largest row sum of
+    |L_eps - L_open|, that is the sup over cylinder contexts of the summed
+    absolute weight differences across prepended symbols.
     """
-    A = hole.closed
-    pe = perturbed_potential(phi, A, hole.open_, epsilon)
-    depth = pe.depth
-    ctx_len = depth - 1
-    worst = 0.0
-    for ctx in admissible_words(A, ctx_len):
-        if not A.has_nonempty_cylinder(ctx):
-            continue
-        total = 0.0
-        for a in A.alphabet.symbols:
-            if not A.allows(a, ctx[0]):
-                continue
-            w = (a,) + ctx
-            total += abs(math.exp(pe.value(w)) - _psi_value(phi, hole, w))
-        worst = max(worst, total)
-    return worst
+    pe = perturbed_potential(phi, hole.closed, hole.open_, epsilon)
+    tm = build_transfer_matrix(hole.closed, pe)
+    return _sup_distance(tm, open_operator(hole, phi, tm.depth))
 
 
 @dataclass(frozen=True)
@@ -168,6 +152,47 @@ class PerturbationTrace:
     limit_masses: Optional[dict] = None
 
 
+def _schedule_trace(
+    phi: Potential,
+    hole: HoleSpec,
+    epsilons: Sequence[float],
+    depth: Optional[int],
+    tol: float,
+    cylinders=(),
+) -> tuple:
+    """The perturbed radii and sup distances along a decreasing schedule.
+
+    Each L_eps is assembled once: its triplet gives the radius and the
+    masses of ``cylinders``, its gap to the hole-killed operator the
+    distance.  Returns the trace and the per-epsilon masses.
+    """
+    A = hole.closed
+    eps = tuple(sorted(epsilons, reverse=True))
+    lams, dists, masses = [], [], []
+    tm_open = None
+    for e in eps:
+        pe = perturbed_potential(phi, A, hole.open_, e)
+        tm = build_transfer_matrix(A, pe, depth=depth)
+        trip = rpf_triplet(tm, tol=tol)
+        if tm_open is None:
+            tm_open = open_operator(hole, phi, tm.depth)
+        lams.append(trip.lam)
+        dists.append(_sup_distance(tm, tm_open))
+        masses.append({w: trip.mu_mass(w) for w in cylinders})
+    lam_open = rpf_triplet(build_transfer_matrix(hole.open_, phi, depth=depth), tol=tol).lam
+    monotone = all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(lams, lams[1:]))
+    pad = 100.0 * tol * max(1.0, lam_open)
+    trace = PerturbationTrace(
+        epsilons=eps,
+        lams=tuple(lams),
+        operator_distances=tuple(dists),
+        lam_limit=lam_open,
+        lam_bracket=(lam_open - pad, lams[-1] + pad),
+        monotone=monotone,
+    )
+    return trace, masses
+
+
 def pressure_convergence_trace(
     phi: Potential,
     hole: HoleSpec,
@@ -180,31 +205,7 @@ def pressure_convergence_trace(
     The radii are nonincreasing and bounded below by the open radius, so the
     final bracket [open radius, last radius] always contains the limit.
     """
-    A = hole.closed
-    eps = tuple(sorted(epsilons, reverse=True))
-    lams = []
-    dists = []
-    for e in eps:
-        pe = perturbed_potential(phi, A, hole.open_, e)
-        tm = build_transfer_matrix(A, pe, depth=depth)
-        lams.append(rpf_triplet(tm, tol=tol).lam)
-        dists.append(operator_distance(phi, hole, e))
-    tm_open = build_transfer_matrix(hole.open_, phi, depth=depth)
-    lam_open = rpf_triplet(tm_open, tol=tol).lam
-    monotone = all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(lams, lams[1:]))
-    pad = 100.0 * tol * max(1.0, lam_open)
-    return PerturbationTrace(
-        epsilons=eps,
-        lams=tuple(lams),
-        operator_distances=tuple(dists),
-        lam_limit=lam_open,
-        lam_bracket=(lam_open - pad, lams[-1] + pad),
-        monotone=monotone,
-    )
-
-
-def _measure_masses(triplet: RpfTriplet, cylinders) -> dict:
-    return {w: triplet.mu_mass(w) for w in cylinders}
+    return _schedule_trace(phi, hole, epsilons, depth, tol)[0]
 
 
 def limit_invariant_masses(
@@ -226,21 +227,19 @@ def limit_invariant_masses(
     dag = scc_quotient(sub)
     live = [c for c in dag.components if c.has_periodic_point]
     if len(dag.components) == 1 and live:
-        tm = build_transfer_matrix(sub, phi, depth=depth)
-        trip = rpf_triplet(tm, tol=tol)
-        return _measure_masses(trip, cylinders)
+        trip = rpf_triplet(build_transfer_matrix(sub, phi, depth=depth), tol=tol)
+        return {w: trip.mu_mass(w) for w in cylinders}
     dec = component_decomposition(sub, phi, depth=depth, tol=tol)
     h0 = dec.peripherals[0].h.real
     nu0 = dec.peripherals[0].nu.real
-    tm = build_transfer_matrix(sub, phi, depth=depth)
-    index = tm.word_index
-    m = tm.depth
+    index = {v: i for i, v in enumerate(dec.words)}
+    m = len(dec.words[0])
     out = {}
     for w in cylinders:
         w = tuple(w)
         if len(w) <= m:
             out[w] = float(
-                sum(h0[i] * nu0[i] for i, v in enumerate(tm.words) if v[: len(w)] == w)
+                sum(h0[i] * nu0[i] for i, v in enumerate(dec.words) if v[: len(w)] == w)
             )
             continue
         if not sub.has_nonempty_cylinder(w):
@@ -264,33 +263,12 @@ def gibbs_convergence_trace(
     tol: float = 1e-12,
 ) -> PerturbationTrace:
     """Perturbed invariant cylinder masses against the open-system limit."""
-    A = hole.closed
-    eps = tuple(sorted(epsilons, reverse=True))
     cylinders = tuple(tuple(w) for w in test_cylinders)
     limit = limit_invariant_masses(phi, hole, cylinders, depth=depth, tol=tol)
-    lams = []
-    dists = []
-    mass_dists = []
-    for e in eps:
-        pe = perturbed_potential(phi, A, hole.open_, e)
-        tm = build_transfer_matrix(A, pe, depth=depth)
-        trip = rpf_triplet(tm, tol=tol)
-        lams.append(trip.lam)
-        dists.append(operator_distance(phi, hole, e))
-        masses = _measure_masses(trip, cylinders)
-        mass_dists.append(max(abs(masses[w] - limit[w]) for w in cylinders))
-    tm_open = build_transfer_matrix(hole.open_, phi, depth=depth)
-    lam_open = rpf_triplet(tm_open, tol=tol).lam
-    monotone = all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(lams, lams[1:]))
-    pad = 100.0 * tol * max(1.0, lam_open)
-    return PerturbationTrace(
-        epsilons=eps,
-        lams=tuple(lams),
-        operator_distances=tuple(dists),
-        lam_limit=lam_open,
-        lam_bracket=(lam_open - pad, lams[-1] + pad),
-        monotone=monotone,
-        mass_distances=tuple(mass_dists),
+    trace, masses = _schedule_trace(phi, hole, epsilons, depth, tol, cylinders)
+    return replace(
+        trace,
+        mass_distances=tuple(max(abs(ms[w] - limit[w]) for w in cylinders) for ms in masses),
         test_cylinders=cylinders,
         limit_masses=limit,
     )

@@ -17,6 +17,8 @@ from ruelle import (
     HoleSpec,
     RenewalSpec,
     TailModel,
+    admissible_words,
+    banded_structure,
     from_entries,
     full_shift,
     potential_from_weights,
@@ -153,6 +155,30 @@ def direct_operator_apply(ts, phi, f_by_word, word):
         if key in f_by_word:
             total += math.exp(phi.value(ext[: phi.depth])) * f_by_word[key]
     return total
+
+
+def hole_cases():
+    """Open systems whose perturbation and sampler outputs are pinned to the
+    word-by-word definitions: the golden hole, renewal(8) with the hole
+    (2, 3) (reducible open part, source and target first symbols differ), a
+    full 10-shift with a depth-3 potential (rows of ten terms fix the
+    summation order), and a banded system with three holes."""
+    from ruelle.applications import renewal_potential
+
+    def seeded(ts, depth, seed):
+        words = admissible_words(ts, depth)
+        vals = np.random.default_rng(seed).uniform(-1.0, 1.0, len(words))
+        return potential_from_weights(dict(zip(words, vals.tolist())))
+
+    full10 = full_shift(tuple(range(10)))
+    renewal = renewal_structure(8)
+    banded = banded_structure(40, 2)
+    return [
+        ("golden", golden_hole(), seeded(f1(), 2, 21)),
+        ("renewal8", HoleSpec.from_hole(renewal, [(2, 3)]), renewal_potential(f4_spec(8), renewal)),
+        ("full10-d3", HoleSpec.from_hole(full10, [(0, 0), (1, 2), (3, 1)]), seeded(full10, 3, 22)),
+        ("banded40", HoleSpec.from_hole(banded, [(5, 6), (20, 21), (30, 29)]), seeded(banded, 2, 23)),
+    ]
 
 
 def fib(n):

@@ -47,6 +47,15 @@ class TestRenewal:
         # Forward kernel rows are exactly stochastic.
         assert max(abs(v - 1.0) for v in rep.forward_row_sums.values()) <= 1e-9
 
+    def test_underflowing_pairs_left_out_of_the_residual(self):
+        # Past truncation ~36 the kernel and h underflow to zero deep in the
+        # chain; the residual is then taken over the pairs with normal values.
+        rep = renewal_analysis(f4_spec(60))
+        assert rep.lam_matrix == rep.lam_scalar
+        assert rep.cohomology_residual <= 1e-12
+        assert rep.notes[-1].startswith("cohomology residual over 64 of 119 pairs: 55 with")
+        assert len(renewal_analysis(f4_spec(30)).notes) == 3
+
     def test_asymmetric_sequences(self):
         from ruelle import RenewalSpec, TailModel
 

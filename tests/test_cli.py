@@ -116,6 +116,14 @@ class TestCli:
         assert d1["config_hash"] != d2["config_hash"]
         assert d1["seed"] == 1 and d2["seed"] == 2
 
+    def test_report_is_one_document_with_the_timestamp_last(self, tmp_path):
+        cfgp = write_config(tmp_path, GOLDEN)
+        assert main(["rpf", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "report.json").read_text()
+        doc = json.loads(text)
+        assert list(doc)[-1] == "timestamp"
+        assert text == json.dumps(doc, indent=2) + "\n"
+
     def test_dimension_command(self, tmp_path):
         doc = {
             "gifs": {

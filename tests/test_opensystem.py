@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ruelle import (
@@ -15,7 +16,7 @@ from ruelle import (
     zero_potential,
 )
 
-from conftest import PHI, f1, f2, f3, fib, golden_hole
+from conftest import PHI, f1, f2, f3, fib, golden_hole, hole_cases
 
 
 def closed_triplet(depth=1):
@@ -158,3 +159,86 @@ class TestHoleSpec:
     def test_refinement_enforced(self):
         with pytest.raises(PreconditionError):
             HoleSpec(closed=f2(), open_=f1())
+
+
+# -- the sampler kernel against the word-by-word definition -----------------------------
+
+
+def _reference_step_table(hole, trip):
+    """Per source word: targets, cumulative probabilities and hole-free flags."""
+    tm = trip.tm
+    table = []
+    for j, w in enumerate(tm.words):
+        tos, probs, oks = [], [], []
+        for c in tm.index_structure.successors[w[-1]]:
+            i = tm.word_index.get(w[1:] + (c,))
+            if i is None:
+                continue
+            weight = math.exp(tm.potential.value(w + (c,)))
+            tos.append(i)
+            probs.append(weight * trip.nu[i] / (trip.lam * trip.nu[j]) if trip.nu[j] > 0 else 0.0)
+            oks.append(hole.open_.allows(w[-1], c))
+        probs = np.array(probs, dtype=float)
+        total = probs.sum()
+        if total > 0:
+            probs = probs / total
+        table.append((np.array(tos, dtype=np.int64), np.cumsum(probs), np.array(oks, dtype=bool)))
+    return table
+
+
+def _reference_sampler(hole, trip, n, sample_count, seed, chunk_size):
+    """The path sampler with one search per distinct state."""
+    tm = trip.tm
+    m = tm.depth
+    table = _reference_step_table(hole, trip)
+    init = np.maximum(trip.h * trip.nu, 0.0)
+    init = init / init.sum()
+    t0 = min(m - 1, n)
+    block_ok = np.array(
+        [all(hole.open_.allows(a, b) for a, b in zip(w[:t0], w[1 : t0 + 1])) for w in tm.words]
+    )
+    survived = drawn = 0
+    for chunk_seed in np.random.SeedSequence(seed).spawn(math.ceil(sample_count / chunk_size)):
+        size = min(chunk_size, sample_count - drawn)
+        rng = np.random.default_rng(chunk_seed)
+        state = rng.choice(tm.dim, size=size, p=init)
+        alive = block_ok[state].copy()
+        for _ in range(max(0, n + 1 - m)):
+            u = rng.random(size)
+            new_state = state.copy()
+            for j in np.unique(state):
+                sel = state == j
+                tos, cum, oks = table[j]
+                slot = np.minimum(np.searchsorted(cum, u[sel], side="right"), len(cum) - 1)
+                new_state[sel] = tos[slot]
+                alive[sel] &= oks[slot]
+            state = new_state
+        survived += int(alive.sum())
+        drawn += size
+    return survived / drawn
+
+
+@pytest.mark.parametrize("depth_step", [0, 1])
+@pytest.mark.parametrize("case", hole_cases(), ids=lambda c: c[0])
+def test_step_table_bitwise_equals_word_loop(case, depth_step):
+    from ruelle.opensystem import _step_table
+
+    _, hole, phi = case
+    tm = build_transfer_matrix(hole.closed, phi)
+    trip = rpf_triplet(build_transfer_matrix(hole.closed, phi, depth=tm.depth + depth_step))
+    indptr, targets, cum, ok = _step_table(hole, trip)
+    ref = _reference_step_table(hole, trip)
+    assert np.diff(indptr).tolist() == [len(tos) for tos, _, _ in ref]
+    assert targets.tolist() == np.concatenate([tos for tos, _, _ in ref]).tolist()
+    assert cum.tobytes() == np.concatenate([c for _, c, _ in ref]).tobytes()
+    assert ok.tolist() == np.concatenate([o for _, _, o in ref]).tolist()
+
+
+@pytest.mark.parametrize("case", hole_cases(), ids=lambda c: c[0])
+def test_sampler_estimate_equals_word_loop(case):
+    _, hole, phi = case
+    tm = build_transfer_matrix(hole.closed, phi)
+    for depth, n in ((tm.depth, 7), (tm.depth + 1, 5)):
+        trip = rpf_triplet(build_transfer_matrix(hole.closed, phi, depth=depth))
+        est = monte_carlo_survival(hole, phi, trip, n, 12_000, seed=31, chunk_size=5_000)
+        assert est.estimate == _reference_sampler(hole, trip, n, 12_000, 31, 5_000)

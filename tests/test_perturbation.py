@@ -21,7 +21,7 @@ from ruelle import (
     zero_potential,
 )
 
-from conftest import PHI, f1, f2, f3, golden_hole, golden_mu
+from conftest import PHI, f1, f2, f3, golden_hole, golden_mu, hole_cases
 
 
 class TestPerturbationConditions:
@@ -202,3 +202,75 @@ class TestLimitMasses:
         assert masses[(2,)] == pytest.approx(0.0, abs=1e-9)
         assert masses[(1, 2)] == pytest.approx(0.0, abs=1e-9)
         assert masses[(0,)] + masses[(1,)] == pytest.approx(1.0, abs=1e-9)
+
+
+# -- distances against the word-by-word definition --------------------------------------
+
+GAP_EPSILONS = (1.0, 0.25, 2.0**-6)
+
+
+def _reference_gap(phi, pe, hole, w):
+    """|exp(phi_eps) - psi| on the word, psi = exp(phi) off the hole and 0 on it."""
+    psi = math.exp(phi.value(w)) if hole.open_.allows(w[0], w[1]) else 0.0
+    return abs(math.exp(pe.value(w)) - psi)
+
+
+def _reference_operator_distance(phi, hole, epsilon):
+    """Sup over contexts of the gaps summed over prepended symbols in order."""
+    A = hole.closed
+    pe = perturbed_potential(phi, A, hole.open_, epsilon)
+    worst = 0.0
+    for ctx in admissible_words(A, pe.depth - 1):
+        if not A.has_nonempty_cylinder(ctx):
+            continue
+        total = 0.0
+        for a in A.alphabet.symbols:
+            if A.allows(a, ctx[0]):
+                total += _reference_gap(phi, pe, hole, (a,) + ctx)
+        worst = max(worst, total)
+    return worst
+
+
+def _reference_distance_tables(phi, hole, epsilons):
+    """Per first symbol, the largest gap over the nonempty words it starts."""
+    A = hole.closed
+    pes = [perturbed_potential(phi, A, hole.open_, e) for e in sorted(epsilons, reverse=True)]
+    tables = {}
+    for s in A.alphabet.symbols:
+        if not A.has_nonempty_cylinder((s,)):
+            continue
+        per_eps = []
+        for pe in pes:
+            worst = 0.0
+            for w in admissible_words(A, pe.depth):
+                if w[0] == s and A.has_nonempty_cylinder(w):
+                    worst = max(worst, _reference_gap(phi, pe, hole, w))
+            per_eps.append(worst)
+        tables[s] = tuple(per_eps)
+    return tables
+
+
+@pytest.mark.parametrize("case", hole_cases(), ids=lambda c: c[0])
+def test_operator_distance_bitwise_equals_word_loop(case):
+    _, hole, phi = case
+    for e in GAP_EPSILONS:
+        assert operator_distance(phi, hole, e) == _reference_operator_distance(phi, hole, e)
+
+
+@pytest.mark.parametrize("case", hole_cases(), ids=lambda c: c[0])
+def test_distance_tables_bitwise_equal_word_loop(case):
+    _, hole, phi = case
+    rep = verify_perturbation_conditions(phi, hole, GAP_EPSILONS)
+    assert rep.distance_tables == _reference_distance_tables(phi, hole, GAP_EPSILONS)
+
+
+@pytest.mark.parametrize("case", hole_cases(), ids=lambda c: c[0])
+def test_trace_distances_from_the_assembled_operators(case):
+    # At any matrix depth a row sum only reads the first depth - 1 symbols of
+    # its context, so the trace's distances are the standalone ones.
+    _, hole, phi = case
+    ref = tuple(_reference_operator_distance(phi, hole, e) for e in GAP_EPSILONS)
+    m = build_transfer_matrix(hole.closed, perturbed_potential(phi, hole.closed, hole.open_, 1.0)).depth
+    for depth in (None, m + 1):
+        trace = pressure_convergence_trace(phi, hole, GAP_EPSILONS, depth=depth)
+        assert trace.operator_distances == ref
