@@ -152,6 +152,9 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would check the schema itself on every call.
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 def _symbol(token):
     if isinstance(token, int):
@@ -183,11 +186,10 @@ class SystemConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "SystemConfig":
-        try:
-            jsonschema.validate(doc, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigError(f"config schema violation at {path}: {exc.message}") from exc
+        err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+        if err is not None:
+            path = "/".join(str(p) for p in err.absolute_path) or "<root>"
+            raise ConfigError(f"config schema violation at {path}: {err.message}") from err
         return SystemConfig(
             raw=doc,
             theta=doc.get("theta", 0.5),

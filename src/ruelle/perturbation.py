@@ -25,8 +25,9 @@ from .potentials import (
     seminorm_bracket,
     summability_certificate,
 )
+from .shifts import scc_quotient
 from .spectral import component_decomposition
-from .transfer import TransferMatrix, build_transfer_matrix, rpf_triplet
+from .transfer import TransferMatrix, _cylinder_masses, build_transfer_matrix, rpf_triplet
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ def _schedule_trace(
             tm_open = open_operator(hole, phi, tm.depth)
         lams.append(trip.lam)
         dists.append(_sup_distance(tm, tm_open))
-        masses.append({w: trip.mu_mass(w) for w in cylinders})
+        ms = _cylinder_masses(tm, trip.h, trip.nu, trip.lam, cylinders)
+        masses.append(dict(zip(cylinders, ms.tolist())))
     lam_open = rpf_triplet(build_transfer_matrix(hole.open_, phi, depth=depth), tol=tol).lam
     monotone = all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(lams, lams[1:]))
     pad = 100.0 * tol * max(1.0, lam_open)
@@ -221,37 +223,18 @@ def limit_invariant_masses(
     reducible subsystem routes through the component decomposition, which
     requires a unique dominant component.
     """
-    from .shifts import scc_quotient
-
     sub = hole.open_
     dag = scc_quotient(sub)
     live = [c for c in dag.components if c.has_periodic_point]
     if len(dag.components) == 1 and live:
         trip = rpf_triplet(build_transfer_matrix(sub, phi, depth=depth), tol=tol)
-        return {w: trip.mu_mass(w) for w in cylinders}
-    dec = component_decomposition(sub, phi, depth=depth, tol=tol)
-    h0 = dec.peripherals[0].h.real
-    nu0 = dec.peripherals[0].nu.real
-    index = {v: i for i, v in enumerate(dec.words)}
-    m = len(dec.words[0])
-    out = {}
-    for w in cylinders:
-        w = tuple(w)
-        if len(w) <= m:
-            out[w] = float(
-                sum(h0[i] * nu0[i] for i, v in enumerate(dec.words) if v[: len(w)] == w)
-            )
-            continue
-        if not sub.has_nonempty_cylinder(w):
-            out[w] = 0.0
-            continue
-        scale = 1.0
-        ww = w
-        while len(ww) > m:
-            scale *= math.exp(phi.value(ww[: phi.depth])) / dec.lam
-            ww = ww[1:]
-        out[w] = float(h0[index[w[:m]]] * scale * nu0[index[ww]])
-    return out
+        tm, h, nu, lam = trip.tm, trip.h, trip.nu, trip.lam
+    else:
+        dec = component_decomposition(sub, phi, depth=depth, tol=tol)
+        tm, lam = dec.tm, dec.lam
+        h, nu = dec.peripherals[0].h.real, dec.peripherals[0].nu.real
+    cylinders = [tuple(w) for w in cylinders]
+    return dict(zip(cylinders, _cylinder_masses(tm, h, nu, lam, cylinders).tolist()))
 
 
 def gibbs_convergence_trace(

@@ -25,6 +25,7 @@ from .transfer import (
     DEFAULT_TOL,
     RpfTriplet,
     TransferMatrix,
+    _cylinder_masses,
     _perron_vector,
     build_transfer_matrix,
     rpf_triplet,
@@ -45,7 +46,7 @@ class SpectralDecomposition:
     lam: float
     p: int
     kappa: complex
-    words: tuple
+    tm: TransferMatrix
     peripherals: tuple  # of Peripheral
     remainder: np.ndarray
     remainder_radius: float
@@ -54,6 +55,10 @@ class SpectralDecomposition:
     component_pressures: Optional[tuple] = None
     dominant_component: Optional[int] = None
     support_patterns: Optional[dict] = None
+
+    @property
+    def words(self) -> tuple:
+        return self.tm.words
 
     def projection(self, i: int) -> np.ndarray:
         per = self.peripherals[i]
@@ -187,7 +192,7 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
         lam=lam,
         p=p,
         kappa=kappa,
-        words=tm.words,
+        tm=tm,
         peripherals=tuple(peripherals),
         remainder=remainder,
         remainder_radius=radius,
@@ -418,17 +423,16 @@ def gibbs_check(
     are excluded and reported.
     """
     ts = triplet.tm.index_structure
-    from .shifts import admissible_words
+    from .shifts import nonempty_cylinder_words
 
     cmins, cmaxs = [], []
     excluded = []
     overall_min, overall_max = math.inf, 0.0
     for n in depths:
         lo, hi = math.inf, 0.0
-        for w in admissible_words(ts, n):
-            if not ts.has_nonempty_cylinder(w):
-                continue
-            mass = triplet.mu_mass(w)
+        words = nonempty_cylinder_words(ts, n)
+        masses = _cylinder_masses(triplet.tm, triplet.h, triplet.nu, triplet.lam, words)
+        for w, mass in zip(words, masses.tolist()):
             if mass <= 0.0:
                 excluded.append(w)
                 continue
@@ -443,7 +447,7 @@ def gibbs_check(
         overall_max = max(overall_max, hi)
     spread_first = cmaxs[0] / cmins[0]
     spread_last = cmaxs[-1] / cmins[-1]
-    stable = spread_last <= spread_first * (1.0 + 1e-6) or spread_last <= spread_first * 1.05
+    stable = spread_last <= spread_first * 1.05
     return GibbsReport(
         depths=tuple(depths),
         c_min_by_depth=tuple(cmins),
@@ -480,19 +484,16 @@ class LasotaYorkeReport:
     collapsed: int
 
 
-def _word_seminorm(f: np.ndarray, words, k: int, theta: float) -> float:
-    """[f]_k of a depth-m word vector: variations at depths k..m-1."""
-    m = len(words[0]) if len(words) else 0
+def _word_seminorm(f: np.ndarray, ranks: np.ndarray, k: int, theta: float) -> float:
+    """[f]_k of a depth-m word vector: variations over the n-prefix runs of
+    the lexicographic rank rows, n = k..m-1."""
+    m = ranks.shape[1] if len(ranks) else 0
     best = 0.0
     for n in range(k, m):
-        groups = {}
-        for i, w in enumerate(words):
-            groups.setdefault(w[:n], []).append(float(f[i]))
-        v = 0.0
-        for vals in groups.values():
-            if len(vals) > 1:
-                v = max(v, max(vals) - min(vals))
-        best = max(best, v / theta**n)
+        pre = ranks[:, :n]
+        starts = np.flatnonzero(np.r_[True, (pre[1:] != pre[:-1]).any(axis=1)])
+        v = np.maximum.reduceat(f, starts) - np.minimum.reduceat(f, starts)
+        best = max(best, float(v.max()) / theta**n)
     return best
 
 
@@ -529,7 +530,6 @@ def lasota_yorke_check(
             )
 
     lam0 = triplet_dominating.lam
-    words = tm_open.words
     mu0 = triplet_dominating.h * triplet_dominating.nu
     m_values = sorted(m_values)
     rows = []
@@ -538,13 +538,13 @@ def lasota_yorke_check(
         f0 = np.asarray(f0, dtype=float)
         scale = max(float(np.abs(f0).max()), 1e-300)
         l1 = float(mu0 @ np.abs(f0))
-        norm_f = float(np.abs(f0).max()) + _word_seminorm(f0, words, k, theta)
+        norm_f = float(np.abs(f0).max()) + _word_seminorm(f0, tm_open.ranks, k, theta)
         semis = {}
         f = f0.copy()
         for m in range(1, max(m_values) + 1):
             f = tm_open.apply(f) / lam0
             if m in m_values:
-                sem = _word_seminorm(f, words, k, theta)
+                sem = _word_seminorm(f, tm_open.ranks, k, theta)
                 if sem < noise_floor * scale:
                     sem = 0.0
                 semis[m] = (float(np.abs(f).max()), sem)

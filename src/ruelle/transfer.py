@@ -199,44 +199,51 @@ class RpfTriplet:
         key = tuple(word[: self.tm.depth])
         return float(self.g[self.tm.word_index[key]])
 
-    def h_value(self, word) -> float:
-        return self.g_value(word) / self.nu_g
-
     def nu_mass(self, word) -> float:
         """Conformal measure of the cylinder of ``word`` at any depth."""
-        word = tuple(word)
-        tm = self.tm
-        ind = tm.index_structure
-        if len(word) < tm.depth:
-            total = 0.0
-            for w, i in tm.word_index.items():
-                if w[: len(word)] == word:
-                    total += self.nu[i]
-            return float(total)
-        if not ind.has_nonempty_cylinder(word):
-            return 0.0
-        log_mass = 0.0
-        phi = tm.potential
-        w = word
-        while len(w) > tm.depth:
-            log_mass += phi.value(w[: phi.depth]) - math.log(self.lam)
-            w = w[1:]
-        base = self.nu[tm.word_index[w]]
-        if base <= 0.0:
-            return 0.0
-        return float(math.exp(log_mass + math.log(base)))
+        return float(_cylinder_masses(self.tm, np.ones(self.tm.dim), self.nu, self.lam, [word])[0])
 
     def mu_mass(self, word) -> float:
         """Invariant measure h nu of the cylinder of ``word``."""
-        word = tuple(word)
-        tm = self.tm
-        if len(word) >= tm.depth:
-            return self.h_value(word) * self.nu_mass(word)
-        total = 0.0
-        for w in tm.words:
-            if w[: len(word)] == word:
-                total += self.h_value(w) * self.nu_mass(w)
-        return float(total)
+        return float(_cylinder_masses(self.tm, self.h, self.nu, self.lam, [word])[0])
+
+
+def _cylinder_masses(tm: TransferMatrix, h, nu, lam: float, cylinders) -> np.ndarray:
+    """Masses of the cylinders under the measure h nu on the index words.
+
+    Up to length m a cylinder sums h nu over the rows it prefixes, one run
+    of the lexicographic rows, and one bincount adds each run left to right.
+    A deeper cylinder is h at its first m symbols times nu at its last m,
+    extended by phi - log lam in log space.  The empty cylinder has mass 1,
+    one that meets no index word mass 0."""
+    rank, m, phi = tm.index_structure.alphabet.rank, tm.depth, tm.potential
+
+    def rows_of(rows, words):
+        """Position of each word among the distinct sorted ``rows``, or -1."""
+        keys = _lex_keys(rows)
+        query = _lex_keys(np.array([[rank.get(s, -1) for s in w] for w in words], dtype=np.int32))
+        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return np.where(keys[pos] == query, pos, -1)
+
+    cylinders = [tuple(w) for w in cylinders]
+    out = np.array([0.0 if w else 1.0 for w in cylinders])
+    for k in {len(w) for w in cylinders} - {0}:
+        cs = [c for c, w in enumerate(cylinders) if len(w) == k]
+        words = [cylinders[c] for c in cs]
+        if k <= m:
+            pre = tm.ranks[:, :k]
+            fresh = np.r_[True, (pre[1:] != pre[:-1]).any(axis=1)]
+            sums = np.bincount(np.cumsum(fresh) - 1, weights=h * nu)
+            row = rows_of(pre[fresh], words)
+            out[cs] = np.where(row >= 0, sums[row], 0.0)
+        else:
+            heads = rows_of(tm.ranks, [w[:m] for w in words])
+            tails = rows_of(tm.ranks, [w[-m:] for w in words])
+            for c, w, i, j in zip(cs, words, heads, tails):
+                if tm.index_structure.has_nonempty_cylinder(w) and nu[j] > 0.0:
+                    steps = (phi.value(w[s : s + phi.depth]) - math.log(lam) for s in range(k - m))
+                    out[c] = h[i] * math.exp(sum(steps) + math.log(nu[j]))
+    return out
 
 
 def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
@@ -347,8 +354,13 @@ def rpf_triplet(
         period_used=p,
     )
     if not converged:
+        loops = (("eigenfunction", ok_g), ("eigenvector", ok_l))
+        capped = " and ".join(f"the {name} loop" for name, ok in loops if not ok)
+        stop = f"both loops stopped but a residual exceeds 10*tol = {10 * tol:.1e}"
+        if capped:
+            stop = f"{capped} hit the cap of {max_iter} matvecs"
         raise ConvergenceError(
-            f"power iteration did not reach tol={tol} within {max_iter} matvecs "
+            f"power iteration did not reach tol={tol}: {stop} "
             f"(residuals {res_g:.3e}, {res_nu:.3e}); partial triplet attached",
             partial=trip,
         )

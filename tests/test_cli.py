@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from ruelle import ConfigError, SystemConfig
@@ -61,6 +62,26 @@ class TestConfig:
     def test_published_schema_is_the_validated_one(self):
         doc = Path(__file__).resolve().parent.parent / "docs" / "config_schema.json"
         assert json.loads(doc.read_text()) == CONFIG_SCHEMA
+
+    def test_config_schema_is_a_valid_schema(self):
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    def test_schema_messages_match_jsonschema_validate(self):
+        bads = [
+            dict(GOLDEN, theta=2.0),
+            dict(GOLDEN, theta="half"),
+            dict(GOLDEN, tolerance=0),
+            dict(GOLDEN, seed=1.5),
+            dict(GOLDEN, alphabet={"symbols": "ab"}),
+            [],
+        ]
+        for bad in bads:
+            with pytest.raises(jsonschema.ValidationError) as ref:
+                jsonschema.validate(bad, CONFIG_SCHEMA)
+            path = "/".join(str(p) for p in ref.value.absolute_path) or "<root>"
+            with pytest.raises(ConfigError) as exc:
+                SystemConfig.from_dict(bad)
+            assert str(exc.value) == f"config schema violation at {path}: {ref.value.message}"
 
     def test_epsilon_schedules(self):
         cfg = SystemConfig.from_dict({"epsilons": {"ratio": 0.5, "count": 3}})

@@ -20,7 +20,7 @@ from ruelle import (
     spectral_decomposition,
     zero_potential,
 )
-from ruelle.spectral import Peripheral, _projection_checks
+from ruelle.spectral import Peripheral, _projection_checks, _word_seminorm
 
 from conftest import (
     PHI,
@@ -31,6 +31,7 @@ from conftest import (
     golden_hole,
     golden_mu,
     period2_rich,
+    random5_primitive,
     two_component_dag,
 )
 
@@ -405,6 +406,25 @@ class TestLasotaYorke:
         rep = lasota_yorke_check(tm_open, phi, phi, trip0, [f], m_values=[2, 4, 6])
         assert rep.all_hold
         assert all(row.seminorm <= 1e-12 for row in rep.rows)
+
+    def test_seminorm_equals_the_word_grouping(self, rng):
+        # Reference: group the word tuples by n-prefix in dicts.
+        def reference(f, words, k, theta):
+            best = 0.0
+            for n in range(k, len(words[0])):
+                groups = {}
+                for i, w in enumerate(words):
+                    groups.setdefault(w[:n], []).append(float(f[i]))
+                v = max(max(vals) - min(vals) for vals in groups.values())
+                best = max(best, v / theta**n)
+            return best
+
+        hole, phi, tm_open, _ = self._setup()
+        ts, phi5 = random5_primitive()
+        for tm in (tm_open, build_transfer_matrix(ts, phi5, depth=5)):
+            for k in (1, 2, 3):
+                f = rng.uniform(-1, 1, size=tm.dim)
+                assert _word_seminorm(f, tm.ranks, k, 0.5) == reference(f, tm.words, k, 0.5)
 
     def test_domination_enforced(self):
         hole, phi, tm_open, trip0 = self._setup()

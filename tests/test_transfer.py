@@ -30,6 +30,7 @@ from conftest import (
     f3,
     fib,
     golden_nu,
+    period2_rich,
     random5_primitive,
     two_component_dag,
 )
@@ -180,6 +181,30 @@ class TestRpfTriplet:
         with pytest.raises(ConvergenceError) as exc:
             rpf_triplet(tm, max_iter=40)
         assert not exc.value.partial.converged
+
+    def test_error_names_the_capped_loops(self):
+        # Period 2 and max_iter 1: each loop runs one Cesaro block of two
+        # matvecs and stops at the cap.
+        ts, phi = period2_rich()
+        tm = build_transfer_matrix(ts, phi, depth=1)
+        assert tm.cesaro_period == 2
+        with pytest.raises(ConvergenceError) as exc:
+            rpf_triplet(tm, max_iter=1)
+        assert "the eigenfunction loop and the eigenvector loop hit the cap of 1 matvecs" in str(
+            exc.value
+        )
+
+    def test_error_names_the_eigenvector_loop(self):
+        # exp(phi(a b)) sums to 2 over a for each b, so g = 1 is exact and its
+        # loop stops at once; the sums over b differ, so nu does not.
+        ts = full_shift((0, 1))
+        weights = {(0, 0): 0.5, (0, 1): 1.0, (1, 0): 1.5, (1, 1): 1.0}
+        phi = potential_from_weights({w: math.log(v) for w, v in weights.items()})
+        with pytest.raises(ConvergenceError) as exc:
+            rpf_triplet(build_transfer_matrix(ts, phi, depth=1), max_iter=1)
+        msg = str(exc.value)
+        assert "the eigenvector loop hit the cap of 1 matvecs" in msg
+        assert "eigenfunction" not in msg
 
     def test_reducible_small_pressure_gap(self):
         # 0 -> 0, 0 -> 1, 1 -> 1 with weights 0 and -delta: radius 1, right
@@ -435,3 +460,124 @@ def test_assembly_refuses_over_cap_before_allocating():
     with pytest.raises(EnumerationCapExceeded):
         build_transfer_matrix(ts, zero_potential(ts), depth=11)
     assert time.perf_counter() - start < 1.0
+
+
+# -- cylinder masses against the word-by-word definition ---------------------------------
+
+
+def _reference_masses(tm, h, nu, lam, cylinders):
+    """Cylinder masses word by word: the sum of h nu over the index words
+    below a cylinder of length <= m, the log-space extension past m."""
+    words = tm.words
+    index = {w: i for i, w in enumerate(words)}
+    m, phi = tm.depth, tm.potential
+    out = []
+    for w in cylinders:
+        if not w:
+            out.append(1.0)
+        elif len(w) <= m:
+            total = 0.0
+            for i, v in enumerate(words):
+                if v[: len(w)] == w:
+                    total += h[i] * nu[i]
+            out.append(total)
+        elif not tm.index_structure.has_nonempty_cylinder(w) or nu[index[w[-m:]]] <= 0.0:
+            out.append(0.0)
+        else:
+            log_mass = 0.0
+            for j in range(len(w) - m):
+                log_mass += phi.value(w[j : j + phi.depth]) - math.log(lam)
+            out.append(h[index[w[:m]]] * math.exp(log_mass + math.log(nu[index[w[-m:]]])))
+    return out
+
+
+def _mass_cylinders(ts, m):
+    """The empty cylinder, every admissible word of length 1..m+2, and
+    words with a symbol outside the alphabet."""
+    cyl = [()]
+    for n in range(1, m + 3):
+        cyl += admissible_words(ts, n)
+    first = ts.alphabet.symbols[0]
+    return cyl + [("x",), (first, "x"), (first,) * m + ("x",)]
+
+
+def _reducible_hole():
+    from ruelle import HoleSpec
+
+    closed = from_entries((0, 1, 2), [(i, j) for i in range(3) for j in range(3)])
+    kept = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)]
+    return HoleSpec(closed=closed, open_=closed.restrict([p for p in closed.entries if p not in kept]))
+
+
+class TestCylinderMasses:
+    def _check(self, tm, h, nu, lam):
+        from ruelle.transfer import _cylinder_masses
+
+        cyl = _mass_cylinders(tm.index_structure, tm.depth)
+        got = _cylinder_masses(tm, h, nu, lam, cyl)
+        want = _reference_masses(tm, h, nu, lam, cyl)
+        assert got[0] == 1.0
+        for w, a, b in zip(cyl, got.tolist(), want):
+            assert abs(a - b) <= 1e-15 * abs(b), w
+        assert any(0.0 < v for v, w in zip(got, cyl) if len(w) > tm.depth)
+        return dict(zip(cyl, got.tolist()))
+
+    def _check_triplet(self, trip):
+        self._check(trip.tm, trip.h, trip.nu, trip.lam)
+        masses = self._check(trip.tm, np.ones(trip.tm.dim), trip.nu, trip.lam)
+        for w in [(), (1,), (0, 1), (1, 0, 1)]:
+            assert trip.nu_mass(w) == masses[w]
+        return masses
+
+    def test_golden(self):
+        for depth in (None, 2):
+            trip = rpf_triplet(build_transfer_matrix(f2(), zero_potential(f2()), depth=depth))
+            masses = self._check_triplet(trip)
+            assert masses[("x",)] == masses[(0, "x")] == 0.0
+            # (0, 0) is not admissible: no index word at m = 2, past m at m = 1.
+            assert trip.mu_mass((0, 0)) == trip.nu_mass((0, 0)) == 0.0
+
+    def test_full4_depth2_potential_at_m3(self):
+        ts = full_shift((0, 1, 2, 3))
+        trip = rpf_triplet(build_transfer_matrix(ts, _seeded_weights(ts, 2, 17), depth=3))
+        self._check_triplet(trip)
+        for w in [(2,), (3, 1), (0, 1, 2), (1, 2, 3, 0)]:
+            assert trip.mu_mass(w) == pytest.approx(
+                sum(trip.mu_mass(w + (c,)) for c in range(4)), rel=1e-14
+            )
+
+    def test_dead_end_symbol(self):
+        # 2 has no successor: (1, 2) is admissible but its cylinder is empty.
+        ts = from_entries((0, 1, 2), [(0, 0), (0, 1), (1, 0), (1, 2)])
+        trip = rpf_triplet(build_transfer_matrix(ts, zero_potential(ts), depth=2))
+        masses = self._check_triplet(trip)
+        assert masses[(1, 2)] == masses[(0, 1, 2)] == masses[(2,)] == 0.0
+        assert masses[(0, 1, 0)] > 0.0
+
+    def test_reducible_fixture(self):
+        from ruelle.spectral import component_decomposition
+
+        hole = _reducible_hole()
+        for phi in (zero_potential(hole.closed), _seeded_weights(hole.closed, 2, 18)):
+            for depth in (None, 2):
+                dec = component_decomposition(hole.open_, phi, depth=depth)
+                assert dec.words == dec.tm.words
+                per = dec.peripherals[0]
+                masses = self._check(dec.tm, per.h.real, per.nu.real, dec.lam)
+                assert masses[(2,)] == pytest.approx(0.0, abs=1e-12)
+
+    def test_mass_routines_never_read_the_word_tuples(self, monkeypatch):
+        from ruelle import HoleSpec, gibbs_check, gibbs_convergence_trace
+        from ruelle.transfer import TransferMatrix
+
+        def refuse(self):
+            raise AssertionError("a mass routine read TransferMatrix.words")
+
+        monkeypatch.setattr(TransferMatrix, "words", property(refuse))
+        trip = rpf_triplet(build_transfer_matrix(f2(), zero_potential(f2()), depth=2))
+        trip.mu_mass((0, 1, 0))
+        trip.nu_mass((1,))
+        gibbs_check(trip, zero_potential(f2()), math.log(trip.lam), depths=(1, 2, 3))
+        for hole in (HoleSpec.from_hole(f1(), [(0, 0)]), _reducible_hole()):
+            cyl = [(0,), (0, 1), (1, 0, 1)]
+            gibbs_convergence_trace(zero_potential(hole.closed), hole, (1.0, 0.5), cyl, depth=2)
