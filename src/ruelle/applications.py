@@ -85,6 +85,20 @@ def _renewal_equation(spec: RenewalSpec, lam: float) -> float:
     return total
 
 
+def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 64) -> tuple:
+    """Bracket of the root of a decreasing f with f(lo) >= 0 >= f(hi), halved
+    until its width is at most ``tol`` or ``max_iter`` halvings are done."""
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return lo, hi
+
+
 def renewal_analysis(spec: RenewalSpec, tol: float = 1e-12) -> RenewalReport:
     """Radius, kernel and cohomology residual of the truncated renewal chain.
 
@@ -107,18 +121,18 @@ def renewal_analysis(spec: RenewalSpec, tol: float = 1e-12) -> RenewalReport:
     trip = rpf_triplet(tm, tol=tol)
     lam_m = trip.lam
 
-    # The series is strictly decreasing in lam; bracket and solve.  scipy's
-    # optimizer is imported here so that importing the package stays cheap.
-    from scipy.optimize import brentq
+    # The series is strictly decreasing in lam: bracket the root from the
+    # matrix radius, bisect to relative width 1e-15 and keep the end with the
+    # smaller residual (an exact zero at lam_m is a bracket of width 0).
+    def excess(x):
+        return _renewal_equation(spec, x) - 1.0
 
     lo, hi = lam_m, lam_m
-    while _renewal_equation(spec, lo) < 1.0:
+    while excess(lo) < 0.0:
         lo *= 0.5
-    while _renewal_equation(spec, hi) > 1.0:
+    while excess(hi) > 0.0:
         hi *= 2.0
-    if lo == hi:
-        lo, hi = 0.5 * lo, 2.0 * hi
-    lam_s = float(brentq(lambda x: _renewal_equation(spec, x) - 1.0, lo, hi, xtol=1e-15))
+    lam_s = min(_bisect(excess, lo, hi, 1e-15 * lam_m), key=lambda x: abs(excess(x)))
 
     # Two-sided truncation control: the series tail at the computed radius.
     prod_b = 1.0
@@ -340,15 +354,7 @@ def bowen_dimension(spec: GifsSpec, tol: float = 1e-8, max_iter: int = 64) -> Di
         grow += 1
     if p_hi > 0.0:
         raise PreconditionError("no sign change found in the dimension search range")
-    lo, hi = s_lo, s_hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if _gifs_pressure(system, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol / 4:
-            break
+    lo, hi = _bisect(lambda s: _gifs_pressure(system, s), s_lo, s_hi, tol / 4, max_iter)
     root = 0.5 * (lo + hi)
     samples = []
     for s in np.linspace(s_lo, s_hi, 7):

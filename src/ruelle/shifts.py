@@ -121,10 +121,7 @@ class TransitionStructure:
         A word's cylinder in the shift space is nonempty exactly when the word
         is admissible and ends in a viable symbol.
         """
-        on_cycle = set()
-        for comp in _tarjan_sccs(self.alphabet.symbols, self.successors):
-            if len(comp) > 1 or self.allows(comp[0], comp[0]):
-                on_cycle.update(comp)
+        on_cycle = {s for c in self.quotient.components if c.has_periodic_point for s in c.symbols}
         # Backward closure: anything reaching a cycle is viable.
         viable = set(on_cycle)
         stack = list(on_cycle)
@@ -135,6 +132,11 @@ class TransitionStructure:
                     viable.add(p)
                     stack.append(p)
         return frozenset(viable)
+
+    @cached_property
+    def quotient(self) -> "QuotientDag":
+        """The transitive-component quotient (see ``scc_quotient``)."""
+        return _quotient(self)
 
     @cached_property
     def successor_ranks(self) -> tuple:
@@ -387,19 +389,25 @@ def _tarjan_sccs(symbols, successors) -> list:
 
 
 def scc_quotient(ts: TransitionStructure) -> QuotientDag:
-    """Quotient by mutual reachability, with reachability order and flags."""
+    """Quotient by mutual reachability, with reachability order and flags.
+
+    Built once per structure and cached on it as ``ts.quotient``.
+    """
+    return ts.quotient
+
+
+def _quotient(ts: TransitionStructure) -> QuotientDag:
     rank = ts.alphabet.rank
     active = [s for s in ts.alphabet.symbols if ts.successors[s] or ts.predecessors[s]]
     live = set(active)
     isolated = tuple(s for s in ts.alphabet.symbols if s not in live)
-    raw = _tarjan_sccs(active, {s: [t for t in ts.successors[s] if t in live] for s in active})
-    raw = [sorted(c, key=rank.__getitem__) for c in raw]
-    raw.sort(key=lambda c: rank[c[0]])
+    sccs = _tarjan_sccs(active, {s: [t for t in ts.successors[s] if t in live] for s in active})
+    raw = sorted((sorted(c, key=rank.__getitem__) for c in sccs), key=lambda c: rank[c[0]])
 
     infos = []
     for comp in raw:
         has_cycle = len(comp) > 1 or ts.allows(comp[0], comp[0])
-        period = _component_period(ts, comp) if has_cycle else None
+        period = _component_period(ts, comp)[0] if has_cycle else None
         infos.append(
             ComponentInfo(
                 symbols=tuple(comp),
@@ -414,24 +422,17 @@ def scc_quotient(ts: TransitionStructure) -> QuotientDag:
         for s in info.symbols:
             comp_idx[s] = i
 
-    # One-step edges between components, then reflexive-transitive closure.
-    edges = {(comp_idx[i], comp_idx[j]) for (i, j) in ts.entries if i in comp_idx and j in comp_idx}
+    # One-step edges between components, then reflexive-transitive closure:
+    # Tarjan emits each component after every component it reaches, so one
+    # pass in emission order closes the relation.
     n = len(infos)
+    steps = [set() for _ in range(n)]
+    for (i, j) in ts.entries:
+        steps[comp_idx[i]].add(comp_idx[j])
     reach = [set() for _ in range(n)]
-    for a, b in edges:
-        reach[a].add(b)
-    for a in range(n):
-        reach[a].add(a)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            new = set()
-            for b in reach[a]:
-                new |= reach[b]
-            if not new <= reach[a]:
-                reach[a] |= new
-                changed = True
+    for scc in sccs:
+        a = comp_idx[scc[0]]
+        reach[a] = {a}.union(*(reach[b] for b in steps[a]))
     order = frozenset((a, b) for a in range(n) for b in reach[a])
     return QuotientDag(components=tuple(infos), order=order, isolated=isolated)
 
@@ -458,7 +459,8 @@ class PeriodClasses:
         raise KeyError(symbol)
 
 
-def _component_period(ts: TransitionStructure, comp_symbols) -> int:
+def _component_period(ts: TransitionStructure, comp_symbols) -> tuple:
+    """Period of a component and the BFS distances from its first symbol."""
     comp = set(comp_symbols)
     base = comp_symbols[0]
     dist = {base: 0}
@@ -481,7 +483,7 @@ def _component_period(ts: TransitionStructure, comp_symbols) -> int:
         for v in ts.successors[u]:
             if v in comp:
                 g = math.gcd(g, dist[u] + 1 - dist[v])
-    return abs(g) if g else 0
+    return (abs(g) if g else 0), dist
 
 
 def period_classes(ts: TransitionStructure, component=None) -> PeriodClasses:
@@ -491,24 +493,12 @@ def period_classes(ts: TransitionStructure, component=None) -> PeriodClasses:
     single transitive component containing a cycle, otherwise the period is
     undefined ("no periodic point").
     """
-    symbols = tuple(component) if component is not None else ts.alphabet.symbols
-    sub = ts.induced(symbols)
+    sub = ts if component is None else ts.induced(component)
     dag = scc_quotient(sub)
     if len(dag.components) != 1 or not dag.components[0].has_periodic_point:
         raise PreconditionError("no periodic point: component is not irreducible with a cycle")
     comp = dag.components[0].symbols
-    p = _component_period(sub, comp)
-    base = comp[0]
-    dist = {base: 0}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sub.successors[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    p, dist = _component_period(sub, comp)
     rank = ts.alphabet.rank
     classes = tuple(
         tuple(sorted((s for s in comp if dist[s] % p == r), key=rank.__getitem__))
@@ -519,7 +509,7 @@ def period_classes(ts: TransitionStructure, component=None) -> PeriodClasses:
         cj = dist[j] % p
         if cj != (ci + 1) % p:
             raise RuntimeError("period class property violated; period computation is wrong")
-    return PeriodClasses(p=p, classes=classes, base=base)
+    return PeriodClasses(p=p, classes=classes, base=comp[0])
 
 
 # -- classification ------------------------------------------------------------
@@ -546,12 +536,22 @@ class Classification:
 
 
 def _verify_witness(ts: TransitionStructure, witness) -> bool:
-    syms = ts.alphabet.symbols
-    for a in syms:
-        for b in syms:
-            if not any(ts.is_admissible((a,) + tuple(w) + (b,)) for w in witness):
-                return False
-    return True
+    """Whether a w b is admissible for every symbol pair (a, b) and some w.
+
+    For a word w admissible inside, a w b is admissible exactly when
+    a -> w_0 and w_last -> b, so the pairs it serves are the outer product
+    adj[:, w_0] (x) adj[w_last, :]; their OR over w is one matrix product.
+    The empty word serves the allowed pairs themselves.
+    """
+    rank, n = ts.alphabet.rank, len(ts.alphabet)
+    indptr, succ = ts.successor_ranks
+    adj = np.zeros((n, n))
+    adj[np.repeat(np.arange(n), np.diff(indptr)), succ] = 1.0
+    inside = [tuple(w) for w in witness if ts.is_admissible(tuple(w))]
+    heads = [rank[w[0]] for w in inside if w]
+    tails = [rank[w[-1]] for w in inside if w]
+    served = adj[:, heads] @ adj[tails, :] + (adj if () in inside else 0.0)
+    return bool((served > 0.0).all())
 
 
 def _irreducibility_witness(ts: TransitionStructure) -> Optional[tuple]:

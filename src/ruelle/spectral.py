@@ -31,8 +31,6 @@ from .transfer import (
     rpf_triplet,
 )
 
-DENSE_ORACLE_LIMIT = 200
-
 
 @dataclass(frozen=True)
 class Peripheral:
@@ -71,40 +69,6 @@ class SpectralDecomposition:
         return total
 
 
-def _radius_power_estimate(mat: np.ndarray, iters: int = 400, seed: int = 7) -> float:
-    """Spectral radius by power iteration with geometric averaging.
-
-    Deflation is assumed done by the caller (the peripheral part already
-    subtracted), so plain iteration with a trailing-window growth average is
-    stable against rotating phases.  It runs on a copy with the entries
-    below the smallest normal float set to zero: subnormal arithmetic is
-    many times slower, and entries that small do not reach the estimate.
-    """
-    n = mat.shape[0]
-    if n == 0:
-        return 0.0
-    mat = np.where(np.abs(mat) < np.finfo(float).tiny, 0.0, mat)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(3):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        logs = []
-        for _ in range(iters):
-            w = mat @ v
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                logs = None
-                break
-            logs.append(math.log(nw))
-            v = w / nw
-        if logs is None:
-            continue
-        tail = logs[len(logs) // 2 :]
-        best = max(best, math.exp(sum(tail) / len(tail)))
-    return best
-
-
 def spectral_decomposition(
     tm: TransferMatrix,
     classes: Optional[PeriodClasses] = None,
@@ -141,7 +105,9 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
     the cyclic classes; across the other rows it extends by the resolvent
     solves h_2 = (lam_i - B22)^{-1} B21 h_1 and
     nu_2 = (lam_i - B22)^{-T} B12^T nu_1, after which nu_i is normalized to
-    nu_i . h_i = 1.  ``extra`` fills the reducible-only fields.
+    nu_i . h_i = 1.  The remainder radius is the largest modulus among the
+    remainder's eigenvalues, solved on the real matrix when the imaginary
+    part is rounding.  ``extra`` fills the reducible-only fields.
     """
     p = classes.p
     kappa = cmath.exp(2j * math.pi / p)
@@ -179,15 +145,12 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
     remainder = dense.astype(complex)
     for per in peripherals:
         remainder -= per.eigenvalue * np.outer(per.h, per.nu)
-    if float(np.abs(remainder.imag).max(initial=0.0)) < 1e-9 * max(lam, 1.0):
+    real = float(np.abs(remainder.imag).max(initial=0.0)) < 1e-9 * max(lam, 1.0)
+    if real:
         remainder = remainder.real.astype(complex)
 
     checks = _projection_checks(dense, peripherals, remainder, lam)
-    radius = _radius_power_estimate(remainder)
-    method = "power_deflated"
-    if tm.dim <= DENSE_ORACLE_LIMIT:
-        radius = max(radius, float(np.abs(np.linalg.eigvals(remainder)).max(initial=0.0)))
-        method = "power_deflated+dense"
+    eigs = np.linalg.eigvals(remainder.real if real else remainder)
     return SpectralDecomposition(
         lam=lam,
         p=p,
@@ -195,8 +158,8 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
         tm=tm,
         peripherals=tuple(peripherals),
         remainder=remainder,
-        remainder_radius=radius,
-        remainder_method=method,
+        remainder_radius=float(np.abs(eigs).max(initial=0.0)),
+        remainder_method="dense_eigvals",
         checks=checks,
         **extra,
     )

@@ -73,8 +73,7 @@ class TransferMatrix:
     @cached_property
     def periods(self) -> tuple:
         """Periods of the governing structure's cyclic components."""
-        dag = scc_quotient(self.governing)
-        ps = tuple(c.period for c in dag.components if c.has_periodic_point)
+        ps = tuple(c.period for c in self.governing.quotient.components if c.has_periodic_point)
         return ps if ps else (1,)
 
     @property
@@ -329,6 +328,8 @@ def rpf_triplet(
         raise PreconditionError(
             "zero spectral radius: the index carries no nonempty cylinders"
         )
+    if max_iter < 1:
+        raise PreconditionError(f"max_iter = {max_iter} allows no matvec; it must be positive")
     p = tm.cesaro_period
     lam_r, g, it_g, ok_g = _perron_vector(tm.matrix, p, tol, max_iter)
     if lam_r <= 0.0:

@@ -69,6 +69,31 @@ class TestRenewal:
         assert abs(rep.lam_matrix - rep.lam_scalar) <= 1e-10
         assert rep.cohomology_residual <= 1e-8
 
+    def test_scalar_route_leaves_scipy_optimize_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "from ruelle import RenewalSpec, TailModel, renewal_analysis\n"
+            "spec = RenewalSpec(a=lambda n: 4.0**-n, b=lambda n: 4.0**-n, truncation=20,\n"
+            "                   tail=TailModel.geometric(1.0, 0.25))\n"
+            "rep = renewal_analysis(spec)\n"
+            "assert abs(rep.lam_matrix - rep.lam_scalar) <= 1e-15, rep\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_non_summable_spec_rejected(self):
         from ruelle import RenewalSpec, TailModel
 

@@ -210,6 +210,24 @@ class TestClassify:
     def test_reducible_not_irreducible(self):
         assert not classify(from_entries((0, 1), [(0, 1)])).irreducible
 
+    @settings(max_examples=60, deadline=None)
+    @given(ts=small_structures(), data=st.data())
+    def test_witness_check_matches_the_tuple_definition(self, ts, data):
+        from ruelle.shifts import _irreducibility_witness, _verify_witness
+
+        syms = ts.alphabet.symbols
+        word = st.lists(st.sampled_from(syms + (len(syms),)), max_size=3).map(tuple)
+        drawn = data.draw(st.lists(word, max_size=8))
+        short = [w for n in (1, 2) for w in admissible_words(ts, n)]
+        bfs = _irreducibility_witness(ts) or ()
+        for witness in (drawn, short, short + drawn, bfs):
+            expected = all(
+                any(ts.is_admissible((a,) + tuple(w) + (b,)) for w in witness)
+                for a in syms
+                for b in syms
+            )
+            assert _verify_witness(ts, witness) == expected
+
 
 class TestConstruction:
     def test_subsystem_entries_checked(self):

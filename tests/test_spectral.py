@@ -12,6 +12,7 @@ from ruelle import (
     cone_contraction_constant,
     cone_membership,
     component_decomposition,
+    from_entries,
     gibbs_check,
     lasota_yorke_check,
     potential_from_weights,
@@ -116,6 +117,21 @@ class TestSpectralDecomposition:
         tm = build_transfer_matrix(ts, phi, depth=1)
         with pytest.raises(PreconditionError):
             spectral_decomposition(tm)
+
+    def test_remainder_radius_is_the_largest_off_circle_eigenvalue(self):
+        # Period-3 cyclic structure (steps +1, -2, +4) at dim 240, where a
+        # power estimate of the remainder radius lands 2.7e-5 low.
+        n = 240
+        syms = tuple(range(n))
+        pairs = {(i, i + d) for i in syms for d in (1, -2, 4) if 0 <= i + d < n}
+        phi = potential_from_weights({(s,): -2.0 * math.log(s + 1) for s in syms})
+        tm = build_transfer_matrix(from_entries(syms, pairs), phi)
+        dec = spectral_decomposition(tm)
+        mods = np.abs(np.linalg.eigvals(tm.dense()))
+        off_circle = float(mods[mods < dec.lam * (1 - 1e-9)].max())
+        assert dec.p == 3
+        assert abs(dec.remainder_radius - off_circle) <= 1e-12 * off_circle
+        assert dec.remainder_method == "dense_eigvals"
 
 
 def dense_projection_checks(dense, peripherals, remainder, lam) -> dict:

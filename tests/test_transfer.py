@@ -133,6 +133,12 @@ class TestRpfTriplet:
         with pytest.raises(PreconditionError):
             rpf_triplet(build_transfer_matrix(sub, phi, depth=1))
 
+    def test_nonpositive_max_iter_names_max_iter(self):
+        tm = build_transfer_matrix(f1(), zero_potential(f1()), depth=1)
+        for max_iter in (0, -3):
+            with pytest.raises(PreconditionError, match="max_iter"):
+                rpf_triplet(tm, max_iter=max_iter)
+
     def test_nu_mass_recursion_consistent(self):
         trip = rpf_triplet(build_transfer_matrix(f2(), zero_potential(f2()), depth=1))
         # nu[w] = lam^{-(len-1)} nu[last] for the zero potential.
@@ -448,6 +454,26 @@ def test_eigendata_and_pressure_leave_words_unbuilt(monkeypatch):
     assert len(built) == 1
     for t in (tm, built[0]):
         assert "words" not in t.__dict__
+
+
+def test_structure_quotient_computed_once(monkeypatch):
+    import ruelle.shifts as shifts
+    from ruelle import spectral_decomposition
+
+    calls = []
+
+    def counting_tarjan(*args):
+        calls.append(1)
+        return tarjan(*args)
+
+    tarjan = shifts._tarjan_sccs
+    monkeypatch.setattr(shifts, "_tarjan_sccs", counting_tarjan)
+    ts = from_entries((0, 1, 2), [(0, 1), (1, 0), (1, 2), (2, 2), (2, 0)])
+    for phi in (zero_potential(ts), potential_from_weights({(0,): 0.3, (1,): -0.2, (2,): 0.1})):
+        tm = build_transfer_matrix(ts, phi, depth=2)
+        rpf_triplet(tm)
+        spectral_decomposition(tm)
+    assert len(calls) == 1
 
 
 def test_assembly_refuses_over_cap_before_allocating():
