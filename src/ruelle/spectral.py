@@ -32,6 +32,16 @@ from .transfer import (
 )
 
 
+# Above this dim the remainder radius comes from ARPACK instead of dense
+# eigvals, at their measured crossover (2-core Xeon; banded remainders,
+# dense against ARPACK): 0.97 / 1.46 ms at n = 64, 1.84 / 1.57 ms at n = 80,
+# 3.26 / 0.92 ms at n = 100; period-3 cyclic ones cross at n = 80 too.
+DENSE_RADIUS_LIMIT = 80
+# Eigenvalues ARPACK resolves; more than one, so that a conjugate pair or a
+# tie in modulus at the top of the remainder's spectrum is resolved too.
+ARPACK_K = 4
+
+
 @dataclass(frozen=True)
 class Peripheral:
     eigenvalue: complex
@@ -105,9 +115,10 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
     the cyclic classes; across the other rows it extends by the resolvent
     solves h_2 = (lam_i - B22)^{-1} B21 h_1 and
     nu_2 = (lam_i - B22)^{-T} B12^T nu_1, after which nu_i is normalized to
-    nu_i . h_i = 1.  The remainder radius is the largest modulus among the
-    remainder's eigenvalues, solved on the real matrix when the imaginary
-    part is rounding.  ``extra`` fills the reducible-only fields.
+    nu_i . h_i = 1.  The remainder is real whenever its imaginary part is
+    rounding.  Its radius is the largest modulus among its eigenvalues:
+    dense LAPACK up to ``DENSE_RADIUS_LIMIT``, ARPACK above it.  ``extra``
+    fills the reducible-only fields.
     """
     p = classes.p
     kappa = cmath.exp(2j * math.pi / p)
@@ -142,15 +153,27 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
             nui = nui / (nui @ hi)
         peripherals.append(Peripheral(eigenvalue=lam_i, h=hi, nu=nui))
 
-    remainder = dense.astype(complex)
+    # With real peripheral data (p = 1) the remainder is built in float64;
+    # otherwise in complex, kept as its real part when the imaginary one is
+    # rounding.  Either way the real values are the same.
+    real = not any(
+        per.eigenvalue.imag or per.h.imag.any() or per.nu.imag.any() for per in peripherals
+    )
+    remainder = dense.copy() if real else dense.astype(complex)
     for per in peripherals:
-        remainder -= per.eigenvalue * np.outer(per.h, per.nu)
-    real = float(np.abs(remainder.imag).max(initial=0.0)) < 1e-9 * max(lam, 1.0)
-    if real:
-        remainder = remainder.real.astype(complex)
+        if real:
+            remainder -= per.eigenvalue.real * np.outer(per.h.real, per.nu.real)
+        else:
+            remainder -= per.eigenvalue * np.outer(per.h, per.nu)
+    if not real and float(np.abs(remainder.imag).max(initial=0.0)) < 1e-9 * max(lam, 1.0):
+        remainder, real = remainder.real.copy(), True
 
-    checks = _projection_checks(dense, peripherals, remainder, lam)
-    eigs = np.linalg.eigvals(remainder.real if real else remainder)
+    checks = _projection_checks(dense, peripherals, remainder, lam, operator=tm.matrix)
+    if tm.dim <= DENSE_RADIUS_LIMIT:
+        radius = float(np.abs(np.linalg.eigvals(remainder)).max(initial=0.0))
+        method = "dense_eigvals"
+    else:
+        radius, method = _arpack_radius(tm.matrix, peripherals, real), "arpack"
     return SpectralDecomposition(
         lam=lam,
         p=p,
@@ -158,20 +181,51 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
         tm=tm,
         peripherals=tuple(peripherals),
         remainder=remainder,
-        remainder_radius=float(np.abs(eigs).max(initial=0.0)),
-        remainder_method="dense_eigvals",
+        remainder_radius=radius,
+        remainder_method=method,
         checks=checks,
         **extra,
     )
 
 
-def _projection_checks(dense, peripherals, remainder, lam) -> dict:
+def _arpack_radius(matrix, peripherals, real: bool) -> float:
+    """Largest |eigenvalue| of x -> L x - sum_i lam_i h_i (nu_i . x).
+
+    Implicitly restarted Arnoldi (ARPACK) for the ``ARPACK_K`` eigenvalues
+    of largest modulus, from a fixed seeded start so that repeated calls
+    agree bitwise.  The start is not the ones vector: for a normalized
+    potential that is h itself, which the remainder maps to zero.
+    """
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
+
+    n = matrix.shape[0]
+
+    def matvec(x):
+        y = matrix @ x
+        for per in peripherals:
+            y = y - per.eigenvalue * (per.nu @ x) * per.h
+        return y.real if real else y
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=float if real else complex)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        vals = eigs(op, k=ARPACK_K, which="LM", v0=start, return_eigenvectors=False)
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise ConvergenceError(
+            f"remainder radius: ARPACK failed on the dim-{n} remainder: {exc}"
+        ) from exc
+    return float(np.abs(vals).max())
+
+
+def _projection_checks(dense, peripherals, remainder, lam, operator=None) -> dict:
     """Projection identities of P_i = h_i (x) nu_i in rank-one form.
 
     P_i P_j = (nu_i . h_j) h_i (x) nu_j, P_i R = h_i (x) (nu_i R) and
     R P_i = (R h_i) (x) nu_i, and the largest entry of a (x) b is
     |a|_inf |b|_inf, so no projection is formed; only the reconstruction
-    error R + sum lam_i P_i - L is taken entrywise.
+    error R + sum lam_i P_i - L is taken entrywise.  The eigen-residuals
+    |L h_i - lam_i h_i|_inf / (lam |h_i|_inf) and the same for L^T nu_i are
+    taken on ``operator`` (the sparse L), or on ``dense`` without it.
     """
     scale = max(lam, 1.0)
     hs = [per.h for per in peripherals]
@@ -189,14 +243,30 @@ def _projection_checks(dense, peripherals, remainder, lam) -> dict:
         for j in range(i + 1, len(peripherals)):
             worst_orth = max(worst_orth, abs(nus[i] @ hs[j]) * h_sup[i] * nu_sup[j])
     eigs = np.array([per.eigenvalue for per in peripherals])
-    recon = (np.stack(hs, axis=1) * eigs) @ np.stack(nus)
+    left, right = np.stack(hs, axis=1) * eigs, np.stack(nus)
+    if np.isrealobj(remainder) and not (left.imag.any() or right.imag.any()):
+        # Real data: the complex product's real parts, without its n x n copy.
+        left, right = left.real, right.real
+    recon = left @ right
     recon += remainder
     recon -= dense
+    if operator is None:
+        operator = dense
+    res_h = max(
+        float(np.abs(operator @ h - per.eigenvalue * h).max()) / (lam * sup)
+        for per, h, sup in zip(peripherals, hs, h_sup)
+    )
+    res_nu = max(
+        float(np.abs(operator.T @ nu - per.eigenvalue * nu).max()) / (lam * sup)
+        for per, nu, sup in zip(peripherals, nus, nu_sup)
+    )
     return {
         "reconstruction_error": float(np.abs(recon).max()) / scale,
         "projection_orthogonality": worst_orth / scale,
         "projection_idempotence": worst_idem,
         "remainder_commutation": worst_commute / scale,
+        "eigen_residual_h": res_h,
+        "eigen_residual_nu": res_nu,
     }
 
 

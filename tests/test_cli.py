@@ -189,3 +189,38 @@ class TestCli:
         rep = json.loads((out / "report.json").read_text())
         assert rep["results"]["lam_difference"] <= 1e-10
         assert (out / "kernel.csv").exists()
+
+    def test_shipped_spectra_leave_scipy_sparse_linalg_unloaded(self, tmp_path):
+        # The shipped configs are all below the dense limit of the remainder
+        # radius, so neither the import nor `python -m ruelle.cli spectrum`
+        # on them loads ARPACK's package.
+        import os
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import runpy, sys\n"
+            "import ruelle\n"
+            "out, configs = sys.argv[1], sys.argv[2:]\n"
+            "seen = ['scipy.sparse.linalg' in sys.modules]\n"
+            "for i, cfg in enumerate(configs):\n"
+            "    sys.argv = ['ruelle', 'spectrum', '--config', cfg, '--out', f'{out}/{i}']\n"
+            "    try:\n"
+            "        runpy.run_module('ruelle.cli', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "print(seen)\n"
+        )
+        configs = sorted(str(p) for p in (root / "configs").glob("*.json"))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path), *configs],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            check=True,
+        )
+        assert len(configs) == 4
+        assert len(list(tmp_path.glob("*/report.json"))) == 3  # cantor_ifs has no spectrum
+        assert out.stdout.splitlines()[-1] == str([False] * 5)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from ruelle import (
+    ConvergenceError,
     NonUniqueDominantError,
     PreconditionError,
     admissible_words,
+    banded_structure,
     build_transfer_matrix,
     cone_contraction_constant,
     cone_membership,
@@ -21,7 +23,7 @@ from ruelle import (
     spectral_decomposition,
     zero_potential,
 )
-from ruelle.spectral import Peripheral, _projection_checks, _word_seminorm
+from ruelle.spectral import DENSE_RADIUS_LIMIT, Peripheral, _projection_checks, _word_seminorm
 
 from conftest import (
     PHI,
@@ -131,11 +133,84 @@ class TestSpectralDecomposition:
         off_circle = float(mods[mods < dec.lam * (1 - 1e-9)].max())
         assert dec.p == 3
         assert abs(dec.remainder_radius - off_circle) <= 1e-12 * off_circle
-        assert dec.remainder_method == "dense_eigvals"
+        assert dec.remainder_method == "arpack"
 
+
+def banded_system(n):
+    ts = banded_structure(n, 2)
+    phi = potential_from_weights({(s,): -2.0 * math.log(s + 1) for s in ts.alphabet.symbols})
+    return build_transfer_matrix(ts, phi)
+
+
+def two_banded_blocks(half):
+    """Two banded blocks joined by one bridge; the second is one lower in
+    pressure, so the first dominates uniquely."""
+    syms = tuple(range(2 * half))
+    pairs = {(i, j) for i in syms for j in syms if abs(i - j) <= 2 and (i < half) == (j < half)}
+    pairs.add((half - 1, half))
+    weights = {(s,): -2.0 * math.log(s % half + 1) - (s >= half) for s in syms}
+    return from_entries(syms, pairs), potential_from_weights(weights)
+
+
+def largest_remainder_eigenvalue(dec):
+    return float(np.abs(np.linalg.eigvals(dec.remainder)).max())
+
+
+class TestRemainderRadiusRoutes:
+    @pytest.mark.parametrize(
+        "n, method", [(60, "dense_eigvals"), (DENSE_RADIUS_LIMIT, "dense_eigvals"), (400, "arpack")]
+    )
+    def test_banded_radius_matches_the_dense_remainder(self, n, method):
+        tm = banded_system(n)
+        dec = spectral_decomposition(tm)
+        assert dec.remainder_method == method
+        assert dec.remainder.dtype == np.float64
+        exact = largest_remainder_eigenvalue(dec)
+        assert abs(dec.remainder_radius - exact) <= 1e-12 * exact
+        assert spectral_decomposition(tm).remainder_radius == dec.remainder_radius
+        assert dec.checks["eigen_residual_h"] <= 1e-13
+        assert dec.checks["eigen_residual_nu"] <= 1e-13
+
+    def test_reducible_blocks_above_the_limit(self):
+        ts, phi = two_banded_blocks(60)
+        dec = component_decomposition(ts, phi)
+        assert dec.tm.dim > DENSE_RADIUS_LIMIT
+        assert dec.remainder_method == "arpack"
+        assert dec.dominant_component == dec.tm.governing.quotient.component_of(0)
+        exact = largest_remainder_eigenvalue(dec)
+        assert abs(dec.remainder_radius - exact) <= 1e-12 * exact
+        assert component_decomposition(ts, phi).remainder_radius == dec.remainder_radius
+
+    def test_rounding_imaginary_part_kept_as_a_real_remainder(self):
+        # Period 3: the peripheral data is complex, the remainder real.
+        n = 120
+        syms = tuple(range(n))
+        pairs = {(i, i + d) for i in syms for d in (1, -2, 4) if 0 <= i + d < n}
+        phi = potential_from_weights({(s,): -2.0 * math.log(s + 1) for s in syms})
+        dec = spectral_decomposition(build_transfer_matrix(from_entries(syms, pairs), phi))
+        assert dec.p == 3
+        assert dec.remainder.dtype == np.float64
+        exact = largest_remainder_eigenvalue(dec)
+        assert abs(dec.remainder_radius - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("kind", ["no_convergence", "error"])
+    def test_arpack_failure_is_a_convergence_error(self, monkeypatch, kind):
+        import scipy.sparse.linalg as spla
+
+        def failing_eigs(*args, **kwargs):
+            if kind == "no_convergence":
+                raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+            raise spla.ArpackError(-9)
+
+        monkeypatch.setattr(spla, "eigs", failing_eigs)
+        with pytest.raises(ConvergenceError, match="remainder radius"):
+            spectral_decomposition(banded_system(DENSE_RADIUS_LIMIT + 1))
+        # At the limit the dense route never calls ARPACK.
+        spectral_decomposition(banded_system(DENSE_RADIUS_LIMIT))
 
 def dense_projection_checks(dense, peripherals, remainder, lam) -> dict:
-    """Reference: the projection identities on the n x n projections."""
+    """Reference: the projection identities on the n x n projections, and
+    the eigen-residuals on the dense operator."""
     scale = max(lam, 1.0)
     recon = remainder.astype(complex).copy()
     worst_orth = 0.0
@@ -153,11 +228,21 @@ def dense_projection_checks(dense, peripherals, remainder, lam) -> dict:
         for jj in range(i + 1, len(peripherals)):
             worst_orth = max(worst_orth, float(np.abs(projs[i] @ projs[jj]).max()))
     recon_err = float(np.abs(recon - dense).max())
+    res_h = max(
+        float(np.abs(dense @ per.h - per.eigenvalue * per.h).max() / np.abs(per.h).max())
+        for per in peripherals
+    )
+    res_nu = max(
+        float(np.abs(dense.T @ per.nu - per.eigenvalue * per.nu).max() / np.abs(per.nu).max())
+        for per in peripherals
+    )
     return {
         "reconstruction_error": recon_err / scale,
         "projection_orthogonality": worst_orth / scale,
         "projection_idempotence": worst_idem,
         "remainder_commutation": worst_commute / scale,
+        "eigen_residual_h": res_h / lam,
+        "eigen_residual_nu": res_nu / lam,
     }
 
 
