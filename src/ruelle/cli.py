@@ -149,7 +149,7 @@ def cmd_classify(cfg: SystemConfig) -> Bundle:
     b.results["witness"] = [list(map(str, w)) for w in (flags.witness or ())]
     b.results["notes"] = list(flags.notes)
     b.results["components"] = comps
-    b.results["order"] = sorted([a, bb] for (a, bb) in dag.order)
+    b.results["order"] = [[a, bb] for a in range(len(dag.components)) for bb in dag.upset(a)]
     b.statements.append(
         "components are classes of mutual reachability; the period is the gcd "
         "of cycle lengths and the classes advance cyclically under every "

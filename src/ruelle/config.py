@@ -339,3 +339,10 @@ class SystemConfig:
     def mc_params(self) -> dict:
         mc = self.raw.get("mc", {})
         return {"n": mc.get("n", 10), "samples": mc.get("samples", 100_000)}
+
+
+if __name__ == "__main__":
+    # Prints the published docs/config_schema.json.
+    import sys
+
+    sys.stdout.write(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True) + "\n")

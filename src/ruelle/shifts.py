@@ -312,13 +312,14 @@ class ComponentInfo:
 class QuotientDag:
     """Transitive components with the reachability semi-order.
 
-    ``order`` contains the pairs (a, b) of component indices with component a
-    reaching component b (reflexive and transitive).  Symbols with no entries
-    at all are excluded from every component and listed in ``isolated``.
+    ``reach[a]`` is an int bitmask of the components that component a
+    reaches: bit b is set when a reaches b (reflexive and transitive).
+    Symbols with no entries at all are excluded from every component and
+    listed in ``isolated``.
     """
 
     components: tuple  # of ComponentInfo
-    order: frozenset  # pairs of component indices, a precedes b
+    reach: tuple  # of int bitmasks, one per component
     isolated: tuple = ()
 
     def component_of(self, symbol) -> Optional[int]:
@@ -328,15 +329,16 @@ class QuotientDag:
         return None
 
     def precedes(self, a: int, b: int) -> bool:
-        return (a, b) in self.order
+        return bool(self.reach[a] >> b & 1)
 
     def downset(self, i: int) -> tuple:
         """Indices of components that reach component ``i``."""
-        return tuple(a for a in range(len(self.components)) if (a, i) in self.order)
+        return tuple(a for a, mask in enumerate(self.reach) if mask >> i & 1)
 
     def upset(self, i: int) -> tuple:
         """Indices of components reached from component ``i``."""
-        return tuple(b for b in range(len(self.components)) if (i, b) in self.order)
+        mask = self.reach[i]
+        return tuple(b for b in range(len(self.components)) if mask >> b & 1)
 
 
 def _tarjan_sccs(symbols, successors) -> list:
@@ -429,12 +431,14 @@ def _quotient(ts: TransitionStructure) -> QuotientDag:
     steps = [set() for _ in range(n)]
     for (i, j) in ts.entries:
         steps[comp_idx[i]].add(comp_idx[j])
-    reach = [set() for _ in range(n)]
+    reach = [0] * n
     for scc in sccs:
         a = comp_idx[scc[0]]
-        reach[a] = {a}.union(*(reach[b] for b in steps[a]))
-    order = frozenset((a, b) for a in range(n) for b in reach[a])
-    return QuotientDag(components=tuple(infos), order=order, isolated=isolated)
+        mask = 1 << a
+        for b in steps[a]:
+            mask |= reach[b]
+        reach[a] = mask
+    return QuotientDag(components=tuple(infos), reach=tuple(reach), isolated=isolated)
 
 
 # -- periods ------------------------------------------------------------------

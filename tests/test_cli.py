@@ -63,6 +63,20 @@ class TestConfig:
         doc = Path(__file__).resolve().parent.parent / "docs" / "config_schema.json"
         assert json.loads(doc.read_text()) == CONFIG_SCHEMA
 
+    def test_published_schema_is_generated_by_the_config_module(self):
+        import os
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-m", "ruelle.config"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            check=True,
+        )
+        assert out.stdout == (root / "docs" / "config_schema.json").read_bytes()
+
     def test_config_schema_is_a_valid_schema(self):
         jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 

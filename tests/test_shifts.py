@@ -117,6 +117,42 @@ class TestSccQuotient:
                 assert dag.precedes(i, j) == expected
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(ts=small_structures())
+    def test_reach_masks_match_brute_force_closure(self, ts):
+        dag = scc_quotient(ts)
+        reach = reachability_oracle(ts)
+        n = len(dag.components)
+        closure = [
+            {a}
+            | {
+                b
+                for b, cb in enumerate(dag.components)
+                if any((x, y) in reach for x in ca.symbols for y in cb.symbols)
+            }
+            for a, ca in enumerate(dag.components)
+        ]
+        for a in range(n):
+            assert dag.reach[a] == sum(1 << b for b in closure[a])
+            assert dag.upset(a) == tuple(sorted(closure[a]))
+            assert dag.downset(a) == tuple(c for c in range(n) if a in closure[c])
+
+    def test_reach_masks_on_a_long_chain(self):
+        # i -> i + 1 with a self-loop at the end: component i is symbol i and
+        # reaches exactly the components j >= i.
+        n = 800
+        pairs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 1)]
+        ts = from_entries(tuple(range(n)), pairs)
+        dag = scc_quotient(ts)
+        assert [c.symbols for c in dag.components] == [(i,) for i in range(n)]
+        full = (1 << n) - 1
+        assert dag.reach == tuple(full ^ ((1 << i) - 1) for i in range(n))
+        assert dag.upset(0) == tuple(range(n)) and dag.upset(n - 1) == (n - 1,)
+        assert dag.downset(0) == (0,) and dag.downset(n - 1) == tuple(range(n))
+        assert dag.precedes(3, 700) and not dag.precedes(700, 3)
+        assert ts.viable_symbols == frozenset(range(n))
+
+
 class TestPeriodClasses:
     def test_two_cycle(self):
         pc = period_classes(f3())

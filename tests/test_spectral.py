@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,78 @@ class TestRankOneChecks:
                     assert new[key] >= 1e-3
                 for key, value in ref.items():
                     assert new[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+
+
+def cyclic_system(n):
+    """Period-3 banded-like system on n symbols (steps +1, -2, +4)."""
+    syms = tuple(range(n))
+    pairs = {(i, i + d) for i in syms for d in (1, -2, 4) if 0 <= i + d < n}
+    phi = potential_from_weights({(s,): -2.0 * math.log(s + 1) for s in syms})
+    return build_transfer_matrix(from_entries(syms, pairs), phi)
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMatrixFreeDecomposition:
+    # One float64 n x n copy is 122 MiB at n = 4000 and 30.5 MiB at n = 2000.
+    PEAK = 16 * 2**20
+
+    def assert_matrix_free(self, dec, peak):
+        assert dec.tm.dim > DENSE_RADIUS_LIMIT
+        assert peak < self.PEAK
+        assert "remainder" not in vars(dec)
+        assert dec.remainder_method == "arpack"
+        assert dec.checks["eigen_residual_h"] <= 1e-13
+        assert dec.checks["eigen_residual_nu"] <= 1e-13
+        assert all(value <= 1e-8 for value in dec.checks.values()), dec.checks
+
+    def test_banded_4000_allocates_no_dense_array(self):
+        tm = banded_system(4000)
+        dec, peak = traced_peak(lambda: spectral_decomposition(tm))
+        self.assert_matrix_free(dec, peak)
+
+    def test_reducible_blocks_allocate_no_dense_array(self):
+        ts, phi = two_banded_blocks(1000)
+        dec, peak = traced_peak(lambda: component_decomposition(ts, phi))
+        self.assert_matrix_free(dec, peak)
+        assert dec.dominant_component == dec.tm.governing.quotient.component_of(0)
+
+    def test_remainder_formed_on_first_use(self):
+        tm = banded_system(DENSE_RADIUS_LIMIT + 20)
+        dec = spectral_decomposition(tm)
+        assert "remainder" not in vars(dec)
+        (per,) = dec.peripherals
+        expected = tm.dense() - per.eigenvalue.real * np.outer(per.h.real, per.nu.real)
+        assert np.array_equal(dec.remainder, expected)
+        assert dec.remainder is dec.remainder
+
+    @pytest.mark.parametrize("system", [banded_system, cyclic_system])
+    def test_checks_match_the_dense_reference_across_blocks(self, system):
+        tm = system(150)
+        dec = spectral_decomposition(tm)
+        ref = dense_projection_checks(tm.dense(), dec.peripherals, dec.remainder, dec.lam)
+        assert dec.checks.keys() == ref.keys()
+        for key, value in ref.items():
+            assert abs(dec.checks[key] - value) <= 1e-15, key
+
+    def test_reconstruction_blocks_cover_every_row(self):
+        # An entry planted in the first, a middle and the last row (the last
+        # block is a partial one) shows in the reconstruction error.
+        tm = banded_system(150)
+        dec = spectral_decomposition(tm)
+        for row in (0, 75, 149):
+            bad = dec.remainder.copy()
+            bad[row, 149 - row] += 1e-3
+            checks = _projection_checks(tm.matrix, dec.peripherals, bad, dec.lam)
+            scale = max(dec.lam, 1.0)
+            assert checks["reconstruction_error"] == pytest.approx(1e-3 / scale, rel=1e-9)
 
 
 class TestComponentDecomposition:
