@@ -101,4 +101,13 @@ from .applications import (
     renewal_analysis,
     renewal_potential,
 )
-from .config import SystemConfig, CONFIG_SCHEMA
+
+
+def __getattr__(name):
+    # The config layer, and jsonschema with it, loads on first use, so that
+    # ``python -m ruelle.config`` executes that module once, as __main__.
+    if name in ("SystemConfig", "CONFIG_SCHEMA"):
+        from . import config
+
+        return getattr(config, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .potentials import Potential, TailModel
-from .shifts import TransitionStructure, Alphabet, renewal_structure, scc_quotient
+from .shifts import TransitionStructure, Alphabet, renewal_structure
 from .transfer import build_transfer_matrix, rpf_triplet
 
 
@@ -288,8 +288,7 @@ def gifs_build(spec: GifsSpec) -> GifsSystem:
         Alphabet(tuple(spec.vertices)),
         frozenset((e.source, e.target) for e in spec.edges),
     )
-    dag = scc_quotient(vstruct)
-    if len(dag.components) != 1 or dag.isolated or not dag.components[0].has_periodic_point:
+    if not vstruct.irreducible:
         raise PreconditionError("graph is not strongly connected")
     labels = tuple(e.label for e in spec.edges)
     by_label = {e.label: e for e in spec.edges}

@@ -232,8 +232,7 @@ def cmd_spectrum(cfg: SystemConfig) -> Bundle:
     b = Bundle("spectrum", cfg)
     ts = cfg.open_structure()
     phi = cfg.potential(on=ts)
-    dag = scc_quotient(ts)
-    if len(dag.components) == 1 and not dag.isolated:
+    if ts.irreducible:
         tm = build_transfer_matrix(ts, phi, depth=cfg.depth)
         dec = spectral_decomposition(tm, tol=cfg.tolerance)
     else:

@@ -15,8 +15,7 @@ operation is a pure function.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -99,20 +98,56 @@ class TransitionStructure:
         return (i, j) in self.entries
 
     @cached_property
+    def pair_codes(self) -> np.ndarray:
+        """The entries as sorted int64 codes rank(i) * k + rank(j), k = |alphabet|.
+
+        Every other piece of the structure's combinatorics is read from this
+        one table."""
+        rank, k = self.alphabet.rank, len(self.alphabet)
+        return np.sort(np.array([rank[i] * k + rank[j] for (i, j) in self.entries], dtype=np.int64))
+
+    @cached_property
+    def successor_ranks(self) -> tuple:
+        """The successor table over alphabet ranks as CSR: (indptr, ranks)."""
+        k = len(self.alphabet)
+        codes = self.pair_codes
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(codes // k, minlength=k))))
+        return indptr, (codes % k).astype(np.int32)
+
+    @cached_property
     def successors(self) -> dict:
-        out = {s: [] for s in self.alphabet.symbols}
-        for (i, j) in self.entries:
-            out[i].append(j)
-        rank = self.alphabet.rank
-        return {s: tuple(sorted(v, key=rank.__getitem__)) for s, v in out.items()}
+        return _neighbours(self.alphabet.symbols, self.pair_codes)
 
     @cached_property
     def predecessors(self) -> dict:
-        inc = {s: [] for s in self.alphabet.symbols}
-        for (i, j) in self.entries:
-            inc[j].append(i)
-        rank = self.alphabet.rank
-        return {s: tuple(sorted(v, key=rank.__getitem__)) for s, v in inc.items()}
+        k = len(self.alphabet)
+        codes = self.pair_codes
+        return _neighbours(self.alphabet.symbols, np.sort(codes % k * k + codes // k))
+
+    @cached_property
+    def quotient(self) -> "QuotientDag":
+        """The transitive-component quotient (see ``scc_quotient``)."""
+        return _quotient(self)
+
+    @cached_property
+    def irreducible(self) -> bool:
+        """One transitive component covers every symbol and carries a cycle."""
+        dag = self.quotient
+        return (
+            len(dag.components) == 1 and not dag.isolated and dag.components[0].has_periodic_point
+        )
+
+    @cached_property
+    def viable_ranks(self) -> np.ndarray:
+        """Boolean mask over alphabet ranks of the symbols that reach a cycle.
+
+        Those are the symbols of the components whose reach mask meets a
+        cyclic component."""
+        dag = self.quotient
+        cyclic = sum(1 << c for c, info in enumerate(dag.components) if info.has_periodic_point)
+        # The trailing False serves the isolated symbols' label -1.
+        live = np.array([bool(mask & cyclic) for mask in dag.reach] + [False])
+        return live[dag.labels]
 
     @cached_property
     def viable_symbols(self) -> frozenset:
@@ -121,37 +156,7 @@ class TransitionStructure:
         A word's cylinder in the shift space is nonempty exactly when the word
         is admissible and ends in a viable symbol.
         """
-        on_cycle = {s for c in self.quotient.components if c.has_periodic_point for s in c.symbols}
-        # Backward closure: anything reaching a cycle is viable.
-        viable = set(on_cycle)
-        stack = list(on_cycle)
-        while stack:
-            s = stack.pop()
-            for p in self.predecessors[s]:
-                if p not in viable:
-                    viable.add(p)
-                    stack.append(p)
-        return frozenset(viable)
-
-    @cached_property
-    def quotient(self) -> "QuotientDag":
-        """The transitive-component quotient (see ``scc_quotient``)."""
-        return _quotient(self)
-
-    @cached_property
-    def successor_ranks(self) -> tuple:
-        """The successor table over alphabet ranks as CSR: (indptr, ranks)."""
-        rank = self.alphabet.rank
-        succ = [[rank[t] for t in self.successors[s]] for s in self.alphabet.symbols]
-        deg = np.array([len(v) for v in succ], dtype=np.int64)
-        indptr = np.concatenate(([0], np.cumsum(deg)))
-        return indptr, np.array([r for v in succ for r in v], dtype=np.int32)
-
-    @cached_property
-    def viable_ranks(self) -> np.ndarray:
-        """Boolean mask over alphabet ranks of the viable symbols."""
-        viable = self.viable_symbols
-        return np.array([s in viable for s in self.alphabet.symbols], dtype=bool)
+        return frozenset(s for s, v in zip(self.alphabet.symbols, self.viable_ranks.tolist()) if v)
 
     def is_admissible(self, word) -> bool:
         return all(self.allows(a, b) for a, b in zip(word, word[1:])) and all(
@@ -178,6 +183,16 @@ class TransitionStructure:
         )
         sub_entries = frozenset((i, j) for (i, j) in self.entries if i in keep and j in keep)
         return TransitionStructure(sub_alpha, sub_entries)
+
+
+def _neighbours(symbols, codes: np.ndarray) -> dict:
+    """Symbol -> tuple of neighbour symbols from sorted pair codes a * k + b."""
+    k = len(symbols)
+    heads, tails = (codes // k).tolist(), (codes % k).tolist()
+    out = {s: [] for s in symbols}
+    for a, b in zip(heads, tails):
+        out[symbols[a]].append(symbols[b])
+    return {s: tuple(v) for s, v in out.items()}
 
 
 # -- constructors -----------------------------------------------------------
@@ -315,12 +330,17 @@ class QuotientDag:
     ``reach[a]`` is an int bitmask of the components that component a
     reaches: bit b is set when a reaches b (reflexive and transitive).
     Symbols with no entries at all are excluded from every component and
-    listed in ``isolated``.
+    listed in ``isolated``.  Over the alphabet ranks, ``labels`` holds each
+    symbol's component (-1 when isolated) and ``distances`` its BFS distance
+    from its component's first symbol inside a cyclic component (-1 off
+    them).
     """
 
     components: tuple  # of ComponentInfo
     reach: tuple  # of int bitmasks, one per component
     isolated: tuple = ()
+    labels: np.ndarray = field(default=None, compare=False, repr=False)
+    distances: np.ndarray = field(default=None, compare=False, repr=False)
 
     def component_of(self, symbol) -> Optional[int]:
         for i, comp in enumerate(self.components):
@@ -341,52 +361,57 @@ class QuotientDag:
         return tuple(b for b in range(len(self.components)) if mask >> b & 1)
 
 
-def _tarjan_sccs(symbols, successors) -> list:
-    """Strongly connected components, iterative Tarjan, deterministic order."""
-    index = {}
-    low = {}
-    on_stack = set()
+def _tarjan_sccs(roots, indptr, succ) -> list:
+    """Strongly connected components of a rank graph given as CSR lists.
+
+    Iterative Tarjan from each root in turn; a component is emitted after
+    every component it reaches.  A vertex whose component is emitted gets
+    index n, above every live one, so it never lowers a low-link and no
+    on-stack flag is needed."""
+    n = len(indptr) - 1
+    index = [-1] * n
+    low = [0] * n
+    cursor = indptr[:-1]
+    depth = [0] * n  # position on the stack
     stack = []
     sccs = []
-    counter = [0]
-
-    for root in symbols:
-        if root in index:
+    counter = 0
+    for root in roots:
+        if index[root] >= 0:
             continue
-        work = [(root, iter(successors[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
+        depth[root] = len(stack)
         stack.append(root)
-        on_stack.add(root)
+        work = [root]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+            v = work[-1]
+            lv = low[v]
+            for pos in range(cursor[v], indptr[v + 1]):
+                w = succ[pos]
+                iw = index[w]
+                if iw < 0:
+                    cursor[v] = pos + 1
+                    low[v] = lv
+                    index[w] = low[w] = counter
+                    counter += 1
+                    depth[w] = len(stack)
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors[w])))
-                    advanced = True
+                    work.append(w)
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if iw < lv:
+                    lv = iw
+            else:
+                low[v] = lv
+                work.pop()
+                if work and lv < low[work[-1]]:
+                    low[work[-1]] = lv
+                if lv == index[v]:
+                    comp = stack[depth[v] :]
+                    del stack[depth[v] :]
+                    for w in comp:
+                        index[w] = n
+                    sccs.append(comp)
     return sccs
 
 
@@ -399,46 +424,87 @@ def scc_quotient(ts: TransitionStructure) -> QuotientDag:
 
 
 def _quotient(ts: TransitionStructure) -> QuotientDag:
-    rank = ts.alphabet.rank
-    active = [s for s in ts.alphabet.symbols if ts.successors[s] or ts.predecessors[s]]
-    live = set(active)
-    isolated = tuple(s for s in ts.alphabet.symbols if s not in live)
-    sccs = _tarjan_sccs(active, {s: [t for t in ts.successors[s] if t in live] for s in active})
-    raw = sorted((sorted(c, key=rank.__getitem__) for c in sccs), key=lambda c: rank[c[0]])
+    """Components, reach masks, periods and BFS distances from the pair codes.
 
-    infos = []
-    for comp in raw:
-        has_cycle = len(comp) > 1 or ts.allows(comp[0], comp[0])
-        period = _component_period(ts, comp)[0] if has_cycle else None
-        infos.append(
-            ComponentInfo(
-                symbols=tuple(comp),
-                irreducible=has_cycle,
-                has_periodic_point=has_cycle,
-                period=period,
-            )
+    A component's period is the gcd of dist(a) + 1 - dist(b) over its
+    entries (a, b), dist the BFS distance from its first symbol inside it."""
+    k = len(ts.alphabet)
+    codes = ts.pair_codes
+    heads, tails = codes // k, codes % k
+    indptr, succ = ts.successor_ranks
+    active = np.zeros(k, dtype=bool)
+    active[heads] = active[tails] = True
+    sccs = _tarjan_sccs(np.flatnonzero(active).tolist(), indptr.tolist(), succ.tolist())
+    comps = sorted((sorted(c) for c in sccs), key=lambda c: c[0])
+    labels = np.full(k, -1)
+    for c, comp in enumerate(comps):
+        labels[comp] = c
+    loops = np.zeros(k, dtype=bool)
+    loops[heads[heads == tails]] = True
+    cyclic = [len(comp) > 1 or bool(loops[comp[0]]) for comp in comps]
+
+    # Entries inside a component are exactly those of the cyclic ones; one
+    # BFS from every cyclic component's first symbol at once stays inside
+    # each component along them.
+    inner = labels[heads] == labels[tails]
+    a, b = heads[inner], tails[inner]
+    inner_ptr = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=k)))).tolist()
+    inner_succ = b.tolist()
+    dist = [-1] * k
+    frontier = [comp[0] for comp, cyc in zip(comps, cyclic) if cyc]
+    for s in frontier:
+        dist[s] = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            du = dist[u] + 1
+            for w in inner_succ[inner_ptr[u] : inner_ptr[u + 1]]:
+                if dist[w] < 0:
+                    dist[w] = du
+                    nxt.append(w)
+        frontier = nxt
+    dist = np.array(dist)
+    # The inner entries grouped by component, one gcd per group.
+    order = np.argsort(labels[a], kind="stable")
+    owners, starts = np.unique(labels[a][order], return_index=True)
+    period = {}
+    if len(order):
+        gcds = np.abs(np.gcd.reduceat((dist[a] + 1 - dist[b])[order], starts))
+        period = dict(zip(owners.tolist(), gcds.tolist()))
+
+    syms = ts.alphabet.symbols
+    infos = tuple(
+        ComponentInfo(
+            symbols=tuple(syms[r] for r in comp),
+            irreducible=cyc,
+            has_periodic_point=cyc,
+            period=period[c] if cyc else None,
         )
-
-    comp_idx = {}
-    for i, info in enumerate(infos):
-        for s in info.symbols:
-            comp_idx[s] = i
+        for c, (comp, cyc) in enumerate(zip(comps, cyclic))
+    )
 
     # One-step edges between components, then reflexive-transitive closure:
     # Tarjan emits each component after every component it reaches, so one
     # pass in emission order closes the relation.
-    n = len(infos)
-    steps = [set() for _ in range(n)]
-    for (i, j) in ts.entries:
-        steps[comp_idx[i]].add(comp_idx[j])
-    reach = [0] * n
+    m = len(comps)
+    steps = [[] for _ in comps]
+    cross = np.unique(labels[heads[~inner]] * m + labels[tails[~inner]]).tolist()
+    for c, d in (divmod(code, m) for code in cross):
+        steps[c].append(d)
+    reach = [0] * m
     for scc in sccs:
-        a = comp_idx[scc[0]]
-        mask = 1 << a
-        for b in steps[a]:
-            mask |= reach[b]
-        reach[a] = mask
-    return QuotientDag(components=tuple(infos), reach=tuple(reach), isolated=isolated)
+        c = int(labels[scc[0]])
+        mask = 1 << c
+        for d in steps[c]:
+            mask |= reach[d]
+        reach[c] = mask
+    return QuotientDag(
+        components=infos,
+        reach=tuple(reach),
+        isolated=tuple(syms[r] for r in np.flatnonzero(~active).tolist()),
+        labels=labels,
+        distances=dist,
+    )
 
 
 # -- periods ------------------------------------------------------------------
@@ -463,57 +529,30 @@ class PeriodClasses:
         raise KeyError(symbol)
 
 
-def _component_period(ts: TransitionStructure, comp_symbols) -> tuple:
-    """Period of a component and the BFS distances from its first symbol."""
-    comp = set(comp_symbols)
-    base = comp_symbols[0]
-    dist = {base: 0}
-    frontier = [base]
-    g = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in ts.successors[u]:
-                if v not in comp:
-                    continue
-                if v in dist:
-                    g = math.gcd(g, dist[u] + 1 - dist[v])
-                else:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    # Remaining non-tree edges inside the component.
-    for u in comp_symbols:
-        for v in ts.successors[u]:
-            if v in comp:
-                g = math.gcd(g, dist[u] + 1 - dist[v])
-    return (abs(g) if g else 0), dist
-
-
 def period_classes(ts: TransitionStructure, component=None) -> PeriodClasses:
     """Period and cyclic classes of an irreducible component.
 
     ``component`` defaults to the full alphabet; the restriction must be a
     single transitive component containing a cycle, otherwise the period is
-    undefined ("no periodic point").
+    undefined ("no periodic point").  The classes are the BFS distances that
+    the quotient kept, modulo the period.
     """
     sub = ts if component is None else ts.induced(component)
     dag = scc_quotient(sub)
     if len(dag.components) != 1 or not dag.components[0].has_periodic_point:
         raise PreconditionError("no periodic point: component is not irreducible with a cycle")
-    comp = dag.components[0].symbols
-    p, dist = _component_period(sub, comp)
-    rank = ts.alphabet.rank
+    comp = dag.components[0]
+    p, dist = comp.period, dag.distances
+    k = len(sub.alphabet)
+    codes = sub.pair_codes
+    if ((dist[codes // k] + 1 - dist[codes % k]) % p).any():
+        raise RuntimeError("period class property violated; period computation is wrong")
+    syms = sub.alphabet.symbols
     classes = tuple(
-        tuple(sorted((s for s in comp if dist[s] % p == r), key=rank.__getitem__))
-        for r in range(p)
+        tuple(syms[r] for r in np.flatnonzero((dist >= 0) & (dist % p == j)).tolist())
+        for j in range(p)
     )
-    for (i, j) in sub.entries:
-        ci = dist[i] % p
-        cj = dist[j] % p
-        if cj != (ci + 1) % p:
-            raise RuntimeError("period class property violated; period computation is wrong")
-    return PeriodClasses(p=p, classes=classes, base=comp[0])
+    return PeriodClasses(p=p, classes=classes, base=comp.symbols[0])
 
 
 # -- classification ------------------------------------------------------------
@@ -596,14 +635,8 @@ def classify(ts: TransitionStructure) -> Classification:
     ``notes`` records what the declared family implies for the full system.
     """
     dag = scc_quotient(ts)
-    syms = ts.alphabet.symbols
     has_pp = any(c.has_periodic_point for c in dag.components)
-    one_comp = (
-        len(dag.components) == 1
-        and not dag.isolated
-        and set(dag.components[0].symbols) == set(syms)
-    )
-    irreducible = one_comp and dag.components[0].has_periodic_point
+    irreducible = ts.irreducible
     if irreducible:
         aperiodic = dag.components[0].period == 1
     else:

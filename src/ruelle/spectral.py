@@ -103,9 +103,7 @@ def spectral_decomposition(
     after removing the p rank-one peripheral terms.  Without ``triplet``
     the positive pair is solved to ``tol``.
     """
-    dag = scc_quotient(tm.governing)
-    live = [c for c in dag.components if c.has_periodic_point]
-    if len(dag.components) != 1 or not live:
+    if not tm.governing.irreducible:
         raise PreconditionError(
             "spectral decomposition needs an irreducible structure; "
             "route reducible input through component_decomposition"
@@ -405,9 +403,12 @@ def component_decomposition(
     inside[[rank[s] for s in symbols]] = True
     rows = inside[tm.ranks[:, 0]]
     B11 = tm.matrix[rows][:, rows]
+    # B11 is the dominant component's own word graph, irreducible, when no
+    # word starting in the component leaves it (always at depth 1).
+    closed = bool(np.array_equal(rows, inside[tm.ranks].all(axis=1)))
     classes = period_classes(ts, component=symbols)
-    _, g1, _, ok_r = _perron_vector(B11, classes.p, tol)
-    _, nu1, _, ok_l = _perron_vector(B11.T, classes.p, tol)
+    _, g1, _, ok_r = _perron_vector(B11, classes.p, tol, irreducible=closed)
+    _, nu1, _, ok_l = _perron_vector(B11.T, classes.p, tol, irreducible=closed)
     if not (ok_r and ok_l):
         raise ConvergenceError(f"dominant block eigenvectors did not reach tol={tol}")
     nu1 = nu1 / nu1.sum()
@@ -426,8 +427,7 @@ def _support_patterns(tm, dag, dom, peripherals) -> dict:
     the eigenvector on components that reach it (meeting the subshift).
     """
     n_comp = len(dag.components)
-    comp_of = [dag.component_of(s) for s in tm.index_structure.alphabet.symbols]
-    comp_of_word = np.array([-1 if c is None else c for c in comp_of])[tm.ranks[:, 0]]
+    comp_of_word = dag.labels[tm.ranks[:, 0]]
     h0 = peripherals[0].h
     nu0 = peripherals[0].nu
     scale_h = float(np.abs(h0).max(initial=0.0)) or 1.0

@@ -71,6 +71,14 @@ class TransferMatrix:
         return self.matrix.T @ nu
 
     @cached_property
+    def irreducible(self) -> bool:
+        """Whether the word graph is irreducible by structure: a closed
+        operator on an irreducible structure, whose depth-m word graph is then
+        the higher-block presentation of an irreducible shift (every word is
+        viable).  Weights that underflow to an explicit 0 do not clear it."""
+        return self.governing is self.index_structure and self.governing.irreducible
+
+    @cached_property
     def periods(self) -> tuple:
         """Periods of the governing structure's cyclic components."""
         ps = tuple(c.period for c in self.governing.quotient.components if c.has_periodic_point)
@@ -146,9 +154,15 @@ def _allows(ts: TransitionStructure, ind: TransitionStructure, a: np.ndarray, b:
     """Whether ``ts`` allows each pair of ``ind``-ranks (a, b)."""
     rank = ind.alphabet.rank
     k = len(rank)
-    codes = [rank[i] * k + rank[j] for (i, j) in ts.entries if i in rank and j in rank]
+    if ts.alphabet == ind.alphabet:
+        codes = ts.pair_codes
+    else:
+        codes = np.sort(np.array(
+            [rank[i] * k + rank[j] for (i, j) in ts.entries if i in rank and j in rank],
+            dtype=np.int64,
+        ))
     # The sentinel k * k exceeds every pair code, so each query lands on an entry.
-    table = np.sort(np.array(codes + [k * k], dtype=np.int64))
+    table = np.append(codes, k * k)
     query = a.astype(np.int64) * k + b
     return table[np.searchsorted(table, query)] == query
 
@@ -245,7 +259,9 @@ def _cylinder_masses(tm: TransferMatrix, h, nu, lam: float, cylinders) -> np.nda
     return out
 
 
-def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
+def _perron_vector(
+    mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER, irreducible: bool = False
+):
     """Positive eigenvector of a nonnegative matrix of period p.
 
     Each step replaces u by the sup-normalized Cesaro average
@@ -256,12 +272,15 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     hundreds of decades converges entry by entry.  Entries off the support
     of a reducible matrix's eigenvector decay to zero, not always
     monotonically; once below ``tol`` and below their value two steps back
-    they are left out of that test if they can be that zero set.
+    they are left out of that test if they can be that zero set.  With
+    ``irreducible`` (the matrix's pattern is irreducible, so the eigenvector
+    is positive and has no such set) that test is skipped.
     Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
     """
     tiny = np.finfo(float).tiny
     u = older = np.ones(mat.shape[0])
     rel_prev = np.full_like(u, np.inf)
+    change_prev = math.inf
     lam = 0.0
     it = 0
     while it < max_iter:
@@ -273,28 +292,37 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         if norm_p == 0.0:
             return 0.0, np.zeros_like(u), it, True
         lam = (norm_p / float(u.sum())) ** (1.0 / p)
-        avg = sum(block[i] / lam**i for i in range(1, p + 1))
-        new = avg / float(avg.max())
+        new = block[1] / lam
+        for i in range(2, p + 1):
+            new += block[i] / lam**i
+        new /= float(new.max())
         big = np.maximum(new, u)
-        rel = np.divide(np.abs(new - u), big, out=np.zeros_like(u), where=big >= tiny)
-        fading = (new < older) & (new <= tol)
-        if _settled(rel, rel_prev, tol) or (
-            fading.any()
-            and _settled(rel[~fading], rel_prev[~fading], tol)
-            and _off_support(mat, fading, new >= tiny)
-        ):
+        diff = np.subtract(new, u)
+        rel = np.divide(np.abs(diff, out=diff), big, out=np.zeros_like(u), where=big >= tiny)
+        change = float(rel.max(initial=0.0))
+        if _settled(change, change_prev, tol):
             return lam, new, it, True
-        u, older, rel_prev = new, u, rel
+        if not irreducible:
+            fading = (new < older) & (new <= tol)
+            kept = ~fading
+            if (
+                fading.any()
+                and _settled(
+                    float(rel[kept].max(initial=0.0)), float(rel_prev[kept].max(initial=0.0)), tol
+                )
+                and _off_support(mat, fading, new >= tiny)
+            ):
+                return lam, new, it, True
+        u, older, rel_prev, change_prev = new, u, rel, change
     return lam, u, it, False
 
 
-def _settled(rel: np.ndarray, rel_prev: np.ndarray, tol: float) -> bool:
-    """Whether two steps' componentwise changes bound the error by ``tol``.
+def _settled(change: float, prev: float, tol: float) -> bool:
+    """Whether two steps' largest componentwise changes bound the error by ``tol``.
 
     The error is change * rho / (1 - rho), rho the ratio of the successive
     largest changes; a change <= tol that no longer shrinks is at rounding.
     """
-    change, prev = float(rel.max(initial=0.0)), float(rel_prev.max(initial=0.0))
     rho = change / prev if change < prev else 1.0
     return change <= tol and (rho >= 1.0 or change * rho <= tol * (1.0 - rho))
 
@@ -331,12 +359,12 @@ def rpf_triplet(
     if max_iter < 1:
         raise PreconditionError(f"max_iter = {max_iter} allows no matvec; it must be positive")
     p = tm.cesaro_period
-    lam_r, g, it_g, ok_g = _perron_vector(tm.matrix, p, tol, max_iter)
+    lam_r, g, it_g, ok_g = _perron_vector(tm.matrix, p, tol, max_iter, tm.irreducible)
     if lam_r <= 0.0:
         raise PreconditionError(
             "zero spectral radius: the governing structure has no periodic point"
         )
-    _, nu, it_nu, ok_l = _perron_vector(tm.matrix.T.tocsr(), p, tol, max_iter)
+    _, nu, it_nu, ok_l = _perron_vector(tm.matrix.T.tocsr(), p, tol, max_iter, tm.irreducible)
     nu = nu / float(nu.sum())
     lg = tm.apply(g)
     lam = float(nu @ lg) / float(nu @ g)

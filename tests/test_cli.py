@@ -77,6 +77,26 @@ class TestConfig:
         )
         assert out.stdout == (root / "docs" / "config_schema.json").read_bytes()
 
+    def test_schema_command_writes_nothing_to_stderr(self):
+        # ruelle/__init__ loads the config module lazily, so running it as
+        # __main__ draws no runpy warning; importing ruelle skips jsonschema.
+        import os
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run(
+            [sys.executable, "-m", "ruelle.config"], capture_output=True, env=env, check=True
+        )
+        assert out.stderr == b""
+        assert out.stdout == (root / "docs" / "config_schema.json").read_bytes()
+        probe = "import sys, ruelle; print('jsonschema' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, env=env, check=True, text=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_config_schema_is_a_valid_schema(self):
         jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 

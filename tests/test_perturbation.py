@@ -106,6 +106,21 @@ class TestPressureTrace:
         trace = pressure_convergence_trace(zero_potential(f1()), hole, [1.0, 0.25, 0.0625])
         assert all(v == pytest.approx(2.0, abs=1e-11) for v in trace.lams)
 
+    def test_depth_three_schedule_with_underflowing_weights(self):
+        # From eps = 2^-10 on exp(-1/eps) underflows, so every hole word of
+        # L_eps carries an explicit zero on the full shift's irreducible
+        # pattern; the depth-3 radii must still match depth 1.
+        phi, hole = zero_potential(f1()), golden_hole()
+        eps = [2.0**-j for j in range(21)]
+        cyls = [w for n in (1, 2, 3) for w in admissible_words(f1(), n)]
+        ref = pressure_convergence_trace(phi, hole, eps)
+        for trace in (
+            pressure_convergence_trace(phi, hole, eps, depth=3),
+            gibbs_convergence_trace(phi, hole, eps, cyls, depth=3),
+        ):
+            assert abs(trace.lam_limit - ref.lam_limit) <= 1e-12
+            assert max(abs(a - b) for a, b in zip(trace.lams, ref.lams)) <= 1e-12
+
     def test_two_cycle_hole_limit_one(self):
         hole = HoleSpec(closed=f1(), open_=f3())
         eps = [2.0**-j for j in range(0, 16, 3)]

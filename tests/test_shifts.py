@@ -103,6 +103,21 @@ class TestSccQuotient:
                 together = ca is not None and ca == cb
                 mutual = (a, b) in reach and (b, a) in reach
                 assert together == mutual
+        touched = {s for pair in ts.entries for s in pair}
+        assert dag.isolated == tuple(s for s in ts.alphabet.symbols if s not in touched)
+        indptr, succ = ts.successor_ranks
+        syms = ts.alphabet.symbols
+        for r, s in enumerate(syms):
+            assert tuple(syms[t] for t in succ[indptr[r] : indptr[r + 1]]) == ts.successors[s]
+            assert ts.successors[s] == tuple(t for t in syms if (s, t) in ts.entries)
+            assert ts.predecessors[s] == tuple(t for t in syms if (t, s) in ts.entries)
+        assert ts.irreducible == classify(ts).irreducible
+        # Viable: a symbol reaching a cycle, i.e. one that reaches a symbol
+        # that reaches itself.
+        on_cycle = {s for s in syms if (s, s) in reach}
+        viable = {a for a in syms if a in on_cycle or any((a, b) in reach for b in on_cycle)}
+        assert ts.viable_symbols == frozenset(viable)
+        assert ts.viable_ranks.tolist() == [s in viable for s in syms]
 
     @settings(max_examples=40, deadline=None)
     @given(ts=small_structures())
@@ -151,6 +166,9 @@ class TestSccQuotient:
         assert dag.downset(0) == (0,) and dag.downset(n - 1) == tuple(range(n))
         assert dag.precedes(3, 700) and not dag.precedes(700, 3)
         assert ts.viable_symbols == frozenset(range(n))
+        cyclic = [c.has_periodic_point for c in dag.components]
+        assert cyclic == [False] * (n - 1) + [True]
+        assert dag.components[-1].period == 1 and not ts.irreducible
 
 
 class TestPeriodClasses:
@@ -170,6 +188,24 @@ class TestPeriodClasses:
     def test_acyclic_rejected(self):
         with pytest.raises(PreconditionError):
             period_classes(from_entries((0, 1), [(0, 1)]))
+
+    def test_large_banded_one_aperiodic_component(self):
+        ts = banded_structure(1600, 2)
+        dag = scc_quotient(ts)
+        assert len(dag.components) == 1 and dag.components[0].period == 1
+        assert ts.irreducible and not dag.isolated
+        assert period_classes(ts).classes == (ts.alphabet.symbols,)
+
+    def test_large_cyclic_classes_are_residues_mod_three(self):
+        # Steps +1, -2 and +4 each advance i mod 3.
+        n = 300
+        ts = from_entries(
+            tuple(range(n)), {(i, i + d) for i in range(n) for d in (1, -2, 4) if 0 <= i + d < n}
+        )
+        assert ts.irreducible and scc_quotient(ts).components[0].period == 3
+        pc = period_classes(ts)
+        assert pc.p == 3 and pc.base == 0
+        assert pc.classes == tuple(tuple(range(r, n, 3)) for r in range(3))
 
     @settings(max_examples=60, deadline=None)
     @given(ts=small_structures())

@@ -476,6 +476,68 @@ def test_structure_quotient_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _cyclic_operator(n):
+    """Period-3 operator on n symbols (steps +1, -2, +4)."""
+    syms = tuple(range(n))
+    pairs = {(i, i + d) for i in syms for d in (1, -2, 4) if 0 <= i + d < n}
+    phi = potential_from_weights({(s,): -2.0 * math.log(s + 1) for s in syms})
+    return build_transfer_matrix(from_entries(syms, pairs), phi)
+
+
+def _banded_operator(n):
+    ts = banded_structure(n, 2)
+    phi = potential_from_weights({(i,): -2.0 * math.log(i) for i in range(1, n + 1)})
+    return build_transfer_matrix(ts, phi, depth=1)
+
+
+def test_operator_irreducibility_flag():
+    from ruelle import open_operator
+
+    from conftest import golden_hole
+
+    banded = banded_structure(200, 2)
+    assert build_transfer_matrix(banded, zero_potential(banded)).irreducible
+    assert build_transfer_matrix(banded, zero_potential(banded), depth=3).irreducible
+    assert _cyclic_operator(120).irreducible
+    assert not open_operator(golden_hole(), zero_potential(f1())).irreducible
+    ts, phi = two_component_dag()
+    assert not build_transfer_matrix(ts, phi).irreducible
+
+
+@pytest.mark.parametrize("depth, flag", [(1, True), (2, False)])
+def test_dominant_block_flagged_only_when_its_words_stay_inside(monkeypatch, depth, flag):
+    # At depth 2 the block holds the word (1, 2), which leaves the dominant
+    # component {0, 1}.
+    import ruelle.spectral as spectral
+    from ruelle import component_decomposition
+
+    flags = []
+
+    def recording(*args, irreducible=False, **kwargs):
+        flags.append(irreducible)
+        return solver(*args, irreducible=irreducible, **kwargs)
+
+    solver = spectral._perron_vector
+    monkeypatch.setattr(spectral, "_perron_vector", recording)
+    ts, phi = two_component_dag(forward=True)
+    component_decomposition(ts, phi, depth=depth)
+    assert flags == [flag, flag]
+
+
+@pytest.mark.parametrize(
+    "build, n", [(_banded_operator, 200), (_cyclic_operator, 120)], ids=["banded", "cyclic"]
+)
+def test_irreducible_flag_changes_no_bit(build, n):
+    from ruelle.transfer import _perron_vector
+
+    tm = build(n)
+    for mat in (tm.matrix, tm.matrix.T.tocsr()):
+        plain = _perron_vector(mat, tm.cesaro_period, 1e-12)
+        flagged = _perron_vector(mat, tm.cesaro_period, 1e-12, irreducible=True)
+        assert (plain[0], plain[2], plain[3]) == (flagged[0], flagged[2], flagged[3])
+        assert plain[1].tobytes() == flagged[1].tobytes()
+
+
 def test_assembly_refuses_over_cap_before_allocating():
     import time
 
