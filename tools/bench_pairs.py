@@ -2,7 +2,7 @@
 
 Usage (from anywhere inside the repository):
 
-    python3 tools/bench_pairs.py --parent 93a67d0 --pr 11 \
+    python3 tools/bench_pairs.py --parent <rev> --pr <n> \
         --workloads spectrum ladder_eigen cli_cold operator_family \
         --seeds 2101-2110 --traced spectrum:2111
 
