@@ -226,6 +226,9 @@ def limit_invariant_masses(
     sub = hole.open_
     dag = scc_quotient(sub)
     live = [c for c in dag.components if c.has_periodic_point]
+    # Not ``sub.irreducible``: a hole that strips a symbol of every transition
+    # leaves it isolated, which carries no word, so one cyclic component plus
+    # isolated symbols still takes the plain eigendata route.
     if len(dag.components) == 1 and live:
         trip = rpf_triplet(build_transfer_matrix(sub, phi, depth=depth), tol=tol)
         tm, h, nu, lam = trip.tm, trip.h, trip.nu, trip.lam

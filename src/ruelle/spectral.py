@@ -404,8 +404,9 @@ def component_decomposition(
     rows = inside[tm.ranks[:, 0]]
     B11 = tm.matrix[rows][:, rows]
     # B11 is the dominant component's own word graph, irreducible, when no
-    # word starting in the component leaves it (always at depth 1).
-    closed = bool(np.array_equal(rows, inside[tm.ranks].all(axis=1)))
+    # word starting in the component leaves it (always at depth 1) and no
+    # weight underflowed to an explicit 0.
+    closed = bool(np.array_equal(rows, inside[tm.ranks].all(axis=1)) and B11.data.all())
     classes = period_classes(ts, component=symbols)
     _, g1, _, ok_r = _perron_vector(B11, classes.p, tol, irreducible=closed)
     _, nu1, _, ok_l = _perron_vector(B11.T, classes.p, tol, irreducible=closed)

@@ -72,11 +72,12 @@ class TransferMatrix:
 
     @cached_property
     def irreducible(self) -> bool:
-        """Whether the word graph is irreducible by structure: a closed
-        operator on an irreducible structure, whose depth-m word graph is then
-        the higher-block presentation of an irreducible shift (every word is
-        viable).  Weights that underflow to an explicit 0 do not clear it."""
-        return self.governing is self.index_structure and self.governing.irreducible
+        """Whether the matrix is irreducible: a closed operator on an
+        irreducible structure, whose depth-m word graph is then the
+        higher-block presentation of an irreducible shift (every word is
+        viable), with no weight that underflowed to an explicit 0."""
+        closed = self.governing is self.index_structure and self.governing.irreducible
+        return closed and bool(self.matrix.data.all())
 
     @cached_property
     def periods(self) -> tuple:
@@ -271,10 +272,13 @@ def _perron_vector(
     the remaining error by ``tol`` (``_settled``), so a vector spanning
     hundreds of decades converges entry by entry.  Entries off the support
     of a reducible matrix's eigenvector decay to zero, not always
-    monotonically; once below ``tol`` and below their value two steps back
-    they are left out of that test if they can be that zero set.  With
-    ``irreducible`` (the matrix's pattern is irreducible, so the eigenvector
-    is positive and has no such set) that test is skipped.
+    monotonically; once below ``tol`` in this step and the one before (so
+    the other entries' change already reflects their smallness) and below
+    their value two steps back, they are left out of that test if they can
+    be that zero set.  With
+    ``irreducible`` (the caller knows the matrix is irreducible: its nonzero
+    entries form an irreducible graph, so the eigenvector is positive and has
+    no such set) that test is skipped.
     Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
     """
     tiny = np.finfo(float).tiny
@@ -303,7 +307,7 @@ def _perron_vector(
         if _settled(change, change_prev, tol):
             return lam, new, it, True
         if not irreducible:
-            fading = (new < older) & (new <= tol)
+            fading = (new < older) & (big <= tol)
             kept = ~fading
             if (
                 fading.any()

@@ -230,6 +230,22 @@ class TestRpfTriplet:
         # underflow would take more than 700/delta.
         assert trip.iterations <= 4 * math.log(1 / tol) / delta
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_underflowing_bridge_on_an_irreducible_structure(self, depth):
+        # The same operator with the bridge 1 -> 0 added at weight -800: the
+        # structure is the full 2-shift, but exp(-800) underflows to an
+        # explicit 0, so the matrix is still reducible and nu's second entry
+        # must still be recognized as off the support.
+        delta, tol = 5e-3, 1e-12
+        ts = full_shift((0, 1))
+        phi = potential_from_weights({(0, 0): 0.0, (0, 1): 0.0, (1, 1): -delta, (1, 0): -800.0})
+        tm = build_transfer_matrix(ts, phi, depth=depth)
+        assert ts.irreducible and not tm.irreducible
+        trip = rpf_triplet(tm, tol=tol)
+        assert abs(trip.lam - 1.0) <= 1e-13
+        assert trip.nu[tm.ranks[:, 0] == 0].sum() == pytest.approx(1.0, abs=10 * tol)
+        assert trip.iterations <= 4 * math.log(1 / tol) / delta
+
 
 class TestSupRoute:
     def test_full_shift_constant(self):

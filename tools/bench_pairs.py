@@ -1,4 +1,4 @@
-"""Run perfbench on a parent revision and on the working tree in alternating pairs.
+"""Run perfbench on a parent revision and on HEAD in alternating pairs.
 
 Usage (from anywhere inside the repository):
 
@@ -6,16 +6,18 @@ Usage (from anywhere inside the repository):
         --workloads spectrum ladder_eigen cli_cold operator_family \
         --seeds 2101-2110 --traced spectrum:2111
 
-The parent revision is extracted with ``git archive`` into a temporary
-directory, so no git worktree is created and nothing of it stays behind.
-Each seed is one pair: ``perfbench/run.py --trace 0`` runs once from the
-root of each tree, and the side that runs first alternates from pair to
-pair.  ``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side for
-the per-layer metrics.  The record is written to ``BENCH_<pr>.json`` at the
-repository root: per pair the end-to-end metrics of ``BENCHMARK.json`` with
-the attempted and failed operation counts, and per metric each side's
-quartiles, the change's wins, the ratio of the medians, the parent's
-quartile distance and the metric's bound.
+Both sides are committed trees: the parent revision and HEAD are each
+extracted with ``git archive`` into a temporary directory, so uncommitted
+edits are never measured, no git worktree is created and nothing stays
+behind.  Each seed is one pair: ``perfbench/run.py --trace 0`` runs once
+from the root of each tree for ``BENCHMARK.json``'s ``run_seconds``, and
+the side that runs first alternates from pair to pair.
+``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side for the
+per-layer metrics.  The record is written to ``BENCH_<pr>.json`` at the
+repository root, with both commit hashes: per pair the end-to-end metrics
+of ``BENCHMARK.json`` with the attempted and failed operation counts, and
+per metric each side's quartiles, the change's wins, the ratio of the
+medians, the parent's quartile distance and the metric's bound.
 """
 
 from __future__ import annotations
@@ -45,12 +47,18 @@ def parse_seeds(spec: str) -> list:
     return out
 
 
-def extract(revision: str, dest: Path) -> Path:
-    """The tree of ``revision`` under ``dest``, written by ``git archive``."""
-    archive = dest / "parent.tar"
+def commit_of(revision: str) -> str:
+    out = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", revision + "^{commit}"],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def extract(commit: str, dest: Path, name: str) -> Path:
+    """The tree of ``commit`` under ``dest / name``, written by ``git archive``."""
+    archive = dest / f"{name}.tar"
     with archive.open("wb") as fh:
-        subprocess.run(["git", "-C", str(ROOT), "archive", revision], stdout=fh, check=True)
-    tree = dest / "parent"
+        subprocess.run(["git", "-C", str(ROOT), "archive", commit], stdout=fh, check=True)
+    tree = dest / name
     tree.mkdir()
     with tarfile.open(archive) as tar:
         tar.extractall(tree, filter="data")
@@ -123,21 +131,19 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", required=True, help="the record is written to BENCH_<pr>.json")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", required=True, help="one pair per seed: '2101-2110' or '1,5,9'")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEED",
                     help="one --trace 1 run per side, for the per-layer metrics")
-    ap.add_argument("--what", default="", help="one line saying what the change is")
-    ap.add_argument("--tmpdir", default=None, help="where the parent tree is extracted")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     seeds = parse_seeds(args.seeds)
+    commits = {"parent": commit_of(args.parent), "change": commit_of("HEAD")}
     record = {
-        "what": args.what or f"perfbench end-to-end metrics of the working tree against "
-                              f"its parent {args.parent}, in alternating pairs",
+        "what": f"perfbench end-to-end metrics of {commits['change']} against "
+                f"{commits['parent']}, in alternating pairs",
+        "commits": commits,
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} "
                    "--trace 0, run from the root of each tree; the side that runs first "
                    "alternates by pair",
@@ -145,8 +151,8 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(dir=args.tmpdir) as tmp:
-        trees = {"parent": extract(args.parent, Path(tmp)), "change": ROOT}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: extract(commit, Path(tmp), side) for side, commit in commits.items()}
         for workload in args.workloads:
             pairs = []
             for i, seed in enumerate(seeds):
