@@ -174,16 +174,6 @@ class TransitionStructure:
             raise ConfigError(f"hole pairs not present in the structure: {sorted(missing)}")
         return TransitionStructure(self.alphabet, self.entries - holes, parent=self, name=name)
 
-    def induced(self, symbols: Iterable) -> "TransitionStructure":
-        """Structure induced on a symbol subset (used for components)."""
-        keep = set(symbols)
-        sub_alpha = Alphabet(
-            tuple(s for s in self.alphabet.symbols if s in keep),
-            family=FINITE,
-        )
-        sub_entries = frozenset((i, j) for (i, j) in self.entries if i in keep and j in keep)
-        return TransitionStructure(sub_alpha, sub_entries)
-
 
 def _neighbours(symbols, codes: np.ndarray) -> dict:
     """Symbol -> tuple of neighbour symbols from sorted pair codes a * k + b."""
@@ -532,24 +522,33 @@ class PeriodClasses:
 def period_classes(ts: TransitionStructure, component=None) -> PeriodClasses:
     """Period and cyclic classes of an irreducible component.
 
-    ``component`` defaults to the full alphabet; the restriction must be a
-    single transitive component containing a cycle, otherwise the period is
-    undefined ("no periodic point").  The classes are the BFS distances that
-    the quotient kept, modulo the period.
+    ``component`` is the symbol set of one of ``ts``'s transitive
+    components, in any order; by default ``ts`` must be a single transitive
+    component.  Any other symbol set is a precondition error, and so is a
+    component without a cycle, whose period is undefined ("no periodic
+    point").  The classes are the BFS distances that the quotient kept,
+    modulo the period.
     """
-    sub = ts if component is None else ts.induced(component)
-    dag = scc_quotient(sub)
-    if len(dag.components) != 1 or not dag.components[0].has_periodic_point:
+    dag = ts.quotient
+    c = 0 if len(dag.components) == 1 else -1
+    if component is not None:
+        wanted = set(component)
+        r = ts.alphabet.rank.get(next(iter(wanted), None), -1)
+        c = int(dag.labels[r]) if r >= 0 else -1
+        if c < 0 or set(dag.components[c].symbols) != wanted:
+            raise PreconditionError(f"{tuple(component)!r} is not one transitive component")
+    if c < 0 or not dag.components[c].has_periodic_point:
         raise PreconditionError("no periodic point: component is not irreducible with a cycle")
-    comp = dag.components[0]
-    p, dist = comp.period, dag.distances
-    k = len(sub.alphabet)
-    codes = sub.pair_codes
-    if ((dist[codes // k] + 1 - dist[codes % k]) % p).any():
+    comp = dag.components[c]
+    p, dist, members = comp.period, dag.distances, dag.labels == c
+    k = len(ts.alphabet)
+    a, b = ts.pair_codes // k, ts.pair_codes % k
+    inner = members[a] & members[b]
+    if ((dist[a[inner]] + 1 - dist[b[inner]]) % p).any():
         raise RuntimeError("period class property violated; period computation is wrong")
-    syms = sub.alphabet.symbols
+    syms = ts.alphabet.symbols
     classes = tuple(
-        tuple(syms[r] for r in np.flatnonzero((dist >= 0) & (dist % p == j)).tolist())
+        tuple(syms[r] for r in np.flatnonzero(members & (dist % p == j)).tolist())
         for j in range(p)
     )
     return PeriodClasses(p=p, classes=classes, base=comp.symbols[0])

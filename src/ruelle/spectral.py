@@ -22,13 +22,14 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
 from .potentials import Potential, lex_min_point
-from .shifts import PeriodClasses, TransitionStructure, period_classes, scc_quotient
+from .shifts import PeriodClasses, TransitionStructure, period_classes
 from .transfer import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RpfTriplet,
     TransferMatrix,
     _cylinder_masses,
-    _perron_vector,
+    _perron_pair,
     build_transfer_matrix,
     rpf_triplet,
 )
@@ -314,9 +315,20 @@ def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
         left, right = left.real, right.real
     recon_err = imag = 0.0
     n = matrix.shape[0]
+    if sp.issparse(matrix):
+        # Blocks are scattered from the CSR arrays into zeros; with no
+        # duplicate entries each value lands as stored.
+        csr = matrix.tocsr()
+        row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
     for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, n))
-        l_rows = matrix[rows].toarray() if sp.issparse(matrix) else matrix[rows]
+        stop = min(start + _BLOCK_ROWS, n)
+        rows = slice(start, stop)
+        if sp.issparse(matrix):
+            lo, hi = csr.indptr[start], csr.indptr[stop]
+            l_rows = np.zeros((stop - start, n), dtype=csr.dtype)
+            l_rows[row_of[lo:hi] - start, csr.indices[lo:hi]] = csr.data[lo:hi]
+        else:
+            l_rows = matrix[rows]
         if remainder is None:
             r_rows = _remainder_rows(l_rows, peripherals, rows)
         else:
@@ -350,41 +362,58 @@ def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
 
 
 def component_pressures(
-    ts: TransitionStructure, phi: Potential, depth: Optional[int] = None, tol: float = 1e-12
+    ts: TransitionStructure, phi: Potential, depth: Optional[int] = None,
+    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple:
-    """Log spectral radius of the restriction to each transitive component."""
-    dag = scc_quotient(ts)
+    """Log spectral radius of the restriction to each transitive component,
+    -inf for one without a cycle, from ``_component_pairs``."""
+    pairs = _component_pairs(build_transfer_matrix(ts, phi, depth=depth), tol, max_iter)
+    return tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
+
+
+def _component_pairs(tm: TransferMatrix, tol: float, max_iter: int) -> list:
+    """(rows, Perron pair) of each transitive component's diagonal block:
+    L over the words whose symbols all lie in the component (``rows``), the
+    operator of its own structure and potential.  A component without a
+    cycle gets (rows, None); a pair that misses ``tol`` raises
+    ConvergenceError naming the component and carrying the pair."""
+    dag = tm.governing.quotient
+    labels = dag.labels[tm.ranks]
+    first = labels[:, 0]
+    within = (labels == first[:, None]).all(axis=1)
     out = []
-    for comp in dag.components:
+    for c, comp in enumerate(dag.components):
+        rows = within & (first == c)
         if not comp.has_periodic_point:
-            out.append(-math.inf)
+            out.append((rows, None))
             continue
-        sub = ts.induced(comp.symbols)
-        sub_weights = {
-            w: v for w, v in phi.weights.items() if all(s in comp.symbols for s in w)
-        }
-        sub_phi = Potential(depth=phi.depth, weights=sub_weights)
-        sub_tm = build_transfer_matrix(sub, sub_phi, depth=depth)
-        out.append(math.log(rpf_triplet(sub_tm, tol=tol).lam))
-    return tuple(out)
+        block = tm.matrix[rows][:, rows]
+        what = f"component {c} ({len(comp.symbols)} symbols): "
+        pair = _perron_pair(block, comp.period, tol, max_iter, bool(block.data.all()), what=what)
+        out.append((rows, pair))
+    return out
 
 
 def component_decomposition(
     ts: TransitionStructure,
     phi: Potential,
     depth: Optional[int] = None,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     tie_rtol: float = 1e-9,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralDecomposition:
     """Decomposition for a reducible structure with one dominant component.
 
-    The dominant block's peripheral pair extends across the remaining blocks
-    by resolvent solves; the eigenfunction spreads to components reachable
-    from the dominant one, the eigenvector to components that reach it.  A
-    pressure tie within ``tie_rtol`` is an error carrying the tied set.
+    The operator is assembled once; each component's pressure comes from its
+    diagonal block (``_component_pairs``).  The dominant block's peripheral
+    pair extends across the remaining blocks by resolvent solves; the
+    eigenfunction spreads to components reachable from the dominant one, the
+    eigenvector to components that reach it.  A pressure tie within
+    ``tie_rtol`` is an error carrying the tied set.
     """
-    dag = scc_quotient(ts)
-    pressures = component_pressures(ts, phi, depth=depth, tol=tol)
+    tm = build_transfer_matrix(ts, phi, depth=depth)
+    pairs = _component_pairs(tm, tol, max_iter)
+    pressures = tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
     best = max(pressures)
     if not math.isfinite(best):
         raise PreconditionError("no component carries a cycle; spectral radius is zero")
@@ -395,27 +424,17 @@ def component_decomposition(
             tied=tied,
         )
     dom = tied[0]
-    symbols = dag.components[dom].symbols
-
-    tm = build_transfer_matrix(ts, phi, depth=depth)
-    rank = ts.alphabet.rank
-    inside = np.zeros(len(rank), dtype=bool)
-    inside[[rank[s] for s in symbols]] = True
-    rows = inside[tm.ranks[:, 0]]
-    B11 = tm.matrix[rows][:, rows]
-    # B11 is the dominant component's own word graph, irreducible, when no
-    # word starting in the component leaves it (always at depth 1) and no
-    # weight underflowed to an explicit 0.
-    closed = bool(np.array_equal(rows, inside[tm.ranks].all(axis=1)) and B11.data.all())
-    classes = period_classes(ts, component=symbols)
-    _, g1, _, ok_r = _perron_vector(B11, classes.p, tol, irreducible=closed)
-    _, nu1, _, ok_l = _perron_vector(B11.T, classes.p, tol, irreducible=closed)
-    if not (ok_r and ok_l):
-        raise ConvergenceError(f"dominant block eigenvectors did not reach tol={tol}")
-    nu1 = nu1 / nu1.sum()
-    h1 = g1 / (nu1 @ g1)
+    dag = ts.quotient
+    classes = period_classes(ts, component=dag.components[dom].symbols)
+    own, pair = pairs[dom]
+    rows = dag.labels[tm.ranks[:, 0]] == dom
+    if not np.array_equal(rows, own):
+        # Some words starting in the component leave it (never at depth 1):
+        # the block B11 over ``rows`` is reducible and needs its own pair.
+        pair = _perron_pair(tm.matrix[rows][:, rows], classes.p, tol, max_iter, False,
+                            what="dominant block: ")
     dec = _decompose(
-        tm, rows, classes, math.exp(best), h1, nu1,
+        tm, rows, classes, math.exp(best), pair.h, pair.nu,
         component_pressures=pressures, dominant_component=dom,
     )
     return replace(dec, support_patterns=_support_patterns(tm, dag, dom, dec.peripherals))

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ConvergenceError, PreconditionError
 from .potentials import Potential, summability_certificate
@@ -187,10 +188,11 @@ class RpfTriplet:
 
     ``g`` is sup-normalized; ``nu`` sums to one over the index words.
     ``h = g / nu(g)`` gives the invariant density so that mu = h nu has total
-    mass one.
+    mass one.  ``tm`` is None for the pair of a component's diagonal block
+    (``spectral._component_pairs``), which has no word index of its own.
     """
 
-    tm: TransferMatrix
+    tm: Optional[TransferMatrix]
     lam: float
     g: np.ndarray
     nu: np.ndarray
@@ -279,30 +281,41 @@ def _perron_vector(
     ``irreducible`` (the caller knows the matrix is irreducible: its nonzero
     entries form an irreducible graph, so the eigenvector is positive and has
     no such set) that test is skipped.
+    Each matvec calls scipy's ``csr_matvec`` (the kernel of ``mat @ x``, so
+    the same sums) into a zeroed buffer; a step allocates no new vector.
     Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
     """
+    # The kernel writes into ``out`` only when every array has its dtype.
+    mat = mat.tocsr().astype(np.float64, copy=False)
+    n = mat.shape[0]
+    csr = (n, n, mat.indptr, mat.indices, mat.data)
     tiny = np.finfo(float).tiny
-    u = older = np.ones(mat.shape[0])
-    rel_prev = np.full_like(u, np.inf)
+    # u, older and new rotate through three buffers; so do rel and rel_prev.
+    u, older, new = np.ones(n), np.ones(n), np.empty(n)
+    rel, rel_prev = np.empty(n), np.full(n, np.inf)
+    big, diff, live = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    block = [u] + [np.empty(n) for _ in range(p)]
     change_prev = math.inf
     lam = 0.0
     it = 0
     while it < max_iter:
-        block = [u]
-        for _ in range(p):
-            block.append(mat @ block[-1])
+        block[0] = u
+        for i in range(p):
+            block[i + 1].fill(0.0)
+            _csr_matvec(*csr, block[i], block[i + 1])
         it += p
         norm_p = float(block[-1].sum())
         if norm_p == 0.0:
-            return 0.0, np.zeros_like(u), it, True
+            return 0.0, np.zeros(n), it, True
         lam = (norm_p / float(u.sum())) ** (1.0 / p)
-        new = block[1] / lam
+        np.divide(block[1], lam, out=new)
         for i in range(2, p + 1):
-            new += block[i] / lam**i
+            new += np.divide(block[i], lam**i, out=big)
         new /= float(new.max())
-        big = np.maximum(new, u)
-        diff = np.subtract(new, u)
-        rel = np.divide(np.abs(diff, out=diff), big, out=np.zeros_like(u), where=big >= tiny)
+        np.maximum(new, u, out=big)
+        np.abs(np.subtract(new, u, out=diff), out=diff)
+        rel.fill(0.0)
+        np.divide(diff, big, out=rel, where=np.greater_equal(big, tiny, out=live))
         change = float(rel.max(initial=0.0))
         if _settled(change, change_prev, tol):
             return lam, new, it, True
@@ -317,7 +330,8 @@ def _perron_vector(
                 and _off_support(mat, fading, new >= tiny)
             ):
                 return lam, new, it, True
-        u, older, rel_prev, change_prev = new, u, rel, change
+        u, older, new = new, u, older
+        rel, rel_prev, change_prev = rel_prev, rel, change
     return lam, u, it, False
 
 
@@ -342,38 +356,30 @@ def _off_support(mat, fading: np.ndarray, live: np.ndarray) -> bool:
     return not reach[fading].any() and bool(reach[keep].all())
 
 
-def rpf_triplet(
-    tm: TransferMatrix,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RpfTriplet:
-    """Positive radius with right eigenfunction and left cylinder masses.
+def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=None,
+                 what: str = "") -> RpfTriplet:
+    """Right and left Perron vectors of the nonnegative sparse ``mat`` of period p.
 
-    Both vectors come from the period-averaged power iteration of
-    ``_perron_vector`` (the peripheral rotation of a period-p structure
-    defeats plain iteration); the radius is the Rayleigh quotient of the
-    pair.  A zero radius (no periodic point in the governing table) is a
-    precondition error; a run that misses ``tol`` raises ConvergenceError
-    carrying the partial triplet.
+    One ``_perron_vector`` loop on ``mat`` and one on its transpose; nu is
+    normalized to sum one and the radius is the Rayleigh quotient
+    nu(mat g) / nu(g).  The pair converged when both loops stopped and both
+    relative residuals are at most ten times ``tol``; otherwise
+    ConvergenceError, its message led by ``what``, carries the partial
+    triplet.  A zero radius (no periodic point) is a precondition error.
     """
-    if tm.dim == 0:
-        raise PreconditionError(
-            "zero spectral radius: the index carries no nonempty cylinders"
-        )
     if max_iter < 1:
         raise PreconditionError(f"max_iter = {max_iter} allows no matvec; it must be positive")
-    p = tm.cesaro_period
-    lam_r, g, it_g, ok_g = _perron_vector(tm.matrix, p, tol, max_iter, tm.irreducible)
+    lam_r, g, it_g, ok_g = _perron_vector(mat, p, tol, max_iter, irreducible)
     if lam_r <= 0.0:
         raise PreconditionError(
             "zero spectral radius: the governing structure has no periodic point"
         )
-    _, nu, it_nu, ok_l = _perron_vector(tm.matrix.T.tocsr(), p, tol, max_iter, tm.irreducible)
+    _, nu, it_nu, ok_l = _perron_vector(mat.T, p, tol, max_iter, irreducible)
     nu = nu / float(nu.sum())
-    lg = tm.apply(g)
+    lg = mat @ g
     lam = float(nu @ lg) / float(nu @ g)
     res_g = float(np.abs(lg - lam * g).max()) / lam
-    res_nu = float(np.abs(tm.apply_left(nu) - lam * nu).sum()) / lam
+    res_nu = float(np.abs(mat.T @ nu - lam * nu).sum()) / lam
     converged = ok_g and ok_l and res_g <= 10 * tol and res_nu <= 10 * tol
     trip = RpfTriplet(
         tm=tm,
@@ -393,11 +399,32 @@ def rpf_triplet(
         if capped:
             stop = f"{capped} hit the cap of {max_iter} matvecs"
         raise ConvergenceError(
-            f"power iteration did not reach tol={tol}: {stop} "
+            f"{what}power iteration did not reach tol={tol}: {stop} "
             f"(residuals {res_g:.3e}, {res_nu:.3e}); partial triplet attached",
             partial=trip,
         )
     return trip
+
+
+def rpf_triplet(
+    tm: TransferMatrix,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> RpfTriplet:
+    """Positive radius with right eigenfunction and left cylinder masses.
+
+    Both vectors come from the period-averaged power iteration of
+    ``_perron_vector`` (the peripheral rotation of a period-p structure
+    defeats plain iteration), run by ``_perron_pair``; the radius is the
+    Rayleigh quotient of the pair.  A zero radius (no periodic point in the
+    governing table) is a precondition error; a run that misses ``tol``
+    raises ConvergenceError carrying the partial triplet.
+    """
+    if tm.dim == 0:
+        raise PreconditionError(
+            "zero spectral radius: the index carries no nonempty cylinders"
+        )
+    return _perron_pair(tm.matrix, tm.cesaro_period, tol, max_iter, tm.irreducible, tm)
 
 
 def spectral_radius_sup_route(

@@ -189,6 +189,19 @@ class TestPeriodClasses:
         with pytest.raises(PreconditionError):
             period_classes(from_entries((0, 1), [(0, 1)]))
 
+    def test_symbol_set_must_be_one_component(self):
+        # Components {0, 1} (period 2), {2} (a self-loop) and {3} (no cycle).
+        ts = from_entries((0, 1, 2, 3), [(0, 1), (1, 0), (1, 2), (2, 2), (2, 3)])
+        assert period_classes(ts, component=(1, 0)).classes == ((0,), (1,))
+        assert period_classes(ts, component=[2]).p == 1
+        for bad in ((0,), (0, 1, 2), (1, 9), ()):
+            with pytest.raises(PreconditionError, match="not one transitive component"):
+                period_classes(ts, component=bad)
+        with pytest.raises(PreconditionError, match="no periodic point"):
+            period_classes(ts, component=(3,))
+        with pytest.raises(PreconditionError, match="no periodic point"):
+            period_classes(ts)
+
     def test_large_banded_one_aperiodic_component(self):
         ts = banded_structure(1600, 2)
         dag = scc_quotient(ts)

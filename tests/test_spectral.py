@@ -463,6 +463,57 @@ class TestComponentDecomposition:
         assert set(exc.value.tied) == {0, 1}
 
 
+class TestComponentPressuresFromOneMatrix:
+    @staticmethod
+    def induced_operator(ts, phi, symbols, depth):
+        """The component's operator as its own structure and potential: the
+        structure induced on its symbols, the weights of words inside it."""
+        keep = set(symbols)
+        sub = from_entries(
+            tuple(s for s in ts.alphabet.symbols if s in keep),
+            {(i, j) for (i, j) in ts.entries if i in keep and j in keep},
+        )
+        sub_phi = potential_from_weights({w: v for w, v in phi.weights.items() if set(w) <= keep})
+        return build_transfer_matrix(sub, sub_phi, depth=depth)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_blocks_and_pressures_equal_the_induced_route(self, depth):
+        from ruelle.spectral import _component_pairs, component_pressures
+
+        ts, phi = two_banded_blocks(30)
+        tm = build_transfer_matrix(ts, phi, depth=depth)
+        pairs = _component_pairs(tm, 1e-12, 100_000)
+        expected = []
+        for comp, (rows, _) in zip(ts.quotient.components, pairs):
+            ref = self.induced_operator(ts, phi, comp.symbols, depth)
+            block = tm.matrix[rows][:, rows]
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(block, name), getattr(ref.matrix, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            expected.append(math.log(rpf_triplet(ref).lam))
+        assert component_pressures(ts, phi, depth=depth) == tuple(expected)
+        dec = component_decomposition(ts, phi, depth=depth)
+        assert dec.component_pressures == tuple(expected)
+
+    def test_component_without_cycle_reports_minus_inf(self):
+        # 0 -> 0 feeds the transient symbol 1, which feeds 2 -> 2.
+        ts = from_entries((0, 1, 2), [(0, 0), (0, 1), (1, 2), (2, 2)])
+        phi = potential_from_weights({(0,): math.log(2.0), (1,): 0.0, (2,): 0.0})
+        dec = component_decomposition(ts, phi)
+        by_symbol = dict(zip((c.symbols for c in ts.quotient.components), dec.component_pressures))
+        assert by_symbol == {(0,): math.log(2.0), (1,): -math.inf, (2,): 0.0}
+        assert dec.lam == pytest.approx(2.0, abs=1e-12)
+
+    def test_capped_component_pair_is_a_convergence_error(self):
+        ts, phi = two_banded_blocks(30)
+        with pytest.raises(ConvergenceError, match=r"component 0 \(30 symbols\).*cap of 5") as exc:
+            component_decomposition(ts, phi, max_iter=5)
+        pair = exc.value.partial
+        assert not pair.converged and pair.iterations == 10 and pair.lam > 0.0
+        assert pair.tm is None
+        assert len(pair.g) == len(pair.nu) == 30
+
+
 class TestConeMembership:
     def test_eigenfunction_in_cone(self):
         tm = build_transfer_matrix(f2(), zero_potential(f2()), depth=2)

@@ -522,22 +522,62 @@ def test_operator_irreducibility_flag():
 
 @pytest.mark.parametrize("depth, flag", [(1, True), (2, False)])
 def test_dominant_block_flagged_only_when_its_words_stay_inside(monkeypatch, depth, flag):
-    # At depth 2 the block holds the word (1, 2), which leaves the dominant
-    # component {0, 1}.
-    import ruelle.spectral as spectral
+    # Each cyclic component's diagonal block is its own irreducible word
+    # graph: one flagged solve pair per component.  At depth 1 the rows
+    # starting in the dominant component {0, 1} are its own words, so its
+    # pair is reused and B11 gets no solve; at depth 2 they hold the word
+    # (1, 2), which leaves it, and B11 gets an unflagged pair of its own.
+    import ruelle.transfer as transfer
     from ruelle import component_decomposition
 
     flags = []
 
-    def recording(*args, irreducible=False, **kwargs):
+    def recording(mat, p, tol, max_iter=transfer.DEFAULT_MAX_ITER, irreducible=False):
         flags.append(irreducible)
-        return solver(*args, irreducible=irreducible, **kwargs)
+        return solver(mat, p, tol, max_iter, irreducible)
 
-    solver = spectral._perron_vector
-    monkeypatch.setattr(spectral, "_perron_vector", recording)
+    solver = transfer._perron_vector
+    monkeypatch.setattr(transfer, "_perron_vector", recording)
     ts, phi = two_component_dag(forward=True)
     component_decomposition(ts, phi, depth=depth)
-    assert flags == [flag, flag]
+    per_component = [True, True] * 2
+    assert flags == (per_component if flag else per_component + [False, False])
+
+
+def test_perron_vector_same_bytes_on_csr_and_csc():
+    import scipy.sparse as sp
+
+    from ruelle.transfer import _perron_vector
+
+    for tm in (_banded_operator(200), _cyclic_operator(120)):
+        for mat in (tm.matrix, tm.matrix.T):
+            csr = _perron_vector(mat.tocsr(), tm.cesaro_period, 1e-12)
+            csc = _perron_vector(mat.tocsc(), tm.cesaro_period, 1e-12)
+            assert (csr[0], csr[2], csr[3]) == (csc[0], csc[2], csc[3])
+            assert csr[1].tobytes() == csc[1].tobytes()
+    # Integer weights are taken as float64, not dropped by the kernel.
+    golden = np.array([[1, 1], [1, 0]])
+    lam, vec, _, ok = _perron_vector(sp.csr_matrix(golden), 1, 1e-12)
+    _, ref, _, _ = _perron_vector(sp.csr_matrix(golden.astype(float)), 1, 1e-12)
+    assert ok and lam == pytest.approx(PHI, abs=1e-12)
+    assert vec.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bound_kernel_equals_matmul(seed):
+    # _perron_vector calls scipy's private csr_matvec; a scipy release that
+    # changes that kernel must fail here rather than move results silently.
+    import scipy.sparse as sp
+
+    from ruelle.transfer import _csr_matvec
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    mat = sp.random(n, n, density=0.05, format="csr", random_state=rng)
+    x = rng.standard_normal(n)
+    out = np.zeros(n)
+    _csr_matvec(n, n, mat.indptr, mat.indices, mat.data, x, out)
+    assert out.tobytes() == (mat @ x).tobytes()
 
 
 @pytest.mark.parametrize(
