@@ -229,17 +229,10 @@ class GifsEdge:
 
 @dataclass(frozen=True)
 class GifsSpec:
-    """Strongly connected multigraph of contractions with affine ratios.
-
-    Nonaffine maps enter through declared per-edge derivative sups together
-    with a Hoelder constant and exponent; this module never differentiates
-    numerically.
-    """
+    """Strongly connected multigraph of contractions with affine ratios."""
 
     vertices: tuple
     edges: tuple  # of GifsEdge
-    holder_constant: float = 0.0
-    holder_exponent: float = 1.0
     s_range: tuple = (0.0, 8.0)
 
     @property
@@ -259,14 +252,6 @@ class GifsSystem:
             weights={(lab,): s * lr for lab, lr in self.log_ratios.items()},
             label=f"s={s}",
         )
-
-    def depth_error_bound(self, s: float, m: int) -> float:
-        """Approximation error of a depth-m reduction for nonaffine models."""
-        spec = self.spec
-        if spec.holder_constant == 0.0:
-            return 0.0
-        r = spec.ratio_bound
-        return s * spec.holder_constant * r ** ((m - 1) * spec.holder_exponent)
 
 
 def gifs_build(spec: GifsSpec) -> GifsSystem:
@@ -308,7 +293,6 @@ def gifs_build(spec: GifsSpec) -> GifsSystem:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    s_star: float
     bracket: tuple  # (s_lo, s_hi) with pressure positive at s_lo, negative at s_hi
     root: float
     root_pressure: float
@@ -335,7 +319,6 @@ def bowen_dimension(spec: GifsSpec, tol: float = 1e-8, max_iter: int = 64) -> Di
         if abs(p_lo) <= 1e-12:
             samples = tuple((s, _gifs_pressure(system, s)) for s in (s_lo, s_lo + 0.5, s_lo + 1.0))
             return DimensionReport(
-                s_star=s_lo,
                 bracket=(s_lo, s_lo),
                 root=s_lo,
                 root_pressure=p_lo,
@@ -359,7 +342,6 @@ def bowen_dimension(spec: GifsSpec, tol: float = 1e-8, max_iter: int = 64) -> Di
     for s in np.linspace(s_lo, s_hi, 7):
         samples.append((float(s), _gifs_pressure(system, float(s))))
     return DimensionReport(
-        s_star=0.0,
         bracket=(lo, hi),
         root=root,
         root_pressure=_gifs_pressure(system, root),

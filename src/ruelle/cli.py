@@ -187,7 +187,7 @@ def cmd_pressure(cfg: SystemConfig) -> Bundle:
         "pressure_bounds",
         ["n", "upper", "lower", "sup_route", "inf_route"],
         [
-            [n, rep.upper[i], rep.lower[i], rep.sup_route[i], rep.inf_route[i]]
+            [n, rep.upper[i], rep.lower[i], rep.upper[i], rep.inf_route[i]]
             for i, n in enumerate(rep.ns)
         ],
     )
@@ -234,9 +234,11 @@ def cmd_spectrum(cfg: SystemConfig) -> Bundle:
     phi = cfg.potential(on=ts)
     if ts.irreducible:
         tm = build_transfer_matrix(ts, phi, depth=cfg.depth)
-        dec = spectral_decomposition(tm, tol=cfg.tolerance)
+        dec = spectral_decomposition(tm, tol=cfg.tolerance, max_iter=cfg.max_iter)
     else:
-        dec = component_decomposition(ts, phi, depth=cfg.depth, tol=cfg.tolerance)
+        dec = component_decomposition(
+            ts, phi, depth=cfg.depth, tol=cfg.tolerance, max_iter=cfg.max_iter
+        )
     b.results["lam"] = dec.lam
     b.results["period"] = dec.p
     b.results["peripheral_eigenvalues"] = [
@@ -420,16 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = SystemConfig.from_path(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.raw["seed"] = args.seed
-        if args.tol is not None:
-            cfg.tolerance = args.tol
-            cfg.raw["tolerance"] = args.tol
-        if args.n_max is not None:
-            cfg.n_max = args.n_max
-            cfg.raw["n_max"] = args.n_max
+        cfg = SystemConfig.from_path(
+            args.config, seed=args.seed, tolerance=args.tol, n_max=args.n_max
+        )
         bundle = COMMANDS[args.command](cfg)
     except ConvergenceError as exc:
         sys.stderr.write(f"non-converged: {exc}\n")

@@ -202,12 +202,16 @@ class SystemConfig:
         )
 
     @staticmethod
-    def from_path(path) -> "SystemConfig":
+    def from_path(path, **overrides) -> "SystemConfig":
+        """The config at ``path`` with each override that is not None set as a
+        top-level key before validation, so overrides meet the schema too."""
         with open(path) as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if isinstance(doc, dict):  # any other document fails the schema below
+            doc.update((k, v) for k, v in overrides.items() if v is not None)
         return SystemConfig.from_dict(doc)
 
     # -- canonical form ------------------------------------------------------

@@ -28,6 +28,8 @@ from .transfer import (
     RpfTriplet,
     TransferMatrix,
     _allows,
+    _orbit,
+    _sup,
     build_transfer_matrix,
     rpf_triplet,
 )
@@ -43,6 +45,8 @@ class HoleSpec:
     def __post_init__(self):
         if not self.open_.entries <= self.closed.entries:
             raise PreconditionError("open system transitions must refine the closed ones")
+        if self.open_.alphabet != self.closed.alphabet:
+            raise PreconditionError("the open and closed systems must share one alphabet")
 
     @property
     def sigma_pairs(self) -> frozenset:
@@ -89,28 +93,20 @@ def log_survivor_masses(
 ) -> list:
     """log mu(n-step survivor set) for n = 1 .. n_max, exactly.
 
-    Masses decay exponentially, so everything is carried in log space with a
-    per-step renormalization.
+    Masses decay exponentially, so they are read in log space off the
+    sup-normalized orbit of h under the open operator (``_orbit``); once the
+    orbit dies out every later mass is 0 (log -inf).
     """
     if n_max < 1:
         raise PreconditionError("need at least one step")
     tm_open = open_operator(hole, phi, triplet_closed.tm.depth)
     lam = triplet_closed.lam
     nu = triplet_closed.nu
-    v = triplet_closed.h.copy()
-    log_scale = 0.0
-    out = []
-    for n in range(1, n_max + 1):
-        v = tm_open.apply(v)
-        top = float(v.max(initial=0.0))
-        if top <= 0.0:
-            out.extend([-math.inf] * (n_max - n + 1))
-            break
-        log_scale += math.log(top)
-        v = v / top
-        inner = float(nu @ v)
-        out.append(log_scale + math.log(inner) - n * math.log(lam))
-    return out
+    out = [
+        log_scale + math.log(float(nu @ v)) - n * math.log(lam)
+        for n, log_scale, v in _orbit(tm_open, triplet_closed.h, n_max, _sup)
+    ]
+    return out + [-math.inf] * (n_max - len(out))
 
 
 def survivor_mass(
@@ -196,7 +192,7 @@ def _step_table(hole: HoleSpec, triplet_closed: RpfTriplet) -> tuple:
         total = block.sum(axis=1, keepdims=True)
         cum[at] = np.cumsum(np.divide(block, total, out=block, where=total > 0), axis=1)
     last = tm.ranks[:, -1]
-    step_ok = _allows(hole.open_, tm.index_structure, last[src], last[steps_of.indices])
+    step_ok = _allows(hole.open_, last[src], last[steps_of.indices])
     return steps_of.indptr, steps_of.indices, cum, step_ok
 
 
@@ -235,7 +231,7 @@ def monte_carlo_survival(
     # A depth-m block already contains m-1 transitions; only the first n count.
     block_ok = np.ones(tm.dim, dtype=bool)
     for t in range(min(m - 1, n)):
-        block_ok &= _allows(hole.open_, tm.index_structure, ranks[:, t], ranks[:, t + 1])
+        block_ok &= _allows(hole.open_, ranks[:, t], ranks[:, t + 1])
     steps = max(0, (n + 1) - m)
     halvings = int((stop - start).max(initial=0)).bit_length()
 

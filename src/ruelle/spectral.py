@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
 from .potentials import Potential, lex_min_point
-from .shifts import PeriodClasses, TransitionStructure, period_classes
+from .shifts import TransitionStructure, period_classes
 from .transfer import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -48,6 +48,8 @@ ARPACK_K = 4
 # 8.3 / 5.4 ms at 32 / 16 / 64 rows for n = 800 and 149 / 140 / 239 ms for
 # n = 4000 (banded, 2-core Xeon).
 _BLOCK_ROWS = 32
+# Component pressures within this relative distance of the largest tie it.
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,28 +95,24 @@ class SpectralDecomposition:
 
 def spectral_decomposition(
     tm: TransferMatrix,
-    classes: Optional[PeriodClasses] = None,
-    triplet: Optional[RpfTriplet] = None,
     tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralDecomposition:
     """Peripheral decomposition of an irreducible reduction.
 
     The twisted vectors are h_i = sum_j kappa^{-ji} h 1_{class j} and
     nu_i = sum_j kappa^{ji} nu 1_{class j}; the remainder is what is left
-    after removing the p rank-one peripheral terms.  Without ``triplet``
-    the positive pair is solved to ``tol``.
+    after removing the p rank-one peripheral terms.  The positive pair is
+    solved by ``rpf_triplet`` to ``tol`` within ``max_iter`` matvecs per loop.
     """
     if not tm.governing.irreducible:
         raise PreconditionError(
             "spectral decomposition needs an irreducible structure; "
             "route reducible input through component_decomposition"
         )
-    if classes is None:
-        classes = period_classes(tm.governing)
-    if triplet is None:
-        triplet = rpf_triplet(tm, tol=tol)
+    triplet = rpf_triplet(tm, tol=tol, max_iter=max_iter)
     every = np.ones(tm.dim, dtype=bool)
-    return _decompose(tm, every, classes, triplet.lam, triplet.h, triplet.nu)
+    return _decompose(tm, every, period_classes(tm.governing), triplet.lam, triplet.h, triplet.nu)
 
 
 def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecomposition:
@@ -399,7 +397,6 @@ def component_decomposition(
     phi: Potential,
     depth: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-    tie_rtol: float = 1e-9,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralDecomposition:
     """Decomposition for a reducible structure with one dominant component.
@@ -409,7 +406,7 @@ def component_decomposition(
     pair extends across the remaining blocks by resolvent solves; the
     eigenfunction spreads to components reachable from the dominant one, the
     eigenvector to components that reach it.  A pressure tie within
-    ``tie_rtol`` is an error carrying the tied set.
+    ``TIE_RTOL`` is an error carrying the tied set.
     """
     tm = build_transfer_matrix(ts, phi, depth=depth)
     pairs = _component_pairs(tm, tol, max_iter)
@@ -417,10 +414,10 @@ def component_decomposition(
     best = max(pressures)
     if not math.isfinite(best):
         raise PreconditionError("no component carries a cycle; spectral radius is zero")
-    tied = [i for i, q in enumerate(pressures) if best - q <= tie_rtol * max(1.0, abs(best))]
+    tied = [i for i, q in enumerate(pressures) if best - q <= TIE_RTOL * max(1.0, abs(best))]
     if len(tied) != 1:
         raise NonUniqueDominantError(
-            f"non-unique dominant component: pressures tie within {tie_rtol} on {tied}",
+            f"non-unique dominant component: pressures tie within {TIE_RTOL} on {tied}",
             tied=tied,
         )
     dom = tied[0]
@@ -450,14 +447,12 @@ def _support_patterns(tm, dag, dom, peripherals) -> dict:
     comp_of_word = dag.labels[tm.ranks[:, 0]]
     h0 = peripherals[0].h
     nu0 = peripherals[0].nu
-    scale_h = float(np.abs(h0).max(initial=0.0)) or 1.0
-    scale_nu = float(np.abs(nu0).max(initial=0.0)) or 1.0
     h_nonzero = []
     nu_nonzero = []
     for c in range(n_comp):
         sel = comp_of_word == c
-        h_nonzero.append(bool(np.abs(h0[sel]).max(initial=0.0) > 1e-9 * scale_h))
-        nu_nonzero.append(bool(np.abs(nu0[sel]).max(initial=0.0) > 1e-9 * scale_nu))
+        h_nonzero.append(bool(h0[sel].any()))
+        nu_nonzero.append(bool(nu0[sel].any()))
     return {
         "h_nonzero_by_component": tuple(h_nonzero),
         "nu_nonzero_by_component": tuple(nu_nonzero),

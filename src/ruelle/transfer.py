@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -103,12 +104,14 @@ def build_transfer_matrix(
     """Assemble the depth-m reduction.
 
     ``ts`` governs the prepended transition; ``index_structure`` (default
-    ``ts``) supplies the word index.  Requires m >= depth(potential) - 1 so
-    that source-cylinder values are exact.
+    ``ts``) supplies the word index over the same alphabet.  Requires
+    m >= depth(potential) - 1 so that source-cylinder values are exact.
     """
     if not phi.locally_constant:
         raise PreconditionError("matrix reduction needs a locally constant potential")
     ind = index_structure if index_structure is not None else ts
+    if ind.alphabet != ts.alphabet:
+        raise PreconditionError("the governing and index structures must share one alphabet")
     m = depth if depth is not None else max(phi.depth - 1, 1)
     if m < max(phi.depth - 1, 1):
         raise PreconditionError(
@@ -120,7 +123,7 @@ def build_transfer_matrix(
     # Source w and successor c give the entry (w[1:] + (c,), w) when the
     # target's cylinder is nonempty and the governing table allows w[0] -> w[1].
     ext, src = _extend_ranks(ind, ranks, 1)
-    keep = ind.viable_ranks[ext[:, -1]] & _allows(ts, ind, ext[:, 0], ext[:, 1])
+    keep = ind.viable_ranks[ext[:, -1]] & _allows(ts, ext[:, 0], ext[:, 1])
     ext, src = ext[keep], src[keep]
     tgt = np.searchsorted(_lex_keys(ranks), _lex_keys(ext[:, 1:]))
     # Rows of ext are in lexicographic order, so equal d-prefixes are adjacent.
@@ -152,19 +155,11 @@ def _key_rows(keys: np.ndarray, width: int) -> np.ndarray:
     return keys.view(">i4").reshape(len(keys), width).astype(np.int32)
 
 
-def _allows(ts: TransitionStructure, ind: TransitionStructure, a: np.ndarray, b: np.ndarray):
-    """Whether ``ts`` allows each pair of ``ind``-ranks (a, b)."""
-    rank = ind.alphabet.rank
-    k = len(rank)
-    if ts.alphabet == ind.alphabet:
-        codes = ts.pair_codes
-    else:
-        codes = np.sort(np.array(
-            [rank[i] * k + rank[j] for (i, j) in ts.entries if i in rank and j in rank],
-            dtype=np.int64,
-        ))
+def _allows(ts: TransitionStructure, a: np.ndarray, b: np.ndarray):
+    """Whether ``ts`` allows each pair of alphabet ranks (a, b)."""
+    k = len(ts.alphabet.rank)
     # The sentinel k * k exceeds every pair code, so each query lands on an entry.
-    table = np.append(codes, k * k)
+    table = np.append(ts.pair_codes, k * k)
     query = a.astype(np.int64) * k + b
     return table[np.searchsorted(table, query)] == query
 
@@ -177,6 +172,31 @@ def apply_operator(tm: TransferMatrix, f: np.ndarray, n: int = 1) -> np.ndarray:
     for _ in range(n):
         f = tm.apply(f)
     return f
+
+
+def _sup(u: np.ndarray) -> float:
+    """Sup norm of a nonnegative vector, 0.0 for an empty one."""
+    return u.max(initial=0.0)
+
+
+def _orbit(tm: TransferMatrix, u: np.ndarray, steps: int, norm):
+    """The normalized orbit of ``u`` under the operator, lazily.
+
+    Yields (n, log_scale, u_n) for n = 1 .. steps, where u_n is L^n u divided
+    by the running scale exp(log_scale): each step applies L, divides by
+    ``norm`` of the result and adds its log to the scale.  The orbit ends at
+    the first step whose norm is <= 0 (the vector died out).  The pressure
+    routes, the sup route and the survivor masses all read it.
+    """
+    log_scale = 0.0
+    for n in range(1, steps + 1):
+        u = tm.apply(u)
+        s = float(norm(u))
+        if s <= 0.0:
+            return
+        log_scale += math.log(s)
+        u = u / s
+        yield n, log_scale, u
 
 
 # -- spectral radius and the RPF triplet ---------------------------------------
@@ -436,29 +456,17 @@ def spectral_radius_sup_route(
 ) -> list:
     """The sequence of n-th roots of the sup of the iterated operator at one.
 
-    Its limit is the spectral radius; computed in log space with running
-    normalization.  ``index_structure`` lets a subsystem operator act on the
-    ambient system's functions (the sequence then dies out when the subsystem
-    has no periodic point).
+    Its limit is the spectral radius; read off the normalized orbit of one
+    (``_orbit``).  ``index_structure`` lets a subsystem operator act on the
+    ambient system's functions (the sequence is 0.0 once the orbit dies out,
+    as it does when the subsystem has no periodic point).
     """
     tm = build_transfer_matrix(ts, phi, depth=depth, index_structure=index_structure)
-    if tm.dim == 0:
-        return [0.0] * n_max
-    u = np.ones(tm.dim)
-    log_scale = 0.0
-    out = []
-    for n in range(1, n_max + 1):
-        u = tm.apply(u)
-        m = float(u.max())
-        if m <= 0.0:
-            out.append(0.0)
-            u = np.zeros_like(u)
-            continue
-        log_scale += math.log(m)
-        u = u / m
-        sup_log = log_scale + math.log(float(u.max()))
-        out.append(math.exp(sup_log / n))
-    return out
+    out = [
+        math.exp((log_scale + math.log(float(u.max()))) / n)
+        for n, log_scale, u in _orbit(tm, np.ones(tm.dim), n_max, _sup)
+    ]
+    return out + [0.0] * (n_max - len(out))
 
 
 # -- topological pressure -------------------------------------------------------
@@ -478,7 +486,6 @@ class PressureReport:
     ns: tuple
     upper: tuple
     lower: tuple
-    sup_route: tuple
     inf_route: tuple
     bracket: tuple  # (lo, hi) in log space
     spectral: Optional[float]
@@ -559,23 +566,15 @@ def topological_pressure(
     # Upper route: normalized log sums of per-word sups; subadditive in n.
     uppers = {}
     infs = {}
-    u = np.ones(tm.dim)
-    log_scale = 0.0
-    for n in range(m, n_max + 1):
-        if n > m:
-            u = tm.apply(u)
-            s = float(u.sum())
-            if s <= 0.0:
-                break
-            log_scale += math.log(s)
-            u = u / s
+    # n = m reads the ones vector itself, n = m + k its k-th orbit step.
+    ones = np.ones(tm.dim)
+    for k, log_scale, u in chain([(0, 0.0, ones)], _orbit(tm, ones, n_max - m, np.sum)):
+        n = m + k
         with np.errstate(divide="ignore"):
             logs_sup = np.log(u, out=np.full_like(u, -np.inf), where=u > 0) + rsup
             logs_inf = np.log(u, out=np.full_like(u, -np.inf), where=u > 0) + rinf
-        a_n = log_scale + _logsumexp(logs_sup)
-        b_n = log_scale + _logsumexp(logs_inf)
-        uppers[n] = a_n / n
-        infs[n] = b_n / n
+        uppers[n] = (log_scale + _logsumexp(logs_sup)) / n
+        infs[n] = (log_scale + _logsumexp(logs_inf)) / n
 
     # Lower route: return sums pinned at one cycle word per cyclic component.
     lowers = {n: -math.inf for n in uppers}
@@ -589,16 +588,9 @@ def topological_pressure(
         inside[[rank[s] for s in comp.symbols]] = True
         pins.extend(np.flatnonzero(inside[tm.ranks].all(axis=1))[:1].tolist())
     for pin in pins:
-        u = np.zeros(tm.dim)
-        u[pin] = 1.0
-        log_scale = 0.0
-        for n in range(1, n_max + 1):
-            u = tm.apply(u)
-            s = float(u.sum())
-            if s <= 0.0:
-                break
-            log_scale += math.log(s)
-            u = u / s
+        start = np.zeros(tm.dim)
+        start[pin] = 1.0
+        for n, log_scale, u in _orbit(tm, start, n_max, np.sum):
             if n in lowers and u[pin] > 0.0:
                 z = log_scale + math.log(float(u[pin]))
                 lowers[n] = max(lowers[n], z / n)
@@ -626,7 +618,6 @@ def topological_pressure(
         ns=ns,
         upper=upper_seq,
         lower=lower_seq,
-        sup_route=upper_seq,
         inf_route=tuple(infs[n] for n in ns),
         bracket=(lo, hi),
         spectral=spectral,

@@ -171,6 +171,26 @@ class TestCli:
         assert d1["config_hash"] != d2["config_hash"]
         assert d1["seed"] == 1 and d2["seed"] == 2
 
+    @pytest.mark.parametrize(
+        "command, flag, value, field",
+        [("pressure", "--n-max", "1", "n_max"), ("rpf", "--tol", "-1", "tolerance")],
+    )
+    def test_overrides_meet_the_schema(self, tmp_path, capsys, command, flag, value, field):
+        cfgp = write_config(tmp_path, GOLDEN)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfgp), "--out", str(out), flag, value]) == 3
+        assert f"violation at {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_honours_max_iter(self, tmp_path, capsys):
+        root = Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "configs" / "golden_hole.json").read_text())
+        cfgp = write_config(tmp_path, dict(doc, max_iter=1))
+        for command in ("rpf", "spectrum"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "cap of 1" in capsys.readouterr().err
+
     def test_report_is_one_document_with_the_timestamp_last(self, tmp_path):
         cfgp = write_config(tmp_path, GOLDEN)
         assert main(["rpf", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0

@@ -31,6 +31,12 @@ class TestSurvivorMass:
         for n in (1, 5, 20):
             assert survivor_mass(hole, zero_potential(f1()), trip, n) == pytest.approx(1.0)
 
+    def test_open_system_over_another_alphabet_rejected(self):
+        from ruelle import from_entries
+
+        with pytest.raises(PreconditionError, match="share one alphabet"):
+            HoleSpec(closed=f1(), open_=from_entries((0,), [(0, 0)]))
+
     def test_golden_hole_fibonacci(self):
         # Survivors over n transitions are the no-00 words of length n+1;
         # under the uniform closed measure the mass is the word count over

@@ -182,6 +182,19 @@ class TestRemainderRadiusRoutes:
         assert abs(dec.remainder_radius - exact) <= 1e-12 * exact
         assert component_decomposition(ts, phi).remainder_radius == dec.remainder_radius
 
+    @pytest.mark.parametrize("half", [20, 60])
+    def test_support_patterns_compare_supports(self, half):
+        # h reaches the second block through one bridge, at a size far below
+        # the first block's but nonzero: a support, not a magnitude.
+        ts, phi = two_banded_blocks(half)
+        pat = component_decomposition(ts, phi).support_patterns
+        assert pat["h_nonzero_by_component"] == pat["expected_h"]
+        assert pat["nu_nonzero_by_component"] == pat["expected_nu"]
+
+    def test_capped_irreducible_decomposition_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="cap of 5"):
+            spectral_decomposition(banded_system(40), max_iter=5)
+
     def test_rounding_imaginary_part_kept_as_a_real_remainder(self):
         # Period 3: the peripheral data is complex, the remainder real.
         n = 120

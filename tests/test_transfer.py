@@ -57,6 +57,11 @@ class TestBuild:
         with pytest.raises(PreconditionError):
             build_transfer_matrix(f2(), phi, depth=1)
 
+    def test_structures_over_different_alphabets_rejected(self):
+        loop = from_entries((0,), [(0, 0)])
+        with pytest.raises(PreconditionError, match="share one alphabet"):
+            build_transfer_matrix(loop, zero_potential(f1()), index_structure=f1())
+
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_matrix_matches_direct_summation(self, depth, rng):
         ts, phi = random5_primitive()
