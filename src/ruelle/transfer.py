@@ -568,7 +568,7 @@ def topological_pressure(
     infs = {}
     # n = m reads the ones vector itself, n = m + k its k-th orbit step.
     ones = np.ones(tm.dim)
-    for k, log_scale, u in chain([(0, 0.0, ones)], _orbit(tm, ones, n_max - m, np.sum)):
+    for k, log_scale, u in chain([(0, 0.0, ones)], _orbit(tm, ones, n_max - m, np.ndarray.sum)):
         n = m + k
         with np.errstate(divide="ignore"):
             logs_sup = np.log(u, out=np.full_like(u, -np.inf), where=u > 0) + rsup
@@ -590,7 +590,7 @@ def topological_pressure(
     for pin in pins:
         start = np.zeros(tm.dim)
         start[pin] = 1.0
-        for n, log_scale, u in _orbit(tm, start, n_max, np.sum):
+        for n, log_scale, u in _orbit(tm, start, n_max, np.ndarray.sum):
             if n in lowers and u[pin] > 0.0:
                 z = log_scale + math.log(float(u[pin]))
                 lowers[n] = max(lowers[n], z / n)

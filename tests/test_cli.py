@@ -182,6 +182,13 @@ class TestCli:
         assert f"violation at {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_override_on_a_document_that_is_not_an_object(self, tmp_path, capsys):
+        cfgp = tmp_path / "list.json"
+        cfgp.write_text("[]")
+        out = tmp_path / "o"
+        assert main(["rpf", "--config", str(cfgp), "--out", str(out), "--seed", "1"]) == 3
+        assert "schema violation" in capsys.readouterr().err
+
     def test_spectrum_honours_max_iter(self, tmp_path, capsys):
         root = Path(__file__).resolve().parents[1]
         doc = json.loads((root / "configs" / "golden_hole.json").read_text())
