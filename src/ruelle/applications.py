@@ -68,10 +68,8 @@ class RenewalReport:
     kernel: dict  # (i, j) -> reversal-kernel value
     row_sums: dict
     column_sums: dict
-    forward_kernel: dict  # (i, j) -> row-stochastic kernel of the invariant chain
-    forward_row_sums: dict
+    forward_row_sums: dict  # row sums of the forward kernel of the invariant chain
     cohomology_residual: float
-    triplet_residuals: tuple
     notes: tuple
 
 
@@ -204,10 +202,8 @@ def renewal_analysis(spec: RenewalSpec, tol: float = 1e-12) -> RenewalReport:
         kernel=kernel,
         row_sums=row_sums,
         column_sums=col_sums,
-        forward_kernel=fwd,
         forward_row_sums=fwd_rows,
         cohomology_residual=resid,
-        triplet_residuals=(trip.residual_g, trip.residual_nu),
         notes=notes,
     )
 

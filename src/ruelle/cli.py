@@ -5,8 +5,12 @@ machine-readable report plus CSV tables into the output directory.  Reports
 are byte-reproducible for a fixed config and seed (the timestamp field is the
 only exception and is excluded from the hash).
 
-Exit codes: 0 on success, 2 when an iteration did not converge (a partial
-bundle is still written), 3 on configuration or precondition failures.
+Exit codes: 0 on success, 2 when an iteration did not converge, 3 on
+configuration or precondition failures.  A run that does not converge still
+writes its bundle, flagged ``converged: false``: it holds every result the
+command filled before the failure plus the error as ``warning``, and ``rpf``
+adds the partial triplet.  The config's ``max_iter`` caps each eigen loop of
+``pressure``, ``rpf``, ``spectrum``, ``escape`` and ``perturb``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import SystemConfig
-from .errors import ConfigError, ConvergenceError, PreconditionError, RuelleError
+from .errors import ConvergenceError, PreconditionError, RuelleError
 from .opensystem import escape_rate, monte_carlo_survival
 from .perturbation import gibbs_convergence_trace, verify_perturbation_conditions
 from .shifts import classify, period_classes, scc_quotient
@@ -121,8 +125,7 @@ def _csv_cell(c):
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_classify(cfg: SystemConfig) -> Bundle:
-    b = Bundle("classify", cfg)
+def cmd_classify(b: Bundle, cfg: SystemConfig) -> None:
     ts = cfg.open_structure()
     flags = classify(ts)
     dag = scc_quotient(ts)
@@ -163,14 +166,14 @@ def cmd_classify(cfg: SystemConfig) -> Bundle:
             for i, c in enumerate(dag.components)
         ],
     )
-    return b
 
 
-def cmd_pressure(cfg: SystemConfig) -> Bundle:
-    b = Bundle("pressure", cfg)
+def cmd_pressure(b: Bundle, cfg: SystemConfig) -> None:
     ts = cfg.open_structure()
     phi = cfg.potential(on=ts)
-    rep = topological_pressure(ts, phi, n_max=cfg.n_max, depth=cfg.depth, tol=cfg.tolerance)
+    rep = topological_pressure(
+        ts, phi, n_max=cfg.n_max, depth=cfg.depth, tol=cfg.tolerance, max_iter=cfg.max_iter
+    )
     b.results["pressure"] = {
         "spectral": rep.spectral,
         "spectral_bracket": rep.spectral_bracket,
@@ -191,11 +194,9 @@ def cmd_pressure(cfg: SystemConfig) -> Bundle:
             for i, n in enumerate(rep.ns)
         ],
     )
-    return b
 
 
-def cmd_rpf(cfg: SystemConfig) -> Bundle:
-    b = Bundle("rpf", cfg)
+def cmd_rpf(b: Bundle, cfg: SystemConfig) -> None:
     ts = cfg.open_structure()
     phi = cfg.potential(on=ts)
     tm = build_transfer_matrix(ts, phi, depth=cfg.depth)
@@ -225,11 +226,9 @@ def cmd_rpf(cfg: SystemConfig) -> Bundle:
             for i, w in enumerate(tm.words)
         ],
     )
-    return b
 
 
-def cmd_spectrum(cfg: SystemConfig) -> Bundle:
-    b = Bundle("spectrum", cfg)
+def cmd_spectrum(b: Bundle, cfg: SystemConfig) -> None:
     ts = cfg.open_structure()
     phi = cfg.potential(on=ts)
     if ts.irreducible:
@@ -266,16 +265,16 @@ def cmd_spectrum(cfg: SystemConfig) -> Bundle:
             for i, per in enumerate(dec.peripherals)
         ],
     )
-    return b
 
 
-def cmd_escape(cfg: SystemConfig) -> Bundle:
-    b = Bundle("escape", cfg)
+def cmd_escape(b: Bundle, cfg: SystemConfig) -> None:
     hole = cfg.hole_spec()
     if hole is None:
         raise PreconditionError("escape command needs a holes section")
     phi = cfg.potential(on=hole.closed)
-    rep = escape_rate(hole, phi, n_max=cfg.n_max, depth=cfg.depth, tol=cfg.tolerance)
+    rep = escape_rate(
+        hole, phi, n_max=cfg.n_max, depth=cfg.depth, tol=cfg.tolerance, max_iter=cfg.max_iter
+    )
     b.results["fitted_rate"] = rep.fitted_rate
     b.results["spectral_prediction"] = rep.spectral_prediction
     b.results["discrepancy"] = rep.discrepancy
@@ -303,11 +302,9 @@ def cmd_escape(cfg: SystemConfig) -> Bundle:
         ["n", "log_mass", "mass"],
         [[n, lm, math.exp(lm)] for n, lm in zip(rep.ns, rep.log_masses)],
     )
-    return b
 
 
-def cmd_perturb(cfg: SystemConfig) -> Bundle:
-    b = Bundle("perturb", cfg)
+def cmd_perturb(b: Bundle, cfg: SystemConfig) -> None:
     hole = cfg.hole_spec()
     if hole is None:
         raise PreconditionError("perturb command needs a holes section")
@@ -318,7 +315,7 @@ def cmd_perturb(cfg: SystemConfig) -> Bundle:
         raise PreconditionError("; ".join(cond.failures))
     cyls = cfg.test_cylinders()
     trace = gibbs_convergence_trace(
-        phi, hole, eps, cyls, depth=cfg.depth, tol=cfg.tolerance
+        phi, hole, eps, cyls, depth=cfg.depth, tol=cfg.tolerance, max_iter=cfg.max_iter
     )
     b.results["epsilons"] = list(trace.epsilons)
     b.results["lams"] = list(trace.lams)
@@ -343,11 +340,9 @@ def cmd_perturb(cfg: SystemConfig) -> Bundle:
             for i in range(len(trace.epsilons))
         ],
     )
-    return b
 
 
-def cmd_dimension(cfg: SystemConfig) -> Bundle:
-    b = Bundle("dimension", cfg)
+def cmd_dimension(b: Bundle, cfg: SystemConfig) -> None:
     spec = cfg.gifs_spec()
     rep = bowen_dimension(spec, tol=max(cfg.tolerance, 1e-12))
     b.results["dimension"] = rep.root
@@ -362,11 +357,9 @@ def cmd_dimension(cfg: SystemConfig) -> Bundle:
     b.table(
         "pressure_samples", ["s", "pressure"], [[s, p] for s, p in rep.pressure_samples]
     )
-    return b
 
 
-def cmd_renewal(cfg: SystemConfig) -> Bundle:
-    b = Bundle("renewal", cfg)
+def cmd_renewal(b: Bundle, cfg: SystemConfig) -> None:
     spec = cfg.renewal_spec()
     rep = renewal_analysis(spec, tol=cfg.tolerance)
     b.results["lam_matrix"] = rep.lam_matrix
@@ -388,7 +381,6 @@ def cmd_renewal(cfg: SystemConfig) -> Bundle:
             for (i, j), v in sorted(rep.kernel.items())
         ],
     )
-    return b
 
 
 COMMANDS = {
@@ -425,13 +417,13 @@ def main(argv=None) -> int:
         cfg = SystemConfig.from_path(
             args.config, seed=args.seed, tolerance=args.tol, n_max=args.n_max
         )
-        bundle = COMMANDS[args.command](cfg)
+        bundle = Bundle(args.command, cfg)
+        COMMANDS[args.command](bundle, cfg)
     except ConvergenceError as exc:
+        # Partial bundle: whatever the command filled, flagged non-converged.
         sys.stderr.write(f"non-converged: {exc}\n")
-        return EXIT_NONCONVERGED
-    except (ConfigError, PreconditionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+        bundle.converged = False
+        bundle.results["warning"] = str(exc)
     except RuelleError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION

@@ -25,6 +25,7 @@ from .shifts import (
     from_entries,
     full_shift,
     full_truncated,
+    nonempty_cylinder_words,
     renewal_structure,
 )
 
@@ -313,12 +314,7 @@ class SystemConfig:
         cyls = self.raw.get("test_cylinders")
         if cyls is None:
             ts = self.open_structure()
-            from .shifts import admissible_words
-
-            out = []
-            for n in (1, 2, 3):
-                out.extend(w for w in admissible_words(ts, n) if ts.has_nonempty_cylinder(w))
-            return tuple(out)
+            return tuple(w for n in (1, 2, 3) for w in nonempty_cylinder_words(ts, n))
         return tuple(_word(c) for c in cyls)
 
     def gifs_spec(self) -> GifsSpec:

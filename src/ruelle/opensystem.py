@@ -25,6 +25,7 @@ from .errors import PreconditionError
 from .potentials import Potential
 from .shifts import TransitionStructure
 from .transfer import (
+    DEFAULT_MAX_ITER,
     RpfTriplet,
     TransferMatrix,
     _allows,
@@ -122,6 +123,7 @@ def escape_rate(
     n_max: int = 40,
     depth: Optional[int] = None,
     tol: float = 1e-12,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> EscapeReport:
     """Fitted versus predicted escape rate of the open system.
 
@@ -131,12 +133,12 @@ def escape_rate(
     independently from the closed and open reductions.
     """
     tm_closed = build_transfer_matrix(hole.closed, phi, depth=depth)
-    trip_closed = rpf_triplet(tm_closed, tol=tol)
+    trip_closed = rpf_triplet(tm_closed, tol=tol, max_iter=max_iter)
     logs = log_survivor_masses(hole, phi, trip_closed, n_max)
 
     tm_open_pure = build_transfer_matrix(hole.open_, phi, depth=depth)
     p = tm_open_pure.cesaro_period
-    trip_open = rpf_triplet(tm_open_pure, tol=tol)
+    trip_open = rpf_triplet(tm_open_pure, tol=tol, max_iter=max_iter)
     lam_open = trip_open.lam
     prediction = math.log(trip_closed.lam) - math.log(lam_open)
 

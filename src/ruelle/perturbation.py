@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .opensystem import HoleSpec, open_operator
+from .opensystem import HoleSpec
 from .potentials import (
     Potential,
     cylinder_sup,
@@ -27,7 +27,7 @@ from .potentials import (
 )
 from .shifts import scc_quotient
 from .spectral import component_decomposition
-from .transfer import TransferMatrix, _cylinder_masses, build_transfer_matrix, rpf_triplet
+from .transfer import DEFAULT_MAX_ITER, _cylinder_masses, build_transfer_matrix, rpf_triplet
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,31 @@ class PerturbationConditionsReport:
     failures: tuple
 
 
-def _sup_distance(tm_eps: TransferMatrix, tm_open: TransferMatrix) -> float:
-    """Largest row sum of |L_eps - L_open|, both on the closed system's words.
+def _weight_gaps(pe: Potential, phi: Potential, hole: HoleSpec):
+    """Yield (w, |e^{phi_eps(w)} - psi(w)|) over the weight table of phi_eps.
 
-    Row v sums the weight gaps on the words a v over the prepended symbols
-    a, left to right as the sparse product adds them.
+    The table runs lexicographically over the closed system's nonempty
+    depth-d words; psi is e^{phi} off the hole and 0 on it.  The gaps are
+    the entries of |L_eps - L_open|, with the weights exponentiated as
+    assembly does.
     """
-    gap = abs(tm_eps.matrix - tm_open.matrix)
-    return float((gap @ np.ones(tm_eps.dim)).max(initial=0.0))
+    holes = hole.hole_pairs
+    for w, v in pe.weights.items():
+        psi = 0.0 if (w[0], w[1]) in holes else math.exp(phi.value(w))
+        yield w, abs(math.exp(v) - psi)
+
+
+def _sup_distance(gaps) -> float:
+    """Largest row sum of |L_eps - L_open| from the weight gaps.
+
+    A row with context c = w[1:] sums the gaps of the words a c over the
+    prepended symbols a in lexicographic order from 0.0, as the sparse
+    product adds a row, at every matrix depth.
+    """
+    sums = {}
+    for w, g in gaps:
+        sums[w[1:]] = sums.get(w[1:], 0.0) + g
+    return max(sums.values(), default=0.0)
 
 
 def verify_perturbation_conditions(
@@ -73,22 +90,17 @@ def verify_perturbation_conditions(
     failures = []
 
     semis = []
-    sup_by_symbol = {}
-    worst_by_rank = []  # per epsilon: largest gap entry per source first symbol
-    tm_open = None
+    sup_by_symbol = dict.fromkeys(symbols, -math.inf)
+    worst_by_eps = []  # per epsilon: largest weight gap per first symbol
     for e in eps:
         pe = perturbed_potential(phi, A, hole.open_, e)
         semis.append(seminorm_bracket(pe, A, k + 1, max(pe.depth, k + 1), theta=theta).upper)
-        for s in symbols:
-            sup_by_symbol[s] = max(sup_by_symbol.get(s, -math.inf), cylinder_sup(pe, A, (s,)))
-        tm = build_transfer_matrix(A, pe)
-        if tm_open is None:
-            tm_open = open_operator(hole, phi, tm.depth)
-        # Entry (v, w) is the gap on the word w[0] v: key it by the source.
-        gap = abs(tm.matrix - tm_open.matrix)
-        worst = np.zeros(len(A.alphabet.symbols))
-        np.maximum.at(worst, tm.ranks[gap.indices, 0], gap.data)
-        worst_by_rank.append(worst)
+        for w, v in pe.weights.items():
+            sup_by_symbol[w[0]] = max(sup_by_symbol[w[0]], v)
+        worst = dict.fromkeys(symbols, 0.0)
+        for w, g in _weight_gaps(pe, phi, hole):
+            worst[w[0]] = max(worst[w[0]], g)
+        worst_by_eps.append(worst)
     uniform_semi = max(semis)
     ref = seminorm_bracket(phi, A, k + 1, max(phi.depth, k + 1), theta=theta).upper
     if not math.isfinite(uniform_semi):
@@ -101,10 +113,9 @@ def verify_perturbation_conditions(
 
     tables = {}
     bounds = {}
-    rank = A.alphabet.rank
     for s in symbols:
         sup_s = cylinder_sup(phi, A, (s,))
-        per_eps = [float(worst[rank[s]]) for worst in worst_by_rank]
+        per_eps = [worst[s] for worst in worst_by_eps]
         per_bound = [2.0 * math.exp(sup_s) * math.exp(-1.0 / e) for e in eps]
         tables[s] = tuple(per_eps)
         bounds[s] = tuple(per_bound)
@@ -136,8 +147,7 @@ def operator_distance(phi: Potential, hole: HoleSpec, epsilon: float) -> float:
     absolute weight differences across prepended symbols.
     """
     pe = perturbed_potential(phi, hole.closed, hole.open_, epsilon)
-    tm = build_transfer_matrix(hole.closed, pe)
-    return _sup_distance(tm, open_operator(hole, phi, tm.depth))
+    return _sup_distance(_weight_gaps(pe, phi, hole))
 
 
 @dataclass(frozen=True)
@@ -160,28 +170,28 @@ def _schedule_trace(
     depth: Optional[int],
     tol: float,
     cylinders=(),
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple:
     """The perturbed radii and sup distances along a decreasing schedule.
 
     Each L_eps is assembled once: its triplet gives the radius and the
-    masses of ``cylinders``, its gap to the hole-killed operator the
-    distance.  Returns the trace and the per-epsilon masses.
+    masses of ``cylinders``.  The distance to the hole-killed operator is
+    read off the weights.  Returns the trace and the per-epsilon masses.
     """
     A = hole.closed
     eps = tuple(sorted(epsilons, reverse=True))
     lams, dists, masses = [], [], []
-    tm_open = None
     for e in eps:
         pe = perturbed_potential(phi, A, hole.open_, e)
         tm = build_transfer_matrix(A, pe, depth=depth)
-        trip = rpf_triplet(tm, tol=tol)
-        if tm_open is None:
-            tm_open = open_operator(hole, phi, tm.depth)
+        trip = rpf_triplet(tm, tol=tol, max_iter=max_iter)
         lams.append(trip.lam)
-        dists.append(_sup_distance(tm, tm_open))
+        dists.append(_sup_distance(_weight_gaps(pe, phi, hole)))
         ms = _cylinder_masses(tm, trip.h, trip.nu, trip.lam, cylinders)
         masses.append(dict(zip(cylinders, ms.tolist())))
-    lam_open = rpf_triplet(build_transfer_matrix(hole.open_, phi, depth=depth), tol=tol).lam
+    lam_open = rpf_triplet(
+        build_transfer_matrix(hole.open_, phi, depth=depth), tol=tol, max_iter=max_iter
+    ).lam
     monotone = all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(lams, lams[1:]))
     pad = 100.0 * tol * max(1.0, lam_open)
     trace = PerturbationTrace(
@@ -216,6 +226,7 @@ def limit_invariant_masses(
     cylinders,
     depth: Optional[int] = None,
     tol: float = 1e-12,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> dict:
     """Cylinder masses of the open system's invariant measure h nu.
 
@@ -230,10 +241,12 @@ def limit_invariant_masses(
     # leaves it isolated, which carries no word, so one cyclic component plus
     # isolated symbols still takes the plain eigendata route.
     if len(dag.components) == 1 and live:
-        trip = rpf_triplet(build_transfer_matrix(sub, phi, depth=depth), tol=tol)
+        trip = rpf_triplet(
+            build_transfer_matrix(sub, phi, depth=depth), tol=tol, max_iter=max_iter
+        )
         tm, h, nu, lam = trip.tm, trip.h, trip.nu, trip.lam
     else:
-        dec = component_decomposition(sub, phi, depth=depth, tol=tol)
+        dec = component_decomposition(sub, phi, depth=depth, tol=tol, max_iter=max_iter)
         tm, lam = dec.tm, dec.lam
         h, nu = dec.peripherals[0].h.real, dec.peripherals[0].nu.real
     cylinders = [tuple(w) for w in cylinders]
@@ -247,11 +260,12 @@ def gibbs_convergence_trace(
     test_cylinders,
     depth: Optional[int] = None,
     tol: float = 1e-12,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PerturbationTrace:
     """Perturbed invariant cylinder masses against the open-system limit."""
     cylinders = tuple(tuple(w) for w in test_cylinders)
-    limit = limit_invariant_masses(phi, hole, cylinders, depth=depth, tol=tol)
-    trace, masses = _schedule_trace(phi, hole, epsilons, depth, tol, cylinders)
+    limit = limit_invariant_masses(phi, hole, cylinders, depth=depth, tol=tol, max_iter=max_iter)
+    trace, masses = _schedule_trace(phi, hole, epsilons, depth, tol, cylinders, max_iter)
     return replace(
         trace,
         mass_distances=tuple(max(abs(ms[w] - limit[w]) for w in cylinders) for ms in masses),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .errors import ConfigError, PreconditionError
-from .shifts import TransitionStructure, admissible_words
+from .shifts import TransitionStructure, nonempty_cylinder_words
 
 DEFAULT_THETA = 0.5
 
@@ -239,11 +239,8 @@ def variation(phi: Potential, ts: TransitionStructure, n: int) -> float:
         raise PreconditionError("exact variation needs a locally constant potential")
     if n >= phi.depth:
         return 0.0
-    length = phi.depth
     groups = {}
-    for w in admissible_words(ts, length):
-        if not ts.has_nonempty_cylinder(w):
-            continue
+    for w in nonempty_cylinder_words(ts, phi.depth):
         groups.setdefault(w[:n], []).append(phi.value(w))
     best = 0.0
     for vals in groups.values():
@@ -277,15 +274,12 @@ def seminorm_bracket(
                 lower, attained = v, n
         upper = lower
     else:
-        reps = {}
+        words = nonempty_cylinder_words(ts, enumeration_depth + 1)
         for n in range(k, enumeration_depth + 1):
             groups = {}
-            for w in admissible_words(ts, enumeration_depth + 1):
-                if not ts.has_nonempty_cylinder(w):
-                    continue
-                key = w[:n]
+            for w in words:
                 rep = _lex_min_extension(ts, w, max(phi.depth, len(w)))
-                groups.setdefault(key, []).append(phi.rule(rep[: phi.depth]))
+                groups.setdefault(w[:n], []).append(phi.rule(rep[: phi.depth]))
             v = 0.0
             for vals in groups.values():
                 if len(vals) > 1:
@@ -377,9 +371,7 @@ def extend_potential(
             )
     d = phi.depth
     new_weights = {}
-    for w in admissible_words(ambient, d):
-        if not ambient.has_nonempty_cylinder(w):
-            continue
+    for w in nonempty_cylinder_words(ambient, d):
         if sub.has_nonempty_cylinder(w):
             # Whole prefix meets the subshift: value equals the original's on
             # [w], whether or not a given point of [w] lies inside.
@@ -432,9 +424,7 @@ def perturbed_potential(
         if ambient.has_nonempty_cylinder((s,))
     }
     new_weights = {}
-    for w in admissible_words(ambient, d):
-        if not ambient.has_nonempty_cylinder(w):
-            continue
+    for w in nonempty_cylinder_words(ambient, d):
         base = phi.value(w)
         chi = 1.0 if (w[0], w[1]) in holes else 0.0
         clamp = sups[w[0]] - inv

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
 from .potentials import Potential, lex_min_point
-from .shifts import TransitionStructure, period_classes
+from .shifts import TransitionStructure, admissible_words, nonempty_cylinder_words, period_classes
 from .transfer import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -645,11 +645,7 @@ def lasota_yorke_check(
     ts = tm_open.index_structure
     sub = tm_open.governing
     d = max(phi.depth, phi_dominating.depth, 2)
-    from .shifts import admissible_words
-
-    for w in admissible_words(ts, d):
-        if not ts.has_nonempty_cylinder(w):
-            continue
+    for w in nonempty_cylinder_words(ts, d):
         if sub.allows(w[0], w[1]) and phi.value(w) > phi_dominating.value(w) + 1e-12:
             raise PreconditionError(
                 f"domination violated at {w!r}: potential exceeds the dominating one"
@@ -936,8 +932,6 @@ def _find_detour(ts: TransitionStructure, ambient: TransitionStructure, cycle):
 
 def _default_sample_points(ts: TransitionStructure, cycle, n_points: int):
     """Deterministic eventually periodic points feeding the residual check."""
-    from .shifts import admissible_words
-
     pts = [EventuallyPeriodicPoint((), cycle)]
     for length in range(1, 8):
         for w in admissible_words(ts, length):

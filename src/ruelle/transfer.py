@@ -544,6 +544,7 @@ def topological_pressure(
     n_max: int = 40,
     depth: Optional[int] = None,
     tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PressureReport:
     """Pressure of the potential on the shift with two-sided certification.
 
@@ -604,7 +605,7 @@ def topological_pressure(
     spectral = None
     spectral_bracket = None
     try:
-        trip = rpf_triplet(tm, tol=tol)
+        trip = rpf_triplet(tm, tol=tol, max_iter=max_iter)
         spectral = math.log(trip.lam)
         if ts.alphabet.truncation is not None and phi.tail is not None:
             tail = phi.tail.sum_beyond(ts.alphabet.truncation)

@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ruelle import ConfigError, SystemConfig
+from ruelle import ConfigError, ConvergenceError, SystemConfig, cli
 from ruelle.cli import main
 from ruelle.config import CONFIG_SCHEMA
 
@@ -197,6 +197,32 @@ class TestCli:
             out = tmp_path / command
             assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
         assert "cap of 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rpf", "spectrum", "pressure", "escape", "perturb"])
+    def test_capped_command_writes_a_flagged_bundle(self, tmp_path, command):
+        root = Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "configs" / "golden_hole.json").read_text())
+        cfgp = write_config(tmp_path, dict(doc, max_iter=1))
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["converged"] is False
+        assert "cap of 1" in rep["results"]["warning"]
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_partial_results_survive_a_convergence_error(self, tmp_path, monkeypatch, command):
+        def stub(bundle, cfg):
+            bundle.results["filled"] = 1.5
+            raise ConvergenceError("stub loop hit its cap")
+
+        monkeypatch.setitem(cli.COMMANDS, command, stub)
+        cfgp = write_config(tmp_path, GOLDEN)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["command"] == command
+        assert rep["converged"] is False
+        assert rep["results"] == {"filled": 1.5, "warning": "stub loop hit its cap"}
 
     def test_report_is_one_document_with_the_timestamp_last(self, tmp_path):
         cfgp = write_config(tmp_path, GOLDEN)
