@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 from .potentials import Potential, TailModel
 from .shifts import TransitionStructure, Alphabet, renewal_structure
-from .transfer import build_transfer_matrix, rpf_triplet
+from .transfer import DEFAULT_TOL, build_transfer_matrix, rpf_triplet
 
 
 # -- renewal chain ---------------------------------------------------------------
@@ -97,7 +97,7 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 64) -> tuple:
     return lo, hi
 
 
-def renewal_analysis(spec: RenewalSpec, tol: float = 1e-12) -> RenewalReport:
+def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalReport:
     """Radius, kernel and cohomology residual of the truncated renewal chain.
 
     The scalar route solves the renewal series equation for the value one;
@@ -362,7 +362,7 @@ def locally_constant_analysis(
     phi: Potential,
     thetas: Sequence[float] = (0.5,),
     k: Optional[int] = None,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> LocallyConstantReport:
     """Eigenfunction depth certification for a locally constant potential.
 

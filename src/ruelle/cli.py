@@ -69,10 +69,6 @@ def _key(k):
     return str(k)
 
 
-def _word_key(word):
-    return ",".join(str(s) for s in word)
-
-
 class Bundle:
     """Accumulates one command's report document and CSV tables."""
 
@@ -117,8 +113,6 @@ class Bundle:
 def _csv_cell(c):
     if isinstance(c, float):
         return repr(c)
-    if isinstance(c, tuple):
-        return _word_key(c)
     return c
 
 
@@ -201,12 +195,10 @@ def cmd_rpf(b: Bundle, cfg: SystemConfig) -> None:
     phi = cfg.potential(on=ts)
     tm = build_transfer_matrix(ts, phi, depth=cfg.depth)
     try:
-        trip = rpf_triplet(tm, tol=cfg.tolerance, max_iter=cfg.max_iter)
+        trip, failure = rpf_triplet(tm, tol=cfg.tolerance, max_iter=cfg.max_iter), None
     except ConvergenceError as exc:
-        # Partial bundle: best available iterate, flagged non-converged.
-        trip = exc.partial
-        b.results["warning"] = str(exc)
-    b.converged = trip.converged
+        # The best available iterate fills the bundle before main flags it.
+        trip, failure = exc.partial, exc
     b.results["lam"] = trip.lam
     b.results["log_lam"] = math.log(trip.lam)
     b.results["residuals"] = {"eigenfunction": trip.residual_g, "eigenvector": trip.residual_nu}
@@ -222,10 +214,12 @@ def cmd_rpf(b: Bundle, cfg: SystemConfig) -> None:
         "triplet",
         ["word", "g", "nu", "h"],
         [
-            [_word_key(w), float(trip.g[i]), float(trip.nu[i]), float(trip.h[i])]
+            [_key(w), float(trip.g[i]), float(trip.nu[i]), float(trip.h[i])]
             for i, w in enumerate(tm.words)
         ],
     )
+    if failure is not None:
+        raise failure
 
 
 def cmd_spectrum(b: Bundle, cfg: SystemConfig) -> None:

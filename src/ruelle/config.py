@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import jsonschema
@@ -18,7 +18,9 @@ import jsonschema
 from .applications import GifsEdge, GifsSpec, RenewalSpec
 from .errors import ConfigError
 from .opensystem import HoleSpec
-from .potentials import Potential, TailModel, constant_potential, potential_from_weights
+from .potentials import (
+    DEFAULT_THETA, Potential, TailModel, constant_potential, potential_from_weights
+)
 from .shifts import (
     TransitionStructure,
     banded_structure,
@@ -28,6 +30,20 @@ from .shifts import (
     nonempty_cylinder_words,
     renewal_structure,
 )
+from .transfer import DEFAULT_MAX_ITER, DEFAULT_TOL
+
+_OPEN_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_PAIRS = {"type": "array", "items": {"type": "array", "minItems": 2, "maxItems": 2}}
+_SCHEDULE = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["ratio", "count"],
+    "properties": {
+        "start": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        "ratio": _OPEN_UNIT,
+        "count": {"type": "integer", "minimum": 1},
+    },
+}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -42,17 +58,14 @@ CONFIG_SCHEMA = {
                 "symbols": {"type": "array", "items": {"type": ["integer", "string"]}},
                 "family": {"enum": ["renewal", "full", "banded"]},
                 "truncation": {"type": "integer", "minimum": 2},
-                "width": {"type": "integer", "minimum": 1},
+                "width": {"type": "integer", "minimum": 1, "default": 1},
             },
         },
         "transitions": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "entries": {
-                    "type": "array",
-                    "items": {"type": "array", "minItems": 2, "maxItems": 2},
-                },
+                "entries": _PAIRS,
                 "full": {"type": "boolean"},
             },
         },
@@ -60,29 +73,24 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "required": ["entries"],
-            "properties": {
-                "entries": {
-                    "type": "array",
-                    "items": {"type": "array", "minItems": 2, "maxItems": 2},
-                }
-            },
+            "properties": {"entries": _PAIRS},
         },
         "potential": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "constant": {"type": "number"},
+                "constant": {"type": "number", "default": 0.0},
                 "depth": {"type": "integer", "minimum": 1},
                 "weights": {"type": "object", "additionalProperties": {"type": "number"}},
                 "rule": {"enum": ["renewal_log"]},
-                "a_ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "b_ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "a_ratio": {**_OPEN_UNIT, "default": 0.25},
+                "b_ratio": _OPEN_UNIT,
                 "tail": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "kind": {"enum": ["geometric", "harmonic", "zero"]},
-                        "coeff": {"type": "number"},
+                        "kind": {"enum": ["geometric", "harmonic", "zero"], "default": "geometric"},
+                        "coeff": {"type": "number", "default": 1.0},
                         "ratio": {"type": "number"},
                     },
                 },
@@ -113,25 +121,18 @@ CONFIG_SCHEMA = {
                     "items": {"type": "number"},
                     "minItems": 2,
                     "maxItems": 2,
+                    "default": [0.0, 8.0],
                 },
             },
         },
-        "theta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "k": {"type": "integer", "minimum": 1},
+        "theta": {**_OPEN_UNIT, "default": DEFAULT_THETA},
+        "k": {"type": "integer", "minimum": 1, "default": 1},
         "epsilons": {
             "anyOf": [
                 {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["ratio", "count"],
-                    "properties": {
-                        "start": {"type": "number", "exclusiveMinimum": 0},
-                        "ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "count": {"type": "integer", "minimum": 1},
-                    },
-                },
-            ]
+                _SCHEDULE,
+            ],
+            "default": {"start": 1.0, "ratio": 0.5, "count": 21},
         },
         "test_cylinders": {
             "type": "array",
@@ -141,15 +142,15 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "samples": {"type": "integer", "minimum": 100},
+                "n": {"type": "integer", "minimum": 1, "default": 10},
+                "samples": {"type": "integer", "minimum": 100, "default": 100_000},
             },
         },
-        "n_max": {"type": "integer", "minimum": 2},
-        "max_iter": {"type": "integer", "minimum": 1},
-        "depth": {"type": ["integer", "null"], "minimum": 1},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
+        "n_max": {"type": "integer", "minimum": 2, "default": 40},
+        "max_iter": {"type": "integer", "minimum": 1, "default": DEFAULT_MAX_ITER},
+        "depth": {"type": ["integer", "null"], "minimum": 1, "default": None},
+        "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_TOL},
+        "seed": {"type": "integer", "default": 0},
     },
 }
 
@@ -172,18 +173,28 @@ def _word(tokens):
     return tuple(_symbol(t) for t in tokens)
 
 
+def _with_defaults(doc: dict, *path, schema: dict = CONFIG_SCHEMA) -> dict:
+    """The section of ``doc`` at ``path`` (``doc`` itself when empty) as a new
+    dict over the defaults ``schema`` declares there; a missing one is empty."""
+    for key in path:
+        doc, schema = doc[key] if key in doc else {}, schema["properties"][key]
+    props = schema["properties"]
+    return {**{k: p["default"] for k, p in props.items() if "default" in p}, **doc}
+
+
 @dataclass
 class SystemConfig:
-    """Validated configuration with lazily built domain objects."""
+    """Validated configuration with lazily built domain objects.  ``raw`` is
+    the document as loaded; each key it omits takes its CONFIG_SCHEMA default."""
 
     raw: dict
-    theta: float = 0.5
-    k: int = 1
-    n_max: int = 40
-    tolerance: float = 1e-12
-    seed: int = 0
-    depth: Optional[int] = None
-    max_iter: int = 100_000
+    theta: float
+    k: int
+    n_max: int
+    tolerance: float
+    seed: int
+    depth: Optional[int]
+    max_iter: int
 
     @staticmethod
     def from_dict(doc: dict) -> "SystemConfig":
@@ -191,16 +202,8 @@ class SystemConfig:
         if err is not None:
             path = "/".join(str(p) for p in err.absolute_path) or "<root>"
             raise ConfigError(f"config schema violation at {path}: {err.message}") from err
-        return SystemConfig(
-            raw=doc,
-            theta=doc.get("theta", 0.5),
-            k=doc.get("k", 1),
-            n_max=doc.get("n_max", 40),
-            tolerance=doc.get("tolerance", 1e-12),
-            seed=doc.get("seed", 0),
-            depth=doc.get("depth"),
-            max_iter=doc.get("max_iter", 100_000),
-        )
+        run = _with_defaults(doc)
+        return SystemConfig(doc, *(run[f.name] for f in fields(SystemConfig)[1:]))
 
     @staticmethod
     def from_path(path, **overrides) -> "SystemConfig":
@@ -226,18 +229,18 @@ class SystemConfig:
     # -- structures ------------------------------------------------------------
 
     def closed_structure(self) -> TransitionStructure:
-        alpha = self.raw.get("alphabet", {})
+        alpha = _with_defaults(self.raw, "alphabet")
         family = alpha.get("family")
         if family == "renewal":
             return renewal_structure(alpha["truncation"])
         if family == "full":
             return full_truncated(alpha["truncation"])
         if family == "banded":
-            return banded_structure(alpha["truncation"], alpha.get("width", 1))
-        symbols = tuple(_symbol(s) for s in alpha.get("symbols", ()))
-        if not symbols:
+            return banded_structure(alpha["truncation"], alpha["width"])
+        if not alpha.get("symbols"):
             raise ConfigError("alphabet.symbols is required without a family")
-        trans = self.raw.get("transitions", {})
+        symbols = tuple(_symbol(s) for s in alpha["symbols"])
+        trans = _with_defaults(self.raw, "transitions")
         if trans.get("full") or "entries" not in trans:
             return full_shift(symbols)
         entries = [(_symbol(i), _symbol(j)) for i, j in trans["entries"]]
@@ -258,21 +261,19 @@ class SystemConfig:
     # -- potential ----------------------------------------------------------------
 
     def _tail(self) -> Optional[TailModel]:
-        pot = self.raw.get("potential", {})
-        tail = pot.get("tail")
-        if not tail:
+        if not _with_defaults(self.raw, "potential").get("tail"):
             return None
-        kind = tail.get("kind", "geometric")
-        if kind == "geometric":
-            return TailModel.geometric(tail.get("coeff", 1.0), tail["ratio"])
-        if kind == "harmonic":
-            return TailModel.harmonic(tail.get("coeff", 1.0))
+        tail = _with_defaults(self.raw, "potential", "tail")
+        if tail["kind"] == "geometric":
+            return TailModel.geometric(tail["coeff"], tail["ratio"])
+        if tail["kind"] == "harmonic":
+            return TailModel.harmonic(tail["coeff"])
         return TailModel.zero()
 
     def potential(self, on: Optional[TransitionStructure] = None) -> Potential:
         """Potential on the closed structure (or ``on`` when given)."""
         ts = on if on is not None else self.closed_structure()
-        pot = self.raw.get("potential", {})
+        pot = _with_defaults(self.raw, "potential")
         if "weights" in pot:
             weights = {_word(k): float(v) for k, v in pot["weights"].items()}
             return potential_from_weights(weights, tail=self._tail())
@@ -281,16 +282,16 @@ class SystemConfig:
             from .applications import renewal_potential
 
             return renewal_potential(spec, ts)
-        return constant_potential(ts, pot.get("constant", 0.0))
+        return constant_potential(ts, pot["constant"])
 
     def renewal_spec(self) -> RenewalSpec:
-        pot = self.raw.get("potential", {})
+        pot = _with_defaults(self.raw, "potential")
         if pot.get("rule") != "renewal_log":
             raise ConfigError("renewal analysis needs potential.rule = renewal_log")
-        alpha = self.raw.get("alphabet", {})
+        alpha = _with_defaults(self.raw, "alphabet")
         if alpha.get("family") != "renewal":
             raise ConfigError("renewal analysis needs alphabet.family = renewal")
-        ra = pot.get("a_ratio", 0.25)
+        ra = pot["a_ratio"]
         rb = pot.get("b_ratio", ra)
         return RenewalSpec(
             a=lambda n: ra**n,
@@ -302,12 +303,10 @@ class SystemConfig:
     # -- other sections -------------------------------------------------------------
 
     def epsilons(self) -> tuple:
-        eps = self.raw.get("epsilons")
-        if eps is None:
-            return tuple(2.0**-j for j in range(0, 21))
+        eps = _with_defaults(self.raw)["epsilons"]
         if isinstance(eps, dict):
-            start = eps.get("start", 1.0)
-            return tuple(start * eps["ratio"] ** j for j in range(eps["count"]))
+            eps = _with_defaults(eps, schema=_SCHEDULE)
+            return tuple(eps["start"] * eps["ratio"] ** j for j in range(eps["count"]))
         return tuple(float(e) for e in eps)
 
     def test_cylinders(self) -> tuple:
@@ -318,9 +317,9 @@ class SystemConfig:
         return tuple(_word(c) for c in cyls)
 
     def gifs_spec(self) -> GifsSpec:
-        g = self.raw.get("gifs")
-        if not g:
+        if "gifs" not in self.raw:
             raise ConfigError("dimension command needs a gifs section")
+        g = _with_defaults(self.raw, "gifs")
         edges = tuple(
             GifsEdge(
                 label=_symbol(e["label"]),
@@ -333,12 +332,11 @@ class SystemConfig:
         return GifsSpec(
             vertices=tuple(_symbol(v) for v in g["vertices"]),
             edges=edges,
-            s_range=tuple(g.get("s_range", (0.0, 8.0))),
+            s_range=tuple(g["s_range"]),
         )
 
     def mc_params(self) -> dict:
-        mc = self.raw.get("mc", {})
-        return {"n": mc.get("n", 10), "samples": mc.get("samples", 100_000)}
+        return _with_defaults(self.raw, "mc")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .potentials import Potential
 from .shifts import TransitionStructure
 from .transfer import (
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     RpfTriplet,
     TransferMatrix,
     _allows,
@@ -122,7 +123,7 @@ def escape_rate(
     phi: Potential,
     n_max: int = 40,
     depth: Optional[int] = None,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EscapeReport:
     """Fitted versus predicted escape rate of the open system.
@@ -215,7 +216,7 @@ def monte_carlo_survival(
     survives when none of its n transitions falls in the hole.  The kernel
     is read from the operator of ``triplet_closed``, whose potential is
     ``phi``.  Chunks use seeds derived from the master seed, so the estimate
-    is reproducible and independent of the chunking.
+    is reproducible for a fixed seed and chunk size, not across chunk sizes.
     """
     if sample_count < 100:
         raise PreconditionError("sample_count below 100 is statistically meaningless")

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import PreconditionError
 from .opensystem import HoleSpec
 from .potentials import (
+    DEFAULT_THETA,
     Potential,
     cylinder_sup,
     perturbed_potential,
@@ -27,7 +28,9 @@ from .potentials import (
 )
 from .shifts import scc_quotient
 from .spectral import component_decomposition
-from .transfer import DEFAULT_MAX_ITER, _cylinder_masses, build_transfer_matrix, rpf_triplet
+from .transfer import (
+    DEFAULT_MAX_ITER, DEFAULT_TOL, _cylinder_masses, build_transfer_matrix, rpf_triplet
+)
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ def verify_perturbation_conditions(
     hole: HoleSpec,
     epsilons: Sequence[float],
     k: int = 1,
-    theta: float = 0.5,
+    theta: float = DEFAULT_THETA,
 ) -> PerturbationConditionsReport:
     """Check the uniform conditions the perturbation family must satisfy.
 
@@ -210,7 +213,7 @@ def pressure_convergence_trace(
     hole: HoleSpec,
     epsilons: Sequence[float],
     depth: Optional[int] = None,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> PerturbationTrace:
     """Perturbed radii along a decreasing schedule, with the open-system limit.
 
@@ -225,7 +228,7 @@ def limit_invariant_masses(
     hole: HoleSpec,
     cylinders,
     depth: Optional[int] = None,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> dict:
     """Cylinder masses of the open system's invariant measure h nu.
@@ -259,7 +262,7 @@ def gibbs_convergence_trace(
     epsilons: Sequence[float],
     test_cylinders,
     depth: Optional[int] = None,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PerturbationTrace:
     """Perturbed invariant cylinder masses against the open-system limit."""

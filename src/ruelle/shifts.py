@@ -26,7 +26,7 @@ from .errors import ConfigError, EnumerationCapExceeded, PreconditionError
 DEFAULT_WORD_CAP = 20_000_000
 
 FINITE = "finite"
-KNOWN_FAMILIES = (FINITE, "full", "renewal", "banded", "custom")
+KNOWN_FAMILIES = (FINITE, "full", "renewal", "banded")
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Alphabet:
     """Ordered symbol set, either finite or a truncation of a countable one.
 
     ``family`` names the structural family for truncated-countable alphabets
-    ("full", "renewal", "banded", "custom"); plain finite alphabets use
+    ("full", "renewal", "banded"); plain finite alphabets use
     "finite".  For truncated families the enumeration is monotone, so the
     truncation of size N is an initial segment of the truncation of size N+1.
     """
@@ -581,18 +581,18 @@ def _verify_witness(ts: TransitionStructure, witness) -> bool:
     """Whether a w b is admissible for every symbol pair (a, b) and some w.
 
     For a word w admissible inside, a w b is admissible exactly when
-    a -> w_0 and w_last -> b, so the pairs it serves are the outer product
-    adj[:, w_0] (x) adj[w_last, :]; their OR over w is one matrix product.
-    The empty word serves the allowed pairs themselves.
+    a -> w_0 and w_last -> b, so with E marking each word's (w_0, w_last) the
+    pairs served are the support of adj @ E @ adj, in O(k^2) memory whatever
+    the number of words.  The empty word serves the allowed pairs themselves.
     """
     rank, n = ts.alphabet.rank, len(ts.alphabet)
     indptr, succ = ts.successor_ranks
     adj = np.zeros((n, n))
     adj[np.repeat(np.arange(n), np.diff(indptr)), succ] = 1.0
     inside = [tuple(w) for w in witness if ts.is_admissible(tuple(w))]
-    heads = [rank[w[0]] for w in inside if w]
-    tails = [rank[w[-1]] for w in inside if w]
-    served = adj[:, heads] @ adj[tails, :] + (adj if () in inside else 0.0)
+    ends = np.zeros((n, n))
+    ends[[rank[w[0]] for w in inside if w], [rank[w[-1]] for w in inside if w]] = 1.0
+    served = adj @ ends @ adj + (adj if () in inside else 0.0)
     return bool((served > 0.0).all())
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
-from .potentials import Potential, lex_min_point
+from .potentials import DEFAULT_THETA, Potential, lex_min_point
 from .shifts import TransitionStructure, admissible_words, nonempty_cylinder_words, period_classes
 from .transfer import (
     DEFAULT_MAX_ITER,
@@ -478,7 +478,7 @@ def cone_membership(
     words: Sequence,
     c: float,
     k: int,
-    theta: float = 0.5,
+    theta: float = DEFAULT_THETA,
 ) -> ConeReport:
     """Check log-ratio cone membership over word pairs sharing k symbols.
 
@@ -549,8 +549,6 @@ def gibbs_check(
     are excluded and reported.
     """
     ts = triplet.tm.index_structure
-    from .shifts import nonempty_cylinder_words
-
     cmins, cmaxs = [], []
     excluded = []
     overall_min, overall_max = math.inf, 0.0
@@ -631,7 +629,7 @@ def lasota_yorke_check(
     samples: Sequence[np.ndarray],
     m_values: Sequence[int],
     k: int = 1,
-    theta: float = 0.5,
+    theta: float = DEFAULT_THETA,
     noise_floor: float = 1e-12,
 ) -> LasotaYorkeReport:
     """Two-term contraction inequality for the normalized open operator.
@@ -799,7 +797,7 @@ def small_eigenfunction(
     triplet: RpfTriplet,
     p_value: complex,
     m: int,
-    theta: float = 0.5,
+    theta: float = DEFAULT_THETA,
     ambient: Optional[TransitionStructure] = None,
     sample_points: Optional[Sequence[EventuallyPeriodicPoint]] = None,
     n_points: int = 50,

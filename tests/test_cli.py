@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,6 +10,8 @@ import pytest
 from ruelle import ConfigError, ConvergenceError, SystemConfig, cli
 from ruelle.cli import main
 from ruelle.config import CONFIG_SCHEMA
+from ruelle.potentials import DEFAULT_THETA
+from ruelle.transfer import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 GOLDEN = {
     "alphabet": {"symbols": [0, 1]},
@@ -31,6 +35,18 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 def strip_timestamp(text: str) -> str:
     return re.sub(r'^\s*"timestamp": .*$', "", text, flags=re.M)
+
+
+def declared_defaults(schema):
+    """Every subschema of ``schema`` that declares a ``"default"``."""
+    if isinstance(schema, dict):
+        if "default" in schema:
+            yield schema
+        for sub in schema.values():
+            yield from declared_defaults(sub)
+    elif isinstance(schema, list):
+        for sub in schema:
+            yield from declared_defaults(sub)
 
 
 class TestConfig:
@@ -123,6 +139,33 @@ class TestConfig:
         cfg = SystemConfig.from_dict({"epsilons": [0.5, 0.125]})
         assert cfg.epsilons() == (0.5, 0.125)
 
+    def test_every_declared_default_meets_its_own_subschema(self):
+        subs = list(declared_defaults(CONFIG_SCHEMA))
+        assert len(subs) >= 17
+        for sub in subs:
+            jsonschema.validate(sub["default"], sub)
+
+    def test_empty_document_takes_each_run_field_from_the_schema(self):
+        cfg = SystemConfig.from_dict({})
+        assert cfg.raw == {}
+        for field in dataclasses.fields(SystemConfig):
+            if field.name != "raw":
+                default = CONFIG_SCHEMA["properties"][field.name]["default"]
+                assert getattr(cfg, field.name) == default
+        assert (cfg.theta, cfg.tolerance, cfg.max_iter) == (
+            DEFAULT_THETA,
+            DEFAULT_TOL,
+            DEFAULT_MAX_ITER,
+        )
+        assert cfg.mc_params() == {"n": 10, "samples": 100_000}
+
+    def test_empty_document_hashes_as_an_empty_object(self):
+        cfg = SystemConfig.from_dict({})
+        assert cfg.config_hash() == hashlib.sha256(b"{}").hexdigest()
+
+    def test_default_epsilon_schedule_halves_from_one(self):
+        assert SystemConfig.from_dict({}).epsilons() == tuple(2.0**-j for j in range(21))
+
 
 class TestCli:
     def test_escape_runs_and_reports(self, tmp_path, capsys):
@@ -208,6 +251,14 @@ class TestCli:
         rep = json.loads((out / "report.json").read_text())
         assert rep["converged"] is False
         assert "cap of 1" in rep["results"]["warning"]
+
+    @pytest.mark.parametrize("command", ["rpf", "spectrum", "pressure", "escape", "perturb"])
+    def test_capped_command_prints_its_error(self, tmp_path, capsys, command):
+        root = Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "configs" / "golden_hole.json").read_text())
+        cfgp = write_config(tmp_path, dict(doc, max_iter=1))
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("non-converged:")
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_partial_results_survive_a_convergence_error(self, tmp_path, monkeypatch, command):

@@ -313,6 +313,31 @@ class TestClassify:
             )
             assert _verify_witness(ts, witness) == expected
 
+    def test_incomplete_witness_refused(self):
+        from ruelle.shifts import _verify_witness
+
+        ts = from_entries((0, 1, 2), [(0, 1), (1, 2), (2, 0)])
+        short = [w for n in (1, 2) for w in admissible_words(ts, n)]
+        # On the 3-cycle a w (a+1) needs |w| divisible by 3: no short word serves it.
+        assert not _verify_witness(ts, short)
+        assert _verify_witness(ts, short + [()])
+
+    def test_witness_check_memory_is_quadratic_in_the_alphabet(self):
+        import tracemalloc
+
+        from ruelle.shifts import _irreducibility_witness, _verify_witness
+
+        ts = banded_structure(100, 2)
+        witness = _irreducibility_witness(ts)
+        tracemalloc.start()
+        try:
+            assert _verify_witness(ts, witness)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A (words x k) product would need about 7.5 MiB here.
+        assert peak < 2**20
+
 
 class TestConstruction:
     def test_subsystem_entries_checked(self):
