@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .potentials import Potential, TailModel
+from .potentials import DEFAULT_THETA, Potential, TailModel
 from .shifts import TransitionStructure, Alphabet, renewal_structure
 from .transfer import DEFAULT_TOL, build_transfer_matrix, rpf_triplet
 
@@ -360,7 +360,7 @@ class LocallyConstantReport:
 def locally_constant_analysis(
     ts: TransitionStructure,
     phi: Potential,
-    thetas: Sequence[float] = (0.5,),
+    thetas: Sequence[float] = (DEFAULT_THETA,),
     k: Optional[int] = None,
     tol: float = DEFAULT_TOL,
 ) -> LocallyConstantReport:
