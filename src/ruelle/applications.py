@@ -26,6 +26,8 @@ from .potentials import DEFAULT_THETA, Potential, TailModel
 from .shifts import TransitionStructure, Alphabet, renewal_structure
 from .transfer import DEFAULT_TOL, build_transfer_matrix, rpf_triplet
 
+DEFAULT_S_RANGE = (0.0, 8.0)
+
 
 # -- renewal chain ---------------------------------------------------------------
 
@@ -229,7 +231,7 @@ class GifsSpec:
 
     vertices: tuple
     edges: tuple  # of GifsEdge
-    s_range: tuple = (0.0, 8.0)
+    s_range: tuple = DEFAULT_S_RANGE
 
     @property
     def ratio_bound(self) -> float:

@@ -15,11 +15,12 @@ from typing import Optional
 
 import jsonschema
 
-from .applications import GifsEdge, GifsSpec, RenewalSpec
+from .applications import DEFAULT_S_RANGE, GifsEdge, GifsSpec, RenewalSpec
 from .errors import ConfigError
 from .opensystem import HoleSpec
 from .potentials import (
-    DEFAULT_THETA, Potential, TailModel, constant_potential, potential_from_weights
+    DEFAULT_K, DEFAULT_TAIL_COEFF, DEFAULT_THETA, Potential, TailModel, constant_potential,
+    potential_from_weights,
 )
 from .shifts import (
     TransitionStructure,
@@ -30,7 +31,7 @@ from .shifts import (
     nonempty_cylinder_words,
     renewal_structure,
 )
-from .transfer import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .transfer import DEFAULT_MAX_ITER, DEFAULT_N_MAX, DEFAULT_TOL
 
 _OPEN_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _PAIRS = {"type": "array", "items": {"type": "array", "minItems": 2, "maxItems": 2}}
@@ -90,9 +91,12 @@ CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     "properties": {
                         "kind": {"enum": ["geometric", "harmonic", "zero"], "default": "geometric"},
-                        "coeff": {"type": "number", "default": 1.0},
+                        "coeff": {"type": "number", "default": DEFAULT_TAIL_COEFF},
                         "ratio": {"type": "number"},
                     },
+                    # The default kind is geometric, so an absent kind needs it too.
+                    "if": {"properties": {"kind": {"const": "geometric"}}},
+                    "then": {"required": ["ratio"]},
                 },
             },
         },
@@ -121,12 +125,12 @@ CONFIG_SCHEMA = {
                     "items": {"type": "number"},
                     "minItems": 2,
                     "maxItems": 2,
-                    "default": [0.0, 8.0],
+                    "default": list(DEFAULT_S_RANGE),
                 },
             },
         },
         "theta": {**_OPEN_UNIT, "default": DEFAULT_THETA},
-        "k": {"type": "integer", "minimum": 1, "default": 1},
+        "k": {"type": "integer", "minimum": 1, "default": DEFAULT_K},
         "epsilons": {
             "anyOf": [
                 {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
@@ -146,7 +150,7 @@ CONFIG_SCHEMA = {
                 "samples": {"type": "integer", "minimum": 100, "default": 100_000},
             },
         },
-        "n_max": {"type": "integer", "minimum": 2, "default": 40},
+        "n_max": {"type": "integer", "minimum": 2, "default": DEFAULT_N_MAX},
         "max_iter": {"type": "integer", "minimum": 1, "default": DEFAULT_MAX_ITER},
         "depth": {"type": ["integer", "null"], "minimum": 1, "default": None},
         "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_TOL},

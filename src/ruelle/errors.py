@@ -20,12 +20,14 @@ class PreconditionError(RuelleError):
 class NonUniqueDominantError(PreconditionError):
     """Several transitive components share the maximal pressure.
 
-    Carries the tied component index set in ``tied``.
+    Carries the tied index set in ``tied`` and the common radius, which a
+    tie leaves well defined, in ``lam``.
     """
 
-    def __init__(self, message, tied):
+    def __init__(self, message, tied, lam=None):
         super().__init__(message)
         self.tied = tuple(tied)
+        self.lam = lam
 
 
 class ConvergenceError(RuelleError):

@@ -26,6 +26,7 @@ from .potentials import Potential
 from .shifts import TransitionStructure
 from .transfer import (
     DEFAULT_MAX_ITER,
+    DEFAULT_N_MAX,
     DEFAULT_TOL,
     RpfTriplet,
     TransferMatrix,
@@ -49,10 +50,6 @@ class HoleSpec:
             raise PreconditionError("open system transitions must refine the closed ones")
         if self.open_.alphabet != self.closed.alphabet:
             raise PreconditionError("the open and closed systems must share one alphabet")
-
-    @property
-    def sigma_pairs(self) -> frozenset:
-        return self.open_.entries
 
     @property
     def hole_pairs(self) -> frozenset:
@@ -121,7 +118,7 @@ def survivor_mass(
 def escape_rate(
     hole: HoleSpec,
     phi: Potential,
-    n_max: int = 40,
+    n_max: int = DEFAULT_N_MAX,
     depth: Optional[int] = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import PreconditionError
 from .opensystem import HoleSpec
 from .potentials import (
+    DEFAULT_K,
     DEFAULT_THETA,
     Potential,
     cylinder_sup,
@@ -26,8 +27,6 @@ from .potentials import (
     seminorm_bracket,
     summability_certificate,
 )
-from .shifts import scc_quotient
-from .spectral import component_decomposition
 from .transfer import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, _cylinder_masses, build_transfer_matrix, rpf_triplet
 )
@@ -77,7 +76,7 @@ def verify_perturbation_conditions(
     phi: Potential,
     hole: HoleSpec,
     epsilons: Sequence[float],
-    k: int = 1,
+    k: int = DEFAULT_K,
     theta: float = DEFAULT_THETA,
 ) -> PerturbationConditionsReport:
     """Check the uniform conditions the perturbation family must satisfy.
@@ -233,27 +232,13 @@ def limit_invariant_masses(
 ) -> dict:
     """Cylinder masses of the open system's invariant measure h nu.
 
-    For an irreducible subsystem this is the plain eigendata measure; a
-    reducible subsystem routes through the component decomposition, which
-    requires a unique dominant component.
+    One ``rpf_triplet`` on the subsystem's operator; a reducible subsystem
+    takes its block route, which requires a unique dominant block.
     """
-    sub = hole.open_
-    dag = scc_quotient(sub)
-    live = [c for c in dag.components if c.has_periodic_point]
-    # Not ``sub.irreducible``: a hole that strips a symbol of every transition
-    # leaves it isolated, which carries no word, so one cyclic component plus
-    # isolated symbols still takes the plain eigendata route.
-    if len(dag.components) == 1 and live:
-        trip = rpf_triplet(
-            build_transfer_matrix(sub, phi, depth=depth), tol=tol, max_iter=max_iter
-        )
-        tm, h, nu, lam = trip.tm, trip.h, trip.nu, trip.lam
-    else:
-        dec = component_decomposition(sub, phi, depth=depth, tol=tol, max_iter=max_iter)
-        tm, lam = dec.tm, dec.lam
-        h, nu = dec.peripherals[0].h.real, dec.peripherals[0].nu.real
+    tm = build_transfer_matrix(hole.open_, phi, depth=depth)
+    trip = rpf_triplet(tm, tol=tol, max_iter=max_iter)
     cylinders = [tuple(w) for w in cylinders]
-    return dict(zip(cylinders, _cylinder_masses(tm, h, nu, lam, cylinders).tolist()))
+    return dict(zip(cylinders, _cylinder_masses(tm, trip.h, trip.nu, trip.lam, cylinders).tolist()))
 
 
 def gibbs_convergence_trace(

@@ -22,6 +22,8 @@ from .errors import ConfigError, PreconditionError
 from .shifts import TransitionStructure, nonempty_cylinder_words
 
 DEFAULT_THETA = 0.5
+DEFAULT_K = 1
+DEFAULT_TAIL_COEFF = 1.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class TailModel:
         )
 
     @staticmethod
-    def harmonic(coeff: float = 1.0) -> "TailModel":
+    def harmonic(coeff: float = DEFAULT_TAIL_COEFF) -> "TailModel":
         return TailModel(
             term=lambda s: coeff / max(s, 1),
             sum_beyond=lambda n: math.inf,

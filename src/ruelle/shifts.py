@@ -332,18 +332,8 @@ class QuotientDag:
     labels: np.ndarray = field(default=None, compare=False, repr=False)
     distances: np.ndarray = field(default=None, compare=False, repr=False)
 
-    def component_of(self, symbol) -> Optional[int]:
-        for i, comp in enumerate(self.components):
-            if symbol in comp.symbols:
-                return i
-        return None
-
     def precedes(self, a: int, b: int) -> bool:
         return bool(self.reach[a] >> b & 1)
-
-    def downset(self, i: int) -> tuple:
-        """Indices of components that reach component ``i``."""
-        return tuple(a for a, mask in enumerate(self.reach) if mask >> i & 1)
 
     def upset(self, i: int) -> tuple:
         """Indices of components reached from component ``i``."""

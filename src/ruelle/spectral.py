@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
-from .potentials import DEFAULT_THETA, Potential, lex_min_point
+from .errors import ConvergenceError, PreconditionError
+from .potentials import DEFAULT_K, DEFAULT_THETA, Potential, lex_min_point
 from .shifts import TransitionStructure, admissible_words, nonempty_cylinder_words, period_classes
 from .transfer import (
     DEFAULT_MAX_ITER,
@@ -29,6 +29,8 @@ from .transfer import (
     RpfTriplet,
     TransferMatrix,
     _cylinder_masses,
+    _dominant,
+    _extend,
     _perron_pair,
     build_transfer_matrix,
     rpf_triplet,
@@ -48,8 +50,6 @@ ARPACK_K = 4
 # 8.3 / 5.4 ms at 32 / 16 / 64 rows for n = 800 and 149 / 140 / 239 ms for
 # n = 4000 (banded, 2-core Xeon).
 _BLOCK_ROWS = 32
-# Component pressures within this relative distance of the largest tie it.
-TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,11 @@ def spectral_decomposition(
 def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecomposition:
     """Peripheral decomposition from the positive pair of the dominant rows.
 
-    ``dom_rows`` marks the index words that start in the dominant component and
-    (h1, nu1) is the positive pair of that block.  The pair is twisted by
-    the cyclic classes; across the other rows it extends by the resolvent
-    solves h_2 = (lam_i - B22)^{-1} B21 h_1 and
-    nu_2 = (lam_i - B22)^{-T} B12^T nu_1, one sparse LU of lam_i - B22 per
-    peripheral eigenvalue, after which nu_i is normalized to nu_i . h_i = 1.
+    ``dom_rows`` marks the words of the dominant component and (h1, nu1) is
+    the positive pair of its block.  The pair is twisted by the cyclic
+    classes and extended across the other rows by ``transfer._extend`` at
+    each peripheral eigenvalue lam_i (B22 is nilpotent when the dominant
+    component is the only cyclic one), then nu_i . h_i = 1.
     Everything here reads the sparse L and the p pairs; no n x n array is
     formed above ``DENSE_RADIUS_LIMIT``.  The remainder's radius is the
     largest modulus among its eigenvalues: up to the limit dense LAPACK on
@@ -139,31 +138,17 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
         class_of[[rank[s] for s in cls]] = j
     word_class = class_of[tm.ranks[dom_rows, 0]]
     masks = [(word_class == j).astype(float) for j in range(p)]
-
-    idx1, idx2 = np.flatnonzero(dom_rows), np.flatnonzero(~dom_rows)
-    if len(idx2):
-        from scipy.sparse.linalg import splu
-
-        B12 = tm.matrix[idx1][:, idx2]
-        B21 = tm.matrix[idx2][:, idx1]
-        B22 = tm.matrix[idx2][:, idx2]
-        eye = sp.identity(len(idx2), dtype=complex, format="csc")
+    nilpotent = sum(c.has_periodic_point for c in tm.governing.quotient.components) == 1
     peripherals = []
     for i in range(p):
         lam_i = lam * kappa**i
-        hi1 = np.zeros(len(idx1), dtype=complex)
-        nui1 = np.zeros(len(idx1), dtype=complex)
+        hi1 = np.zeros(len(word_class), dtype=complex)
+        nui1 = np.zeros(len(word_class), dtype=complex)
         for j in range(p):
             hi1 += kappa ** (-j * i) * (h1 * masks[j])
             nui1 += kappa ** (j * i) * (nu1 * masks[j])
-        hi = np.zeros(tm.dim, dtype=complex)
-        nui = np.zeros(tm.dim, dtype=complex)
-        hi[idx1] = hi1
-        nui[idx1] = nui1
-        if len(idx2):
-            lu = splu((lam_i * eye - B22).tocsc())
-            hi[idx2] = lu.solve(B21 @ hi1)
-            nui[idx2] = lu.solve(B12.T @ nui1, trans="T")
+        hi, nui = _extend(tm.matrix, dom_rows, lam_i, hi1, nui1, nilpotent)
+        if not dom_rows.all():
             nui = nui / (nui @ hi)
         peripherals.append(Peripheral(eigenvalue=lam_i, h=hi, nu=nui))
 
@@ -411,27 +396,14 @@ def component_decomposition(
     tm = build_transfer_matrix(ts, phi, depth=depth)
     pairs = _component_pairs(tm, tol, max_iter)
     pressures = tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
-    best = max(pressures)
-    if not math.isfinite(best):
+    if not math.isfinite(max(pressures)):
         raise PreconditionError("no component carries a cycle; spectral radius is zero")
-    tied = [i for i, q in enumerate(pressures) if best - q <= TIE_RTOL * max(1.0, abs(best))]
-    if len(tied) != 1:
-        raise NonUniqueDominantError(
-            f"non-unique dominant component: pressures tie within {TIE_RTOL} on {tied}",
-            tied=tied,
-        )
-    dom = tied[0]
+    dom = _dominant(pressures, "component")
     dag = ts.quotient
     classes = period_classes(ts, component=dag.components[dom].symbols)
-    own, pair = pairs[dom]
-    rows = dag.labels[tm.ranks[:, 0]] == dom
-    if not np.array_equal(rows, own):
-        # Some words starting in the component leave it (never at depth 1):
-        # the block B11 over ``rows`` is reducible and needs its own pair.
-        pair = _perron_pair(tm.matrix[rows][:, rows], classes.p, tol, max_iter, False,
-                            what="dominant block: ")
+    rows, pair = pairs[dom]
     dec = _decompose(
-        tm, rows, classes, math.exp(best), pair.h, pair.nu,
+        tm, rows, classes, math.exp(pressures[dom]), pair.h, pair.nu,
         component_pressures=pressures, dominant_component=dom,
     )
     return replace(dec, support_patterns=_support_patterns(tm, dag, dom, dec.peripherals))
@@ -628,7 +600,7 @@ def lasota_yorke_check(
     triplet_dominating: RpfTriplet,
     samples: Sequence[np.ndarray],
     m_values: Sequence[int],
-    k: int = 1,
+    k: int = DEFAULT_K,
     theta: float = DEFAULT_THETA,
     noise_floor: float = 1e-12,
 ) -> LasotaYorkeReport:

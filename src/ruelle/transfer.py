@@ -27,12 +27,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
 from .potentials import Potential, summability_certificate
-from .shifts import TransitionStructure, _extend_ranks, _ranges, _word_ranks, scc_quotient
+from .shifts import TransitionStructure, _extend_ranks, _ranges, _tarjan_sccs, _word_ranks
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
+DEFAULT_N_MAX = 40
+# Component pressures within this relative distance of the largest tie it.
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,11 @@ class TransferMatrix:
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.matrix @ f
 
-    def apply_left(self, nu: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ nu
-
     @cached_property
     def irreducible(self) -> bool:
         """Whether the matrix is irreducible: a closed operator on an
-        irreducible structure, whose depth-m word graph is then the
-        higher-block presentation of an irreducible shift (every word is
-        viable), with no weight that underflowed to an explicit 0."""
+        irreducible structure (its word graph is then irreducible) with no
+        weight that underflowed to an explicit 0."""
         closed = self.governing is self.index_structure and self.governing.irreducible
         return closed and bool(self.matrix.data.all())
 
@@ -282,25 +281,16 @@ def _cylinder_masses(tm: TransferMatrix, h, nu, lam: float, cylinders) -> np.nda
     return out
 
 
-def _perron_vector(
-    mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER, irreducible: bool = False
-):
-    """Positive eigenvector of a nonnegative matrix of period p.
+def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
+    """Positive eigenvector of an irreducible nonnegative matrix of period p.
 
     Each step replaces u by the sup-normalized Cesaro average
     sum_{i=1..p} (mat/lam)^i u, lam = (|mat^p u|_1 / |u|_1)^(1/p), which
     cancels the peripheral rotation.  The loop stops once the componentwise
     relative change on the entries above the smallest normal float bounds
     the remaining error by ``tol`` (``_settled``), so a vector spanning
-    hundreds of decades converges entry by entry.  Entries off the support
-    of a reducible matrix's eigenvector decay to zero, not always
-    monotonically; once below ``tol`` in this step and the one before (so
-    the other entries' change already reflects their smallness) and below
-    their value two steps back, they are left out of that test if they can
-    be that zero set.  With
-    ``irreducible`` (the caller knows the matrix is irreducible: its nonzero
-    entries form an irreducible graph, so the eigenvector is positive and has
-    no such set) that test is skipped.
+    hundreds of decades converges entry by entry.  ``_perron_pair`` sends
+    only irreducible matrices here, whose eigenvectors are positive.
     Each matvec calls scipy's ``csr_matvec`` (the kernel of ``mat @ x``, so
     the same sums) into a zeroed buffer; a step allocates no new vector.
     Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
@@ -310,10 +300,8 @@ def _perron_vector(
     n = mat.shape[0]
     csr = (n, n, mat.indptr, mat.indices, mat.data)
     tiny = np.finfo(float).tiny
-    # u, older and new rotate through three buffers; so do rel and rel_prev.
-    u, older, new = np.ones(n), np.ones(n), np.empty(n)
-    rel, rel_prev = np.empty(n), np.full(n, np.inf)
-    big, diff, live = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    u, new = np.ones(n), np.empty(n)
+    rel, big, diff, live = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     block = [u] + [np.empty(n) for _ in range(p)]
     change_prev = math.inf
     lam = 0.0
@@ -339,19 +327,8 @@ def _perron_vector(
         change = float(rel.max(initial=0.0))
         if _settled(change, change_prev, tol):
             return lam, new, it, True
-        if not irreducible:
-            fading = (new < older) & (big <= tol)
-            kept = ~fading
-            if (
-                fading.any()
-                and _settled(
-                    float(rel[kept].max(initial=0.0)), float(rel_prev[kept].max(initial=0.0)), tol
-                )
-                and _off_support(mat, fading, new >= tiny)
-            ):
-                return lam, new, it, True
-        u, older, new = new, u, older
-        rel, rel_prev, change_prev = rel_prev, rel, change
+        u, new = new, u
+        change_prev = change
     return lam, u, it, False
 
 
@@ -365,36 +342,101 @@ def _settled(change: float, prev: float, tol: float) -> bool:
     return change <= tol and (rho >= 1.0 or change * rho <= tol * (1.0 - rho))
 
 
-def _off_support(mat, fading: np.ndarray, live: np.ndarray) -> bool:
-    """Whether ``fading`` can be the zero set of a positive eigenvector.
+def _dominant(logs, what: str) -> int:
+    """Index of the largest of the log radii ``logs``; another within
+    ``TIE_RTOL`` of it raises NonUniqueDominantError with the common radius."""
+    best = max(logs)
+    tied = [i for i, q in enumerate(logs) if best - q <= TIE_RTOL * max(1.0, abs(best))]
+    if len(tied) > 1:
+        raise NonUniqueDominantError(
+            f"non-unique dominant {what}: radii tie within {TIE_RTOL} on {tied}",
+            tied=tied, lam=math.exp(best),
+        )
+    return tied[0]
 
-    No fading entry may have a successor among the other live entries, and
-    each of those needs one among them (a support carries a cycle).
-    """
-    keep = live & ~fading
-    reach = mat @ keep
-    return not reach[fading].any() and bool(reach[keep].all())
+
+def _block_pair(mat, p: int, tol: float, max_iter: int):
+    """(g, nu, matvecs, (right ok, left ok)) of a matrix not known irreducible,
+    through its Frobenius normal form: ``_tarjan_sccs`` splits the nonzero
+    pattern (an underflowed explicit 0 is no entry) into strongly connected
+    components, numbered by first row; each cyclic one gets both loops on its
+    diagonal block, and ``_extend`` carries the ``_dominant`` one's pair."""
+    live = sp.csr_matrix(mat, dtype=np.float64, copy=True)
+    live.eliminate_zeros()
+    loops = live.diagonal() != 0.0
+    sccs = _tarjan_sccs(range(live.shape[0]), live.indptr.tolist(), live.indices.tolist())
+    blocks = sorted(sorted(c) for c in sccs if len(c) > 1 or loops[c[0]])
+    if not blocks:
+        raise PreconditionError(
+            "zero spectral radius: the governing structure has no periodic point"
+        )
+    pairs, its, ok_g, ok_l = [], 0, True, True
+    for rows in blocks:
+        sub = live[rows][:, rows]
+        _, g, it_g, og = _perron_vector(sub, p, tol, max_iter)
+        _, nu, it_l, ol = _perron_vector(sub.T, p, tol, max_iter)
+        pairs.append((float(nu @ (sub @ g)) / float(nu @ g), g, nu))
+        its, ok_g, ok_l = its + it_g + it_l, ok_g and og, ok_l and ol
+    dom = _dominant([math.log(lam) for lam, _, _ in pairs], "block")
+    rows = np.zeros(live.shape[0], dtype=bool)
+    rows[blocks[dom]] = True
+    g, nu = _extend(live, rows, *pairs[dom], nilpotent=len(blocks) == 1)
+    return g / float(g.max()), nu, its, (ok_g, ok_l)
+
+
+def _extend(mat, rows, lam, h1, nu1, nilpotent: bool) -> tuple:
+    """Eigenvectors of the CSR ``mat`` for ``lam`` from the pair (h1, nu1) of
+    its block B11 on ``rows``: h2 = (lam - B22)^{-1} B21 h1 and
+    nu2 = (lam - B22)^{-T} B12^T nu1 on the other rows, exact when no other
+    row both reaches and is reached from ``rows``.  A ``nilpotent`` B22 (no
+    cycle outside ``rows``, read off the caller's components) takes the
+    sweeps x <- (b + B22 x) / lam, which reach their fixed point within
+    dim(B22) steps; any other B22 one sparse LU."""
+    idx1, idx2 = np.flatnonzero(rows), np.flatnonzero(~rows)
+    h = np.zeros(len(rows), dtype=np.result_type(lam, h1, nu1))
+    nu = h.copy()
+    h[idx1], nu[idx1] = h1, nu1
+    if not len(idx2):
+        return h, nu
+    b_h, b_nu = mat[idx2][:, idx1] @ h1, mat[idx1][:, idx2].T @ nu1
+    B22 = mat[idx2][:, idx2]
+    if nilpotent:
+        for out, b, op in ((h, b_h, B22), (nu, b_nu, B22.T.tocsr())):
+            x = b / lam
+            for _ in range(len(idx2)):
+                x, last = (b + op @ x) / lam, x
+                if np.array_equal(x, last):
+                    break
+            out[idx2] = x
+    else:
+        from scipy.sparse.linalg import splu
+
+        lu = splu((lam * sp.identity(len(idx2), dtype=h.dtype, format="csc") - B22).tocsc())
+        h[idx2], nu[idx2] = lu.solve(b_h), lu.solve(b_nu, trans="T")
+    return h, nu
 
 
 def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=None,
                  what: str = "") -> RpfTriplet:
     """Right and left Perron vectors of the nonnegative sparse ``mat`` of period p.
 
-    One ``_perron_vector`` loop on ``mat`` and one on its transpose; nu is
+    With ``irreducible`` (the caller knows the nonzero entries form an
+    irreducible graph) one ``_perron_vector`` loop on ``mat`` and one on its
+    transpose, otherwise the block route of ``_block_pair``; nu is
     normalized to sum one and the radius is the Rayleigh quotient
-    nu(mat g) / nu(g).  The pair converged when both loops stopped and both
+    nu(mat g) / nu(g).  The pair converged when every loop stopped and both
     relative residuals are at most ten times ``tol``; otherwise
     ConvergenceError, its message led by ``what``, carries the partial
     triplet.  A zero radius (no periodic point) is a precondition error.
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter = {max_iter} allows no matvec; it must be positive")
-    lam_r, g, it_g, ok_g = _perron_vector(mat, p, tol, max_iter, irreducible)
-    if lam_r <= 0.0:
-        raise PreconditionError(
-            "zero spectral radius: the governing structure has no periodic point"
-        )
-    _, nu, it_nu, ok_l = _perron_vector(mat.T, p, tol, max_iter, irreducible)
+    if irreducible:
+        _, g, it_g, ok_g = _perron_vector(mat, p, tol, max_iter)
+        _, nu, it_nu, ok_l = _perron_vector(mat.T, p, tol, max_iter)
+        its = it_g + it_nu
+    else:
+        g, nu, its, (ok_g, ok_l) = _block_pair(mat, p, tol, max_iter)
     nu = nu / float(nu.sum())
     lg = mat @ g
     lam = float(nu @ lg) / float(nu @ g)
@@ -408,7 +450,7 @@ def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=N
         nu=nu,
         residual_g=res_g,
         residual_nu=res_nu,
-        iterations=it_g + it_nu,
+        iterations=its,
         converged=converged,
         period_used=p,
     )
@@ -436,9 +478,11 @@ def rpf_triplet(
     Both vectors come from the period-averaged power iteration of
     ``_perron_vector`` (the peripheral rotation of a period-p structure
     defeats plain iteration), run by ``_perron_pair``; the radius is the
-    Rayleigh quotient of the pair.  A zero radius (no periodic point in the
-    governing table) is a precondition error; a run that misses ``tol``
-    raises ConvergenceError carrying the partial triplet.
+    Rayleigh quotient of the pair; an operator not ``tm.irreducible`` takes
+    its block route.  A zero radius (no periodic point in the governing
+    table) and a tie for the largest radius (NonUniqueDominantError) are
+    precondition errors; a run that misses ``tol`` raises ConvergenceError
+    carrying the partial triplet.
     """
     if tm.dim == 0:
         raise PreconditionError(
@@ -541,7 +585,7 @@ def _continuation_bounds(tm: TransferMatrix) -> tuple:
 def topological_pressure(
     ts: TransitionStructure,
     phi: Potential,
-    n_max: int = 40,
+    n_max: int = DEFAULT_N_MAX,
     depth: Optional[int] = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -551,7 +595,7 @@ def topological_pressure(
     Requires a summability certificate (finite alphabets always pass; a
     divergent tail model refuses).  The locally constant case also reports
     the spectral value from the matrix reduction, which the bracket always
-    contains.
+    contains, also when blocks tie for the largest radius.
     """
     cert = summability_certificate(phi, ts)
     if not cert.summable:
@@ -579,7 +623,7 @@ def topological_pressure(
 
     # Lower route: return sums pinned at one cycle word per cyclic component.
     lowers = {n: -math.inf for n in uppers}
-    dag = scc_quotient(tm.governing)
+    dag = tm.governing.quotient
     rank = tm.index_structure.alphabet.rank
     pins = []
     for comp in dag.components:
@@ -602,18 +646,18 @@ def topological_pressure(
     hi = min(upper_seq)
     lo = max(lower_seq) if lower_seq else -math.inf
 
-    spectral = None
-    spectral_bracket = None
+    spectral = spectral_bracket = None
     try:
-        trip = rpf_triplet(tm, tol=tol, max_iter=max_iter)
-        spectral = math.log(trip.lam)
+        lam = rpf_triplet(tm, tol=tol, max_iter=max_iter).lam
+    except NonUniqueDominantError as exc:
+        lam = exc.lam  # a tie leaves the radius well defined
+    except PreconditionError:
+        lam = None
+    if lam is not None:
+        spectral, tail = math.log(lam), 0.0
         if ts.alphabet.truncation is not None and phi.tail is not None:
             tail = phi.tail.sum_beyond(ts.alphabet.truncation)
-            spectral_bracket = (spectral, math.log(trip.lam + tail))
-        else:
-            spectral_bracket = (spectral, spectral)
-    except PreconditionError:
-        pass
+        spectral_bracket = (spectral, math.log(lam + tail))
 
     return PressureReport(
         ns=ns,

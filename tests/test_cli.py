@@ -204,6 +204,20 @@ class TestCli:
         rc = main(["escape", "--config", str(cfgp), "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize("tail", [{"kind": "geometric"}, {"coeff": 2.0}])
+    def test_geometric_tail_without_ratio_exits_3(self, tmp_path, capsys, tail):
+        doc = {
+            "alphabet": {"symbols": [0, 1]},
+            "potential": {"weights": {"0": 0.0, "1": -1.0}, "tail": tail},
+        }
+        cfgp = write_config(tmp_path, doc)
+        rc = main(["rpf", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: config schema violation at potential/tail")
+        assert "'ratio' is a required property" in err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfgp = write_config(tmp_path, GOLDEN)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -330,8 +344,11 @@ class TestCli:
 
     def test_shipped_spectra_leave_scipy_sparse_linalg_unloaded(self, tmp_path):
         # The shipped configs are all below the dense limit of the remainder
-        # radius, so neither the import nor `python -m ruelle.cli spectrum`
-        # on them loads ARPACK's package.
+        # radius, and the operators they meet that are not known irreducible
+        # (`perturb`'s L_eps whose hole weights underflow) have no cyclic
+        # block outside the dominant one, so the block route needs no sparse
+        # LU: neither the import nor any of the eight commands on them loads
+        # the package of ARPACK and of the LU.
         import os
         import subprocess
         import sys
@@ -343,12 +360,13 @@ class TestCli:
             "out, configs = sys.argv[1], sys.argv[2:]\n"
             "seen = ['scipy.sparse.linalg' in sys.modules]\n"
             "for i, cfg in enumerate(configs):\n"
-            "    sys.argv = ['ruelle', 'spectrum', '--config', cfg, '--out', f'{out}/{i}']\n"
-            "    try:\n"
-            "        runpy.run_module('ruelle.cli', run_name='__main__', alter_sys=True)\n"
-            "    except SystemExit:\n"
-            "        pass\n"
-            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            f"    for cmd in {sorted(cli.COMMANDS)}:\n"
+            "        sys.argv = ['ruelle', cmd, '--config', cfg, '--out', f'{out}/{cmd}{i}']\n"
+            "        try:\n"
+            "            runpy.run_module('ruelle.cli', run_name='__main__', alter_sys=True)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "        seen.append('scipy.sparse.linalg' in sys.modules)\n"
             "print(seen)\n"
         )
         configs = sorted(str(p) for p in (root / "configs").glob("*.json"))
@@ -359,6 +377,7 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             check=True,
         )
-        assert len(configs) == 4
-        assert len(list(tmp_path.glob("*/report.json"))) == 3  # cantor_ifs has no spectrum
-        assert out.stdout.splitlines()[-1] == str([False] * 5)
+        assert len(configs) == 4 and len(cli.COMMANDS) == 8
+        assert len(list(tmp_path.glob("spectrum*/report.json"))) == 3  # cantor_ifs has none
+        assert len(list(tmp_path.glob("perturb*/report.json"))) >= 1
+        assert out.stdout.splitlines()[-1] == str([False] * 33)

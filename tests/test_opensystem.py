@@ -159,8 +159,9 @@ class TestMonteCarlo:
 class TestHoleSpec:
     def test_partition_of_closed_pairs(self):
         hole = golden_hole()
-        assert hole.sigma_pairs | hole.hole_pairs == f1().entries
-        assert not hole.sigma_pairs & hole.hole_pairs
+        assert hole.open_.entries == hole.closed.entries - hole.hole_pairs
+        assert hole.open_.entries | hole.hole_pairs == f1().entries
+        assert not hole.open_.entries & hole.hole_pairs
 
     def test_refinement_enforced(self):
         with pytest.raises(PreconditionError):

@@ -289,3 +289,39 @@ def test_trace_distances_from_the_assembled_operators(case):
     for depth in (None, m + 1):
         trace = pressure_convergence_trace(phi, hole, GAP_EPSILONS, depth=depth)
         assert trace.operator_distances == ref
+
+
+def test_nilpotent_transient_block_leaves_scipy_sparse_linalg_unloaded():
+    # At depth 2 the hole word (0, 0) of each L_eps whose hole weight
+    # underflowed is transient and feeds no cycle: the block route extends
+    # the dominant block across a nilpotent B22 by substitution sweeps, so a
+    # fresh process never loads scipy's sparse LU.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "import ruelle.transfer as t\n"
+        "from ruelle import HoleSpec, full_shift, gibbs_convergence_trace, zero_potential\n"
+        "extend, rest = t._extend, []\n"
+        "def recording(mat, rows, *args, **kwargs):\n"
+        "    rest.append(int((~rows).sum()))\n"
+        "    return extend(mat, rows, *args, **kwargs)\n"
+        "t._extend = recording\n"
+        "closed = full_shift((0, 1))\n"
+        "hole = HoleSpec.from_hole(closed, [(0, 0)])\n"
+        "eps = [2.0**-j for j in range(21)]\n"
+        "gibbs_convergence_trace(zero_potential(closed), hole, eps, [(1,), (0, 1)], depth=2)\n"
+        "print(rest, 'scipy.sparse.linalg' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        check=True,
+    )
+    assert out.stdout.strip() == str([1] * 11) + " False"

@@ -75,8 +75,7 @@ class TestSccQuotient:
         assert len(dag.components) == 2
         assert not dag.components[0].has_periodic_point
         assert not dag.components[1].has_periodic_point
-        i0 = dag.component_of(0)
-        i1 = dag.component_of(1)
+        i0, i1 = dag.labels.tolist()
         assert dag.precedes(i0, i1) and not dag.precedes(i1, i0)
 
     def test_full_shift_period_one(self):
@@ -88,7 +87,7 @@ class TestSccQuotient:
         ts = from_entries((0, 1, 2), [(0, 1), (1, 0)])
         dag = scc_quotient(ts)
         assert dag.isolated == (2,)
-        assert dag.component_of(2) is None
+        assert dag.labels.tolist() == [0, 0, -1]
 
     @settings(max_examples=60, deadline=None)
     @given(ts=small_structures())
@@ -99,8 +98,8 @@ class TestSccQuotient:
             for b in ts.alphabet.symbols:
                 if a == b:
                     continue
-                ca, cb = dag.component_of(a), dag.component_of(b)
-                together = ca is not None and ca == cb
+                ca, cb = (dag.labels[ts.alphabet.rank[s]] for s in (a, b))
+                together = ca >= 0 and ca == cb
                 mutual = (a, b) in reach and (b, a) in reach
                 assert together == mutual
         touched = {s for pair in ts.entries for s in pair}
@@ -150,7 +149,9 @@ class TestSccQuotient:
         for a in range(n):
             assert dag.reach[a] == sum(1 << b for b in closure[a])
             assert dag.upset(a) == tuple(sorted(closure[a]))
-            assert dag.downset(a) == tuple(c for c in range(n) if a in closure[c])
+            assert [c for c in range(n) if dag.precedes(c, a)] == [
+                c for c in range(n) if a in closure[c]
+            ]
 
     def test_reach_masks_on_a_long_chain(self):
         # i -> i + 1 with a self-loop at the end: component i is symbol i and
@@ -163,7 +164,8 @@ class TestSccQuotient:
         full = (1 << n) - 1
         assert dag.reach == tuple(full ^ ((1 << i) - 1) for i in range(n))
         assert dag.upset(0) == tuple(range(n)) and dag.upset(n - 1) == (n - 1,)
-        assert dag.downset(0) == (0,) and dag.downset(n - 1) == tuple(range(n))
+        assert [c for c in range(n) if dag.precedes(c, n - 1)] == list(range(n))
+        assert [c for c in range(n) if dag.precedes(c, 0)] == [0]
         assert dag.precedes(3, 700) and not dag.precedes(700, 3)
         assert ts.viable_symbols == frozenset(range(n))
         cyclic = [c.has_periodic_point for c in dag.components]

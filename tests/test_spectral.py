@@ -177,7 +177,7 @@ class TestRemainderRadiusRoutes:
         dec = component_decomposition(ts, phi)
         assert dec.tm.dim > DENSE_RADIUS_LIMIT
         assert dec.remainder_method == "arpack"
-        assert dec.dominant_component == dec.tm.governing.quotient.component_of(0)
+        assert dec.dominant_component == dec.tm.governing.quotient.labels[ts.alphabet.rank[0]]
         exact = largest_remainder_eigenvalue(dec)
         assert abs(dec.remainder_radius - exact) <= 1e-12 * exact
         assert component_decomposition(ts, phi).remainder_radius == dec.remainder_radius
@@ -354,7 +354,7 @@ class TestMatrixFreeDecomposition:
         ts, phi = two_banded_blocks(1000)
         dec, peak = traced_peak(lambda: component_decomposition(ts, phi))
         self.assert_matrix_free(dec, peak)
-        assert dec.dominant_component == dec.tm.governing.quotient.component_of(0)
+        assert dec.dominant_component == dec.tm.governing.quotient.labels[ts.alphabet.rank[0]]
 
     def test_remainder_formed_on_first_use(self):
         tm = banded_system(DENSE_RADIUS_LIMIT + 20)

@@ -5,6 +5,7 @@ import pytest
 
 from ruelle import (
     ConvergenceError,
+    NonUniqueDominantError,
     PreconditionError,
     admissible_words,
     apply_operator,
@@ -184,7 +185,7 @@ class TestRpfTriplet:
         tm = build_transfer_matrix(ts, phi, depth=1)
         trip = rpf_triplet(tm)
         tiny = np.finfo(float).tiny
-        for vec, op in ((trip.g, tm.apply), (trip.nu, tm.apply_left)):
+        for vec, op in ((trip.g, tm.apply), (trip.nu, lambda nu: tm.matrix.T @ nu)):
             live = vec >= tiny
             assert np.log10(vec[live].max() / vec[live].min()) > 250
             rel = (op(vec) - trip.lam * vec)[live] / (trip.lam * vec[live])
@@ -219,9 +220,9 @@ class TestRpfTriplet:
 
     def test_reducible_small_pressure_gap(self):
         # 0 -> 0, 0 -> 1, 1 -> 1 with weights 0 and -delta: radius 1, right
-        # eigenvector (1 - e^-delta, 1), left eigenvector (1, 0).  The second
-        # entry of nu decays by e^-delta per step and never settles in
-        # relative terms, so it has to be recognized as off the support.
+        # eigenvector (1 - e^-delta, 1), left eigenvector (1, 0).  Power
+        # iteration on the whole matrix would wait for nu's second entry to
+        # decay by e^-delta per step; the block route solves {0} alone.
         delta, tol = 5e-3, 1e-12
         ts = from_entries((0, 1), {(0, 0), (0, 1), (1, 1)})
         phi = potential_from_weights({(0,): 0.0, (1,): -delta})
@@ -239,8 +240,8 @@ class TestRpfTriplet:
     def test_underflowing_bridge_on_an_irreducible_structure(self, depth):
         # The same operator with the bridge 1 -> 0 added at weight -800: the
         # structure is the full 2-shift, but exp(-800) underflows to an
-        # explicit 0, so the matrix is still reducible and nu's second entry
-        # must still be recognized as off the support.
+        # explicit 0, so the matrix is still reducible and takes the block
+        # route, which reads its components off the nonzero pattern.
         delta, tol = 5e-3, 1e-12
         ts = full_shift((0, 1))
         phi = potential_from_weights({(0, 0): 0.0, (0, 1): 0.0, (1, 1): -delta, (1, 0): -800.0})
@@ -250,6 +251,46 @@ class TestRpfTriplet:
         assert abs(trip.lam - 1.0) <= 1e-13
         assert trip.nu[tm.ranks[:, 0] == 0].sum() == pytest.approx(1.0, abs=10 * tol)
         assert trip.iterations <= 4 * math.log(1 / tol) / delta
+
+    @pytest.mark.parametrize("delta", [1e-2, 5e-3, 1e-3])
+    def test_pressure_gap_sweep_matches_dense(self, delta):
+        # The same operator down to delta = 1e-3: the block route's cost and
+        # accuracy do not depend on the gap, and the transient symbol's nu
+        # entry is an exact zero.
+        import time
+
+        ts = from_entries((0, 1), {(0, 0), (0, 1), (1, 1)})
+        phi = potential_from_weights({(0,): 0.0, (1,): -delta})
+        tm = build_transfer_matrix(ts, phi, depth=1)
+        rpf_triplet(tm)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            trip = rpf_triplet(tm)
+            times.append(time.perf_counter() - start)
+        assert min(times) <= 0.010
+        vals, right = np.linalg.eig(tm.dense())
+        h = np.abs(right[:, np.argmax(vals.real)].real)
+        vals, left = np.linalg.eig(tm.dense().T)
+        nu = np.abs(left[:, np.argmax(vals.real)].real)
+        assert np.abs(trip.g / (h / h.max()) - 1.0).max() <= 1e-12
+        assert trip.nu[1] == 0.0
+        assert trip.nu[0] == pytest.approx(nu[0] / nu.sum(), rel=1e-12)
+
+    def test_chained_tie_raises_at_once(self):
+        # Two blocks of radius 1, the first feeding the second: no unique
+        # positive eigenvector, and a typed error instead of a run to the cap.
+        ts = from_entries((0, 1), {(0, 0), (0, 1), (1, 1)})
+        with pytest.raises(NonUniqueDominantError) as exc:
+            rpf_triplet(build_transfer_matrix(ts, zero_potential(ts)))
+        assert exc.value.tied == (0, 1) and exc.value.lam == 1.0
+
+    @pytest.mark.parametrize(
+        "entries", [{(0, 0), (1, 1)}, {(0, 0), (0, 1), (1, 1)}], ids=["disjoint", "chained"]
+    )
+    def test_tie_keeps_the_spectral_pressure(self, entries):
+        ts = from_entries((0, 1), entries)
+        assert topological_pressure(ts, zero_potential(ts)).spectral == 0.0
 
 
 class TestSupRoute:
@@ -525,28 +566,30 @@ def test_operator_irreducibility_flag():
     assert not build_transfer_matrix(ts, phi).irreducible
 
 
-@pytest.mark.parametrize("depth, flag", [(1, True), (2, False)])
-def test_dominant_block_flagged_only_when_its_words_stay_inside(monkeypatch, depth, flag):
+@pytest.mark.parametrize("depth", [1, 2])
+def test_component_decomposition_solves_one_pair_per_cyclic_component(monkeypatch, depth):
     # Each cyclic component's diagonal block is its own irreducible word
-    # graph: one flagged solve pair per component.  At depth 1 the rows
-    # starting in the dominant component {0, 1} are its own words, so its
-    # pair is reused and B11 gets no solve; at depth 2 they hold the word
-    # (1, 2), which leaves it, and B11 gets an unflagged pair of its own.
+    # graph: one pair of loops per component, and the dominant component's
+    # pair is the one the decomposition extends.  At depth 2 the word (1, 2)
+    # starts in the dominant component {0, 1} but leaves it; it is extended
+    # like any other row, with no separate pair for the words starting there.
     import ruelle.transfer as transfer
     from ruelle import component_decomposition
 
-    flags = []
+    dims = []
 
-    def recording(mat, p, tol, max_iter=transfer.DEFAULT_MAX_ITER, irreducible=False):
-        flags.append(irreducible)
-        return solver(mat, p, tol, max_iter, irreducible)
+    def recording(mat, p, tol, max_iter=transfer.DEFAULT_MAX_ITER):
+        dims.append(mat.shape[0])
+        return solver(mat, p, tol, max_iter)
 
     solver = transfer._perron_vector
     monkeypatch.setattr(transfer, "_perron_vector", recording)
     ts, phi = two_component_dag(forward=True)
-    component_decomposition(ts, phi, depth=depth)
-    per_component = [True, True] * 2
-    assert flags == (per_component if flag else per_component + [False, False])
+    dec = component_decomposition(ts, phi, depth=depth)
+    assert dims == [2**depth, 2**depth, 1, 1]
+    assert dec.dominant_component == 0 and dec.lam == pytest.approx(2.0, rel=1e-12)
+    assert dec.checks["eigen_residual_h"] <= 1e-12
+    assert dec.checks["eigen_residual_nu"] <= 1e-12
 
 
 def test_perron_vector_same_bytes_on_csr_and_csc():
@@ -583,20 +626,6 @@ def test_bound_kernel_equals_matmul(seed):
     out = np.zeros(n)
     _csr_matvec(n, n, mat.indptr, mat.indices, mat.data, x, out)
     assert out.tobytes() == (mat @ x).tobytes()
-
-
-@pytest.mark.parametrize(
-    "build, n", [(_banded_operator, 200), (_cyclic_operator, 120)], ids=["banded", "cyclic"]
-)
-def test_irreducible_flag_changes_no_bit(build, n):
-    from ruelle.transfer import _perron_vector
-
-    tm = build(n)
-    for mat in (tm.matrix, tm.matrix.T.tocsr()):
-        plain = _perron_vector(mat, tm.cesaro_period, 1e-12)
-        flagged = _perron_vector(mat, tm.cesaro_period, 1e-12, irreducible=True)
-        assert (plain[0], plain[2], plain[3]) == (flagged[0], flagged[2], flagged[3])
-        assert plain[1].tobytes() == flagged[1].tobytes()
 
 
 def test_assembly_refuses_over_cap_before_allocating():
