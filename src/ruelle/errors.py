@@ -18,13 +18,13 @@ class PreconditionError(RuelleError):
 
 
 class NonUniqueDominantError(PreconditionError):
-    """Several transitive components share the maximal pressure.
+    """Several transitive components or irreducible blocks share the maximal pressure.
 
     Carries the tied index set in ``tied`` and the common radius, which a
     tie leaves well defined, in ``lam``.
     """
 
-    def __init__(self, message, tied, lam=None):
+    def __init__(self, message, tied, lam):
         super().__init__(message)
         self.tied = tuple(tied)
         self.lam = lam
