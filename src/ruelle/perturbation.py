@@ -165,16 +165,30 @@ class PerturbationTrace:
     limit_masses: Optional[dict] = None
 
 
+def _masses(trip, cylinders) -> dict:
+    """Cylinder masses of the triplet's invariant measure h nu, by cylinder."""
+    return dict(zip(cylinders, _cylinder_masses(trip.tm, trip.h, trip.nu, trip.lam, cylinders).tolist()))
+
+
+def _open_triplet(phi: Potential, hole: HoleSpec, depth, tol: float, max_iter: int):
+    """One ``rpf_triplet`` on the subsystem's operator; a reducible subsystem
+    takes its block route, which requires a unique dominant block."""
+    tm = build_transfer_matrix(hole.open_, phi, depth=depth)
+    return rpf_triplet(tm, tol=tol, max_iter=max_iter)
+
+
 def _schedule_trace(
     phi: Potential,
     hole: HoleSpec,
     epsilons: Sequence[float],
+    lam_open: float,
     depth: Optional[int],
     tol: float,
     cylinders=(),
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple:
-    """The perturbed radii and sup distances along a decreasing schedule.
+    """The perturbed radii and sup distances along a decreasing schedule,
+    towards the open radius ``lam_open``.
 
     Each L_eps is assembled once: its triplet gives the radius and the
     masses of ``cylinders``.  The distance to the hole-killed operator is
@@ -185,15 +199,10 @@ def _schedule_trace(
     lams, dists, masses = [], [], []
     for e in eps:
         pe = perturbed_potential(phi, A, hole.open_, e)
-        tm = build_transfer_matrix(A, pe, depth=depth)
-        trip = rpf_triplet(tm, tol=tol, max_iter=max_iter)
+        trip = rpf_triplet(build_transfer_matrix(A, pe, depth=depth), tol=tol, max_iter=max_iter)
         lams.append(trip.lam)
         dists.append(_sup_distance(_weight_gaps(pe, phi, hole)))
-        ms = _cylinder_masses(tm, trip.h, trip.nu, trip.lam, cylinders)
-        masses.append(dict(zip(cylinders, ms.tolist())))
-    lam_open = rpf_triplet(
-        build_transfer_matrix(hole.open_, phi, depth=depth), tol=tol, max_iter=max_iter
-    ).lam
+        masses.append(_masses(trip, cylinders))
     monotone = all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(lams, lams[1:]))
     pad = 100.0 * tol * max(1.0, lam_open)
     trace = PerturbationTrace(
@@ -213,13 +222,15 @@ def pressure_convergence_trace(
     epsilons: Sequence[float],
     depth: Optional[int] = None,
     tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PerturbationTrace:
     """Perturbed radii along a decreasing schedule, with the open-system limit.
 
     The radii are nonincreasing and bounded below by the open radius, so the
     final bracket [open radius, last radius] always contains the limit.
     """
-    return _schedule_trace(phi, hole, epsilons, depth, tol)[0]
+    lam_open = _open_triplet(phi, hole, depth, tol, max_iter).lam
+    return _schedule_trace(phi, hole, epsilons, lam_open, depth, tol, max_iter=max_iter)[0]
 
 
 def limit_invariant_masses(
@@ -230,15 +241,9 @@ def limit_invariant_masses(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> dict:
-    """Cylinder masses of the open system's invariant measure h nu.
-
-    One ``rpf_triplet`` on the subsystem's operator; a reducible subsystem
-    takes its block route, which requires a unique dominant block.
-    """
-    tm = build_transfer_matrix(hole.open_, phi, depth=depth)
-    trip = rpf_triplet(tm, tol=tol, max_iter=max_iter)
-    cylinders = [tuple(w) for w in cylinders]
-    return dict(zip(cylinders, _cylinder_masses(tm, trip.h, trip.nu, trip.lam, cylinders).tolist()))
+    """Cylinder masses of the open system's invariant measure h nu
+    (``_open_triplet``)."""
+    return _masses(_open_triplet(phi, hole, depth, tol, max_iter), [tuple(w) for w in cylinders])
 
 
 def gibbs_convergence_trace(
@@ -250,10 +255,14 @@ def gibbs_convergence_trace(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PerturbationTrace:
-    """Perturbed invariant cylinder masses against the open-system limit."""
+    """Perturbed invariant cylinder masses against the open-system limit;
+    one triplet of the open operator gives the limit masses and radius."""
     cylinders = tuple(tuple(w) for w in test_cylinders)
-    limit = limit_invariant_masses(phi, hole, cylinders, depth=depth, tol=tol, max_iter=max_iter)
-    trace, masses = _schedule_trace(phi, hole, epsilons, depth, tol, cylinders, max_iter)
+    limit_trip = _open_triplet(phi, hole, depth, tol, max_iter)
+    limit = _masses(limit_trip, cylinders)
+    trace, masses = _schedule_trace(
+        phi, hole, epsilons, limit_trip.lam, depth, tol, cylinders, max_iter
+    )
     return replace(
         trace,
         mass_distances=tuple(max(abs(ms[w] - limit[w]) for w in cylinders) for ms in masses),

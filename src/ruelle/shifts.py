@@ -269,11 +269,17 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> tuple:
     return src, np.arange(len(src)) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
-def _word_ranks(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> np.ndarray:
-    """Admissible words of length ``n`` as int32 alphabet ranks, ``(|W_n|, n)``.
+def _word_trie(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> tuple:
+    """W_n, the admissible words of length ``n``, with the links of their enumeration.
 
-    Rows are in lexicographic order.  Refuses with
-    :class:`EnumerationCapExceeded` before allocating when ``|W_n| > cap``.
+    Returns (rows, starts, suf).  ``rows`` holds W_n as int32 alphabet ranks,
+    one row per word in lexicographic order.  ``starts[j - 1]`` (j <= n) is
+    the CSR pointer from W_j into W_{j+1}: the extensions of the q-th word of
+    W_j are the words starts[j - 1][q] .. starts[j - 1][q + 1] - 1 of W_{j+1},
+    so ``_walk`` finds words up to length n + 1.  ``suf[i]`` is the position
+    of rows[i, 1:] in W_{n-1} (0 when n = 1).
+    Refuses with :class:`EnumerationCapExceeded` before allocating when
+    ``|W_n| > cap``.
     """
     if n < 1:
         raise PreconditionError("word length must be positive")
@@ -282,8 +288,43 @@ def _word_ranks(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) ->
         raise EnumerationCapExceeded(
             f"enumeration too large: |W_{n}| = {total} exceeds cap {cap}"
         )
-    first = np.arange(len(ts.alphabet), dtype=np.int32)[:, None]
-    return _extend_ranks(ts, first, n - 1)[0]
+    indptr, succ = ts.successor_ranks
+    rows = np.arange(len(ts.alphabet), dtype=np.int32)[:, None]
+    starts, suf = [], np.zeros(len(rows), dtype=np.int64)
+    for _ in range(n - 1):
+        first = indptr[rows[:, -1]]
+        count = indptr[rows[:, -1] + 1] - first
+        src, pos = _ranges(first, count)
+        # The suffix of p.c is the suffix of p extended by c, which sits at
+        # c's offset among the successors of p's last symbol; that of a.c is c.
+        suf = starts[-1][suf[src]] + (pos - first[src]) if starts else succ[pos].astype(np.int64)
+        starts.append(np.concatenate(([0], np.cumsum(count))))
+        rows = np.column_stack((rows[src], succ[pos]))
+    starts.append(np.concatenate(([0], np.cumsum(np.diff(indptr)[rows[:, -1]]))))
+    return rows, tuple(starts), suf
+
+
+def _walk(ts: TransitionStructure, starts, rows: np.ndarray) -> np.ndarray:
+    """Position of each rank row among the admissible words of its length.
+
+    Descends the successor CSR one symbol at a time along the enumeration's
+    ``starts`` (see ``_word_trie``): the extension of the word at ``idx`` by
+    c is starts[idx] plus c's offset among the successors of the last symbol.
+    A row with an unknown symbol (rank -1) or a disallowed pair gets -1.
+    """
+    k = len(ts.alphabet)
+    indptr, _ = ts.successor_ranks
+    # The sentinel k * k exceeds every pair code, so each query lands on an entry.
+    codes = np.append(ts.pair_codes, k * k)
+    idx = rows[:, 0].astype(np.int64)
+    ok = idx >= 0
+    for j in range(1, rows.shape[1]):
+        a, c = rows[:, j - 1], rows[:, j]
+        code = a.astype(np.int64) * k + c
+        at = np.searchsorted(codes, code)
+        ok &= (c >= 0) & (codes[at] == code)
+        idx = starts[j - 1][np.where(ok, idx, 0)] + at - indptr[a]
+    return np.where(ok, idx, -1)
 
 
 def admissible_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> list:
@@ -293,7 +334,7 @@ def admissible_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CA
     admissible).  Refuses with :class:`EnumerationCapExceeded` when the result
     would exceed ``cap`` entries.
     """
-    return ts.alphabet.words_of(_word_ranks(ts, n, cap))
+    return ts.alphabet.words_of(_word_trie(ts, n, cap)[0])
 
 
 def nonempty_cylinder_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> list:
@@ -404,10 +445,9 @@ def scc_quotient(ts: TransitionStructure) -> QuotientDag:
 
 
 def _quotient(ts: TransitionStructure) -> QuotientDag:
-    """Components, reach masks, periods and BFS distances from the pair codes.
-
-    A component's period is the gcd of dist(a) + 1 - dist(b) over its
-    entries (a, b), dist the BFS distance from its first symbol inside it."""
+    """Components, reach masks, periods and BFS distances from the pair codes
+    (periods and distances by ``_periods``, from each component's first
+    symbol)."""
     k = len(ts.alphabet)
     codes = ts.pair_codes
     heads, tails = codes // k, codes % k
@@ -423,15 +463,62 @@ def _quotient(ts: TransitionStructure) -> QuotientDag:
     loops[heads[heads == tails]] = True
     cyclic = [len(comp) > 1 or bool(loops[comp[0]]) for comp in comps]
 
-    # Entries inside a component are exactly those of the cyclic ones; one
-    # BFS from every cyclic component's first symbol at once stays inside
-    # each component along them.
+    dist, period = _periods(heads, tails, labels, [comp[0] for comp, cyc in zip(comps, cyclic) if cyc])
+
+    syms = ts.alphabet.symbols
+    infos = tuple(
+        ComponentInfo(
+            symbols=tuple(syms[r] for r in comp),
+            irreducible=cyc,
+            has_periodic_point=cyc,
+            period=period[c] if cyc else None,
+        )
+        for c, (comp, cyc) in enumerate(zip(comps, cyclic))
+    )
+
+    # One-step edges between components, then reflexive-transitive closure:
+    # Tarjan emits each component after every component it reaches, so one
+    # pass in emission order closes the relation.
+    m = len(comps)
+    steps = [[] for _ in comps]
+    cross = labels[heads] != labels[tails]
+    cross = np.unique(labels[heads[cross]] * m + labels[tails[cross]]).tolist()
+    for c, d in (divmod(code, m) for code in cross):
+        steps[c].append(d)
+    reach = [0] * m
+    for scc in sccs:
+        c = int(labels[scc[0]])
+        mask = 1 << c
+        for d in steps[c]:
+            mask |= reach[d]
+        reach[c] = mask
+    return QuotientDag(
+        components=infos,
+        reach=tuple(reach),
+        isolated=tuple(syms[r] for r in np.flatnonzero(~active).tolist()),
+        labels=labels,
+        distances=dist,
+    )
+
+
+def _periods(heads: np.ndarray, tails: np.ndarray, labels: np.ndarray, roots) -> tuple:
+    """BFS distances and periods of the cyclic components of a graph.
+
+    The edges (heads[i], tails[i]) are sorted by head; ``labels`` gives each
+    vertex's component and ``roots`` the first vertex of each cyclic one.
+    Edges inside a component are exactly those of the cyclic ones; one BFS
+    from every root at once stays inside each component along them, and
+    dist is -1 off the cyclic components.  A component's period is the gcd
+    of dist(a) + 1 - dist(b) over its inner edges (a, b).  Returns
+    (dist, {label: period}).
+    """
+    n = len(labels)
     inner = labels[heads] == labels[tails]
     a, b = heads[inner], tails[inner]
-    inner_ptr = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=k)))).tolist()
+    inner_ptr = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n)))).tolist()
     inner_succ = b.tolist()
-    dist = [-1] * k
-    frontier = [comp[0] for comp, cyc in zip(comps, cyclic) if cyc]
+    dist = [-1] * n
+    frontier = list(roots)
     for s in frontier:
         dist[s] = 0
     while frontier:
@@ -451,40 +538,8 @@ def _quotient(ts: TransitionStructure) -> QuotientDag:
     if len(order):
         gcds = np.abs(np.gcd.reduceat((dist[a] + 1 - dist[b])[order], starts))
         period = dict(zip(owners.tolist(), gcds.tolist()))
+    return dist, period
 
-    syms = ts.alphabet.symbols
-    infos = tuple(
-        ComponentInfo(
-            symbols=tuple(syms[r] for r in comp),
-            irreducible=cyc,
-            has_periodic_point=cyc,
-            period=period[c] if cyc else None,
-        )
-        for c, (comp, cyc) in enumerate(zip(comps, cyclic))
-    )
-
-    # One-step edges between components, then reflexive-transitive closure:
-    # Tarjan emits each component after every component it reaches, so one
-    # pass in emission order closes the relation.
-    m = len(comps)
-    steps = [[] for _ in comps]
-    cross = np.unique(labels[heads[~inner]] * m + labels[tails[~inner]]).tolist()
-    for c, d in (divmod(code, m) for code in cross):
-        steps[c].append(d)
-    reach = [0] * m
-    for scc in sccs:
-        c = int(labels[scc[0]])
-        mask = 1 << c
-        for d in steps[c]:
-            mask |= reach[d]
-        reach[c] = mask
-    return QuotientDag(
-        components=infos,
-        reach=tuple(reach),
-        isolated=tuple(syms[r] for r in np.flatnonzero(~active).tolist()),
-        labels=labels,
-        distances=dist,
-    )
 
 
 # -- periods ------------------------------------------------------------------

@@ -18,7 +18,7 @@ system, which the escape-rate identity needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Optional
@@ -29,7 +29,9 @@ from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
 from .potentials import Potential, summability_certificate
-from .shifts import TransitionStructure, _extend_ranks, _ranges, _tarjan_sccs, _word_ranks
+from .shifts import (
+    TransitionStructure, _extend_ranks, _periods, _ranges, _tarjan_sccs, _walk, _word_trie,
+)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -44,7 +46,11 @@ class TransferMatrix:
 
     ``ranks`` holds the index words as alphabet ranks of the index
     structure, one int32 row per word in lexicographic order; ``words`` is
-    their tuple view, built on first use.
+    their tuple view, built on first use.  The index words are the W_m
+    words (admissible, length m) whose cylinder is nonempty: ``starts`` are
+    the links of their enumeration (``shifts._word_trie``), which
+    ``shifts._walk`` descends to find any admissible word, and
+    ``positions`` holds each index word's position in W_m.
     """
 
     depth: int
@@ -53,6 +59,8 @@ class TransferMatrix:
     governing: TransitionStructure
     index_structure: TransitionStructure
     potential: Potential
+    starts: tuple = field(compare=False, repr=False)
+    positions: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def words(self) -> tuple:
@@ -116,20 +124,38 @@ def build_transfer_matrix(
         raise PreconditionError(
             f"matrix depth {m} too small for potential depth {phi.depth}"
         )
-    ranks = _word_ranks(ind, m)
-    ranks = ranks[ind.viable_ranks[ranks[:, -1]]]
+    rows, starts, suf = _word_trie(ind, m)
+    viable = ind.viable_ranks[rows[:, -1]]
+    positions = np.flatnonzero(viable)
+    ranks = rows.take(positions, axis=0)
     n = len(ranks)
     # Source w and successor c give the entry (w[1:] + (c,), w) when the
     # target's cylinder is nonempty and the governing table allows w[0] -> w[1].
-    ext, src = _extend_ranks(ind, ranks, 1)
-    keep = ind.viable_ranks[ext[:, -1]] & _allows(ts, ext[:, 0], ext[:, 1])
-    ext, src = ext[keep], src[keep]
-    tgt = np.searchsorted(_lex_keys(ranks), _lex_keys(ext[:, 1:]))
-    # Rows of ext are in lexicographic order, so equal d-prefixes are adjacent.
-    pre = ext[:, : phi.depth]
-    fresh = np.ones(len(pre), dtype=bool)
-    fresh[1:] = (pre[1:] != pre[:-1]).any(axis=1)
-    table = [math.exp(phi.value(w)) for w in ind.alphabet.words_of(pre[fresh])]
+    # The target extends w[1:] (at suf(w) in W_{m-1}) by c, at c's offset
+    # among the successors of w's last symbol; at m = 1 it is c itself.
+    indptr, succ = ind.successor_ranks
+    first = indptr[ranks[:, -1]]
+    src, pos = _ranges(first, indptr[ranks[:, -1] + 1] - first)
+    c = succ[pos]
+    if m == 1:
+        tgt, allowed = c, _allows(ts, ranks[src, 0], c)
+    else:
+        tgt = (starts[m - 2][suf[positions]] - first)[src] + pos
+        allowed = _allows(ts, ranks[:, 0], ranks[:, 1])[src]
+    keep = ind.viable_ranks[c] & allowed
+    src, c = src[keep], c[keep]
+    tgt = (np.cumsum(viable) - 1)[tgt[keep]]
+    # Sources are in lexicographic order, so equal d-prefixes are adjacent;
+    # at d = m + 1 the prefix is the whole extended word, new at every entry.
+    d = phi.depth
+    if d <= m:
+        pid = _walk(ind, starts, ranks[:, :d])[src]
+        fresh = np.diff(pid, prepend=-1) != 0
+        pre = ranks[src[fresh], :d]
+    else:
+        fresh = np.ones(len(src), dtype=bool)
+        pre = np.column_stack((ranks[src], c))
+    table = [math.exp(phi.value(w)) for w in ind.alphabet.words_of(pre)]
     vals = np.array(table, dtype=float)[np.cumsum(fresh) - 1]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     mat = sp.csc_matrix((vals, tgt, indptr), shape=(n, n)).tocsr()
@@ -140,18 +166,9 @@ def build_transfer_matrix(
         governing=ts,
         index_structure=ind,
         potential=phi,
+        starts=starts,
+        positions=positions,
     )
-
-
-def _lex_keys(rows: np.ndarray) -> np.ndarray:
-    """Rank rows as big-endian byte strings, ordered like the rows themselves."""
-    rows = np.ascontiguousarray(rows, dtype=">i4")
-    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
-
-
-def _key_rows(keys: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of ``_lex_keys``: the rank rows of the keys."""
-    return keys.view(">i4").reshape(len(keys), width).astype(np.int32)
 
 
 def _allows(ts: TransitionStructure, a: np.ndarray, b: np.ndarray):
@@ -253,12 +270,15 @@ def _cylinder_masses(tm: TransferMatrix, h, nu, lam: float, cylinders) -> np.nda
     one that meets no index word mass 0."""
     rank, m, phi = tm.index_structure.alphabet.rank, tm.depth, tm.potential
 
-    def rows_of(rows, words):
-        """Position of each word among the distinct sorted ``rows``, or -1."""
-        keys = _lex_keys(rows)
-        query = _lex_keys(np.array([[rank.get(s, -1) for s in w] for w in words], dtype=np.int32))
-        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        return np.where(keys[pos] == query, pos, -1)
+    def walk(rows):
+        return _walk(tm.index_structure, tm.starts, rows)
+
+    def rows_of(at, words):
+        """Row of each word among the sorted W_k positions ``at`` (k the
+        words' length), or -1."""
+        query = walk(np.array([[rank.get(s, -1) for s in w] for w in words], dtype=np.int32))
+        pos = np.minimum(np.searchsorted(at, query), len(at) - 1)
+        return np.where((query >= 0) & (at[pos] == query), pos, -1)
 
     cylinders = [tuple(w) for w in cylinders]
     out = np.array([0.0 if w else 1.0 for w in cylinders])
@@ -266,14 +286,14 @@ def _cylinder_masses(tm: TransferMatrix, h, nu, lam: float, cylinders) -> np.nda
         cs = [c for c, w in enumerate(cylinders) if len(w) == k]
         words = [cylinders[c] for c in cs]
         if k <= m:
-            pre = tm.ranks[:, :k]
-            fresh = np.r_[True, (pre[1:] != pre[:-1]).any(axis=1)]
+            pre = walk(tm.ranks[:, :k])
+            fresh = np.diff(pre, prepend=-1) != 0
             sums = np.bincount(np.cumsum(fresh) - 1, weights=h * nu)
             row = rows_of(pre[fresh], words)
             out[cs] = np.where(row >= 0, sums[row], 0.0)
         else:
-            heads = rows_of(tm.ranks, [w[:m] for w in words])
-            tails = rows_of(tm.ranks, [w[-m:] for w in words])
+            heads = rows_of(tm.positions, [w[:m] for w in words])
+            tails = rows_of(tm.positions, [w[-m:] for w in words])
             for c, w, i, j in zip(cs, words, heads, tails):
                 if tm.index_structure.has_nonempty_cylinder(w) and nu[j] > 0.0:
                     steps = (phi.value(w[s : s + phi.depth]) - math.log(lam) for s in range(k - m))
@@ -355,33 +375,44 @@ def _dominant(logs, what: str) -> int:
     return tied[0]
 
 
-def _block_pair(mat, p: int, tol: float, max_iter: int):
-    """(g, nu, matvecs, (right ok, left ok)) of a matrix not known irreducible,
-    through its Frobenius normal form: ``_tarjan_sccs`` splits the nonzero
-    pattern (an underflowed explicit 0 is no entry) into strongly connected
-    components, numbered by first row; each cyclic one gets both loops on its
-    diagonal block, and ``_extend`` carries the ``_dominant`` one's pair."""
+def _block_pair(mat, tol: float, max_iter: int):
+    """(g, nu, matvecs, (right ok, left ok), period) of a matrix not known
+    irreducible, through its Frobenius normal form: ``_tarjan_sccs`` splits
+    the nonzero pattern (an underflowed explicit 0 is no entry) into
+    strongly connected components, numbered by first row; each cyclic one
+    gets both loops on its diagonal block with its own period (``_periods``),
+    and ``_extend`` carries the ``_dominant`` one's pair, whose period is
+    returned."""
     live = sp.csr_matrix(mat, dtype=np.float64, copy=True)
     live.eliminate_zeros()
+    n = live.shape[0]
     loops = live.diagonal() != 0.0
-    sccs = _tarjan_sccs(range(live.shape[0]), live.indptr.tolist(), live.indices.tolist())
-    blocks = sorted(sorted(c) for c in sccs if len(c) > 1 or loops[c[0]])
+    sccs = _tarjan_sccs(range(n), live.indptr.tolist(), live.indices.tolist())
+    comps = sorted(sorted(c) for c in sccs)
+    blocks = [c for c in comps if len(c) > 1 or loops[c[0]]]
     if not blocks:
         raise PreconditionError(
             "zero spectral radius: the governing structure has no periodic point"
         )
+    labels = np.empty(n, dtype=np.int64)
+    for c, rows in enumerate(comps):
+        labels[rows] = c
+    heads = np.repeat(np.arange(n), np.diff(live.indptr))
+    _, period = _periods(heads, live.indices, labels, [rows[0] for rows in blocks])
     pairs, its, ok_g, ok_l = [], 0, True, True
     for rows in blocks:
         sub = live[rows][:, rows]
+        p = period[int(labels[rows[0]])]
         _, g, it_g, og = _perron_vector(sub, p, tol, max_iter)
         _, nu, it_l, ol = _perron_vector(sub.T, p, tol, max_iter)
-        pairs.append((float(nu @ (sub @ g)) / float(nu @ g), g, nu))
+        pairs.append((float(nu @ (sub @ g)) / float(nu @ g), g, nu, p))
         its, ok_g, ok_l = its + it_g + it_l, ok_g and og, ok_l and ol
-    dom = _dominant([math.log(lam) for lam, _, _ in pairs], "block")
-    rows = np.zeros(live.shape[0], dtype=bool)
+    dom = _dominant([math.log(lam) for lam, _, _, _ in pairs], "block")
+    rows = np.zeros(n, dtype=bool)
     rows[blocks[dom]] = True
-    g, nu = _extend(live, rows, *pairs[dom], nilpotent=len(blocks) == 1)
-    return g / float(g.max()), nu, its, (ok_g, ok_l)
+    lam, g, nu, p = pairs[dom]
+    g, nu = _extend(live, rows, lam, g, nu, nilpotent=len(blocks) == 1)
+    return g / float(g.max()), nu, its, (ok_g, ok_l), p
 
 
 def _extend(mat, rows, lam, h1, nu1, nilpotent: bool) -> tuple:
@@ -418,11 +449,13 @@ def _extend(mat, rows, lam, h1, nu1, nilpotent: bool) -> tuple:
 
 def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=None,
                  what: str = "") -> RpfTriplet:
-    """Right and left Perron vectors of the nonnegative sparse ``mat`` of period p.
+    """Right and left Perron vectors of the nonnegative sparse ``mat``.
 
     With ``irreducible`` (the caller knows the nonzero entries form an
-    irreducible graph) one ``_perron_vector`` loop on ``mat`` and one on its
-    transpose, otherwise the block route of ``_block_pair``; nu is
+    irreducible graph of period p) one ``_perron_vector`` loop on ``mat``
+    and one on its transpose, otherwise the block route of ``_block_pair``,
+    whose blocks take their own periods; ``period_used`` is the period of
+    the loops that gave the pair.  nu is
     normalized to sum one and the radius is the Rayleigh quotient
     nu(mat g) / nu(g).  The pair converged when every loop stopped and both
     relative residuals are at most ten times ``tol``; otherwise
@@ -436,7 +469,7 @@ def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=N
         _, nu, it_nu, ok_l = _perron_vector(mat.T, p, tol, max_iter)
         its = it_g + it_nu
     else:
-        g, nu, its, (ok_g, ok_l) = _block_pair(mat, p, tol, max_iter)
+        g, nu, its, (ok_g, ok_l), p = _block_pair(mat, tol, max_iter)
     nu = nu / float(nu.sum())
     lg = mat @ g
     lam = float(nu @ lg) / float(nu @ g)
@@ -556,18 +589,24 @@ def _continuation_bounds(tm: TransferMatrix) -> tuple:
     m, d = tm.depth, phi.depth
     # Continuations past v depend only on its last d - 1 symbols (at least
     # one): extend each distinct suffix once and keep the viable ends.
+    # The rows are found by their positions among the admissible words
+    # (``_walk``), which sort like the rows themselves.
     width = max(d - 1, 1)
-    keys, of_word = np.unique(_lex_keys(tm.ranks[:, m - width :]), return_inverse=True)
-    ctx, of_ctx = _extend_ranks(ts, _key_rows(keys, width), d - 1)
+    suffixes = tm.ranks[:, m - width :]
+    _, one, of_word = np.unique(_walk(ts, tm.starts, suffixes), return_index=True, return_inverse=True)
+    ctx, of_ctx = _extend_ranks(ts, suffixes[one], d - 1)
     live = ts.viable_ranks[ctx[:, -1]]
-    ctx, count = ctx[live], np.bincount(of_ctx[live], minlength=len(keys))
+    ctx, count = ctx[live], np.bincount(of_ctx[live], minlength=len(one))
     first = np.cumsum(count) - count
     parent, row = _ranges(first[of_word], count[of_word])
+    # Every index word ends in a viable symbol, so it has a continuation.
+    runs = np.cumsum(count[of_word]) - count[of_word]
     # Windows j <= m - d lie inside v; the d - 1 later ones run into ctx.
     wins = [tm.ranks[:, j : j + d] for j in range(m - d + 1)]
     wins += [ctx[:, j : j + d] for j in range(d - 1)]
-    uniq, inv = np.unique(_lex_keys(np.concatenate(wins)), return_inverse=True)
-    table = [phi.value(w) for w in ts.alphabet.words_of(_key_rows(uniq, d))]
+    at = np.concatenate([_walk(ts, tm.starts, w) for w in wins])
+    _, one, inv = np.unique(at, return_index=True, return_inverse=True)
+    table = [phi.value(w) for w in ts.alphabet.words_of(np.concatenate(wins)[one])]
     vals = np.split(np.array(table, dtype=float)[inv], np.cumsum([len(w) for w in wins]))
     inner = np.zeros(tm.dim)
     for j in range(m - d + 1):
@@ -575,11 +614,7 @@ def _continuation_bounds(tm: TransferMatrix) -> tuple:
     total = inner[parent]
     for j in range(m - d + 1, m):
         total += vals[j][row]
-    sup = np.full(tm.dim, -np.inf)
-    inf = np.full(tm.dim, np.inf)
-    np.maximum.at(sup, parent, total)
-    np.minimum.at(inf, parent, total)
-    return sup, inf
+    return np.maximum.reduceat(total, runs), np.minimum.reduceat(total, runs)
 
 
 def topological_pressure(
@@ -615,11 +650,9 @@ def topological_pressure(
     ones = np.ones(tm.dim)
     for k, log_scale, u in chain([(0, 0.0, ones)], _orbit(tm, ones, n_max - m, np.ndarray.sum)):
         n = m + k
-        with np.errstate(divide="ignore"):
-            logs_sup = np.log(u, out=np.full_like(u, -np.inf), where=u > 0) + rsup
-            logs_inf = np.log(u, out=np.full_like(u, -np.inf), where=u > 0) + rinf
-        uppers[n] = (log_scale + _logsumexp(logs_sup)) / n
-        infs[n] = (log_scale + _logsumexp(logs_inf)) / n
+        logs = np.log(u, out=np.full_like(u, -np.inf), where=u > 0)
+        uppers[n] = (log_scale + _logsumexp(logs + rsup)) / n
+        infs[n] = (log_scale + _logsumexp(logs + rinf)) / n
 
     # Lower route: return sums pinned at one cycle word per cyclic component.
     lowers = {n: -math.inf for n in uppers}

@@ -121,6 +121,12 @@ class TestPressureTrace:
             assert abs(trace.lam_limit - ref.lam_limit) <= 1e-12
             assert max(abs(a - b) for a, b in zip(trace.lams, ref.lams)) <= 1e-12
 
+    def test_max_iter_caps_every_solve(self):
+        from ruelle import ConvergenceError
+
+        with pytest.raises(ConvergenceError):
+            pressure_convergence_trace(zero_potential(f1()), golden_hole(), [1.0, 0.5], max_iter=1)
+
     def test_two_cycle_hole_limit_one(self):
         hole = HoleSpec(closed=f1(), open_=f3())
         eps = [2.0**-j for j in range(0, 16, 3)]
@@ -145,6 +151,23 @@ class TestGibbsTrace:
         cyls = [(0,), (1,), (0, 1)]
         trace = gibbs_convergence_trace(zero_potential(f1()), hole, [1.0, 0.5], cyls)
         assert all(d <= 1e-11 for d in trace.mass_distances)
+
+    def test_one_solve_per_operator(self, monkeypatch):
+        import ruelle.perturbation as perturbation
+
+        solve, solved = perturbation.rpf_triplet, []
+
+        def counting(tm, *args, **kwargs):
+            solved.append(tm)
+            return solve(tm, *args, **kwargs)
+
+        monkeypatch.setattr(perturbation, "rpf_triplet", counting)
+        eps = [2.0**-j for j in range(21)]
+        trace = gibbs_convergence_trace(zero_potential(f1()), golden_hole(), eps, [(0,), (0, 1)])
+        # 21 perturbed operators and one open operator, which gives both
+        # the limit masses and the limit radius.
+        assert len(solved) == len(eps) + 1 == 22
+        assert trace.lam_limit == pytest.approx(PHI, rel=1e-12)
 
     def test_tie_surfaces(self):
         from ruelle import from_entries

@@ -125,6 +125,17 @@ class TestRpfTriplet:
         assert trip.period_used == 2
         assert np.allclose(trip.g, 1.0)
 
+    def test_underflowed_block_takes_its_own_period(self):
+        # The loops underflow: the operator is the 2-cycle [[0, e], [1, 0]]
+        # on a structure of period 1.
+        ts = full_shift((0, 1))
+        phi = potential_from_weights({(0, 0): -800.0, (1, 1): -800.0, (0, 1): 0.0, (1, 0): 1.0})
+        tm = build_transfer_matrix(ts, phi)
+        assert tm.cesaro_period == 1 and not tm.irreducible
+        trip = rpf_triplet(tm, max_iter=2000)
+        assert trip.converged and trip.period_used == 2
+        assert abs(trip.lam - math.exp(0.5)) <= 1e-13 * math.exp(0.5)
+
     def test_residuals_tiny(self):
         ts, phi = random5_primitive()
         trip = rpf_triplet(build_transfer_matrix(ts, phi))
@@ -479,6 +490,13 @@ def _assembly_cases():
     # 5000**6 exceeds the int64 range: no rank code of a depth-6 word fits.
     cycle = _cycle_structure(5000)
     yield "cycle5000-m6", cycle, _seeded_weights(cycle, 2, 15), 6, None
+    # At m = 1 a depth-2 potential's prefix is the whole extended word and
+    # the target is the successor itself.
+    yield "open-on-closed-m1", hole.open_, _seeded_weights(full4, 2, 19), 1, hole.closed
+    # 10000**5 exceeds the int64 range too, over only 160k words.
+    big_renewal = renewal_structure(10000)
+    yield "renewal10000-m5", big_renewal, _seeded_weights(big_renewal, 2, 20), 5, None
+    yield "full4-m6", full4, phi3, 6, None
 
 
 @pytest.mark.parametrize("case", list(_assembly_cases()), ids=lambda c: c[0])
@@ -743,6 +761,23 @@ class TestCylinderMasses:
                 per = dec.peripherals[0]
                 masses = self._check(dec.tm, per.h.real, per.nu.real, dec.lam)
                 assert masses[(2,)] == pytest.approx(0.0, abs=1e-12)
+
+    def test_reducible_fixture_words_off_the_index(self):
+        # Every word over the closed alphabet: the open index misses those
+        # with a hole pair, at lengths up to m and past it.
+        from ruelle.transfer import _cylinder_masses
+
+        hole = _reducible_hole()
+        tm = build_transfer_matrix(hole.open_, _seeded_weights(hole.closed, 2, 21), depth=2)
+        trip = rpf_triplet(tm)
+        cyl = [w for n in range(1, 5) for w in admissible_words(hole.closed, n)]
+        got = _cylinder_masses(tm, trip.h, trip.nu, trip.lam, cyl)
+        want = _reference_masses(tm, trip.h, trip.nu, trip.lam, cyl)
+        for w, a, b in zip(cyl, got.tolist(), want):
+            assert abs(a - b) <= 1e-15 * abs(b), w
+        off = [w for w in cyl if not hole.open_.is_admissible(w)]
+        assert {len(w) for w in off} == {2, 3, 4}
+        assert all(got[cyl.index(w)] == 0.0 for w in off)
 
     def test_mass_routines_never_read_the_word_tuples(self, monkeypatch):
         from ruelle import HoleSpec, gibbs_check, gibbs_convergence_trace
