@@ -171,8 +171,8 @@ def _masses(trip, cylinders) -> dict:
 
 
 def _open_triplet(phi: Potential, hole: HoleSpec, depth, tol: float, max_iter: int):
-    """One ``rpf_triplet`` on the subsystem's operator; a reducible subsystem
-    takes its block route, which requires a unique dominant block."""
+    """The ``rpf_triplet`` of the subsystem's operator, whose radius is the
+    schedule's limit."""
     tm = build_transfer_matrix(hole.open_, phi, depth=depth)
     return rpf_triplet(tm, tol=tol, max_iter=max_iter)
 
@@ -241,8 +241,11 @@ def limit_invariant_masses(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> dict:
-    """Cylinder masses of the open system's invariant measure h nu
-    (``_open_triplet``)."""
+    """Cylinder masses of the open system's invariant measure h nu.
+
+    One ``rpf_triplet`` on the subsystem's operator; a reducible subsystem
+    takes its block route, which requires a unique dominant block.
+    """
     return _masses(_open_triplet(phi, hole, depth, tol, max_iter), [tuple(w) for w in cylinders])
 
 

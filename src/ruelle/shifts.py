@@ -289,18 +289,18 @@ def _word_trie(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> 
             f"enumeration too large: |W_{n}| = {total} exceeds cap {cap}"
         )
     indptr, succ = ts.successor_ranks
+    degree = np.diff(indptr)
     rows = np.arange(len(ts.alphabet), dtype=np.int32)[:, None]
     starts, suf = [], np.zeros(len(rows), dtype=np.int64)
     for _ in range(n - 1):
-        first = indptr[rows[:, -1]]
-        count = indptr[rows[:, -1] + 1] - first
+        first, count = indptr[rows[:, -1]], degree[rows[:, -1]]
         src, pos = _ranges(first, count)
         # The suffix of p.c is the suffix of p extended by c, which sits at
         # c's offset among the successors of p's last symbol; that of a.c is c.
         suf = starts[-1][suf[src]] + (pos - first[src]) if starts else succ[pos].astype(np.int64)
         starts.append(np.concatenate(([0], np.cumsum(count))))
         rows = np.column_stack((rows[src], succ[pos]))
-    starts.append(np.concatenate(([0], np.cumsum(np.diff(indptr)[rows[:, -1]]))))
+    starts.append(np.concatenate(([0], np.cumsum(degree[rows[:, -1]]))))
     return rows, tuple(starts), suf
 
 
