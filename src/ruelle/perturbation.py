@@ -222,15 +222,14 @@ def pressure_convergence_trace(
     epsilons: Sequence[float],
     depth: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PerturbationTrace:
     """Perturbed radii along a decreasing schedule, with the open-system limit.
 
     The radii are nonincreasing and bounded below by the open radius, so the
     final bracket [open radius, last radius] always contains the limit.
     """
-    lam_open = _open_triplet(phi, hole, depth, tol, max_iter).lam
-    return _schedule_trace(phi, hole, epsilons, lam_open, depth, tol, max_iter=max_iter)[0]
+    lam_open = _open_triplet(phi, hole, depth, tol, DEFAULT_MAX_ITER).lam
+    return _schedule_trace(phi, hole, epsilons, lam_open, depth, tol)[0]
 
 
 def limit_invariant_masses(

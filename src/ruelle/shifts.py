@@ -501,6 +501,9 @@ def _quotient(ts: TransitionStructure) -> QuotientDag:
     )
 
 
+# -- periods ------------------------------------------------------------------
+
+
 def _periods(heads: np.ndarray, tails: np.ndarray, labels: np.ndarray, roots) -> tuple:
     """BFS distances and periods of the cyclic components of a graph.
 
@@ -539,10 +542,6 @@ def _periods(heads: np.ndarray, tails: np.ndarray, labels: np.ndarray, roots) ->
         gcds = np.abs(np.gcd.reduceat((dist[a] + 1 - dist[b])[order], starts))
         period = dict(zip(owners.tolist(), gcds.tolist()))
     return dist, period
-
-
-
-# -- periods ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -121,12 +121,6 @@ class TestPressureTrace:
             assert abs(trace.lam_limit - ref.lam_limit) <= 1e-12
             assert max(abs(a - b) for a, b in zip(trace.lams, ref.lams)) <= 1e-12
 
-    def test_max_iter_caps_every_solve(self):
-        from ruelle import ConvergenceError
-
-        with pytest.raises(ConvergenceError):
-            pressure_convergence_trace(zero_potential(f1()), golden_hole(), [1.0, 0.5], max_iter=1)
-
     def test_two_cycle_hole_limit_one(self):
         hole = HoleSpec(closed=f1(), open_=f3())
         eps = [2.0**-j for j in range(0, 16, 3)]
