@@ -24,7 +24,9 @@ import numpy as np
 from .errors import ConfigError, PreconditionError
 from .potentials import DEFAULT_THETA, Potential, TailModel
 from .shifts import TransitionStructure, Alphabet, renewal_structure
-from .transfer import DEFAULT_TOL, build_transfer_matrix, rpf_triplet
+from .transfer import (
+    DEFAULT_MAX_ITER, DEFAULT_TOL, _perron_pair, build_transfer_matrix, rpf_triplet,
+)
 
 DEFAULT_S_RANGE = (0.0, 8.0)
 
@@ -153,14 +155,8 @@ def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalRepo
         if i + 1 <= spec.truncation:
             kernel[(i, i + 1)] = 1.0
         prod_b *= spec.b(i)
-    row_sums = {
-        i: sum(v for (r, _), v in kernel.items() if r == i)
-        for i in range(1, spec.truncation + 1)
-    }
-    col_sums = {
-        j: sum(v for (_, c), v in kernel.items() if c == j)
-        for j in range(1, spec.truncation + 1)
-    }
+    row_sums = _pair_sums(kernel, 0, spec.truncation)
+    col_sums = _pair_sums(kernel, 1, spec.truncation)
 
     # Forward kernel of the invariant chain (row-stochastic by construction).
     nu = trip.nu
@@ -169,9 +165,7 @@ def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalRepo
         wi, wj = idx[(i,)], idx[(j,)]
         if nu[wi] > 0:
             fwd[(i, j)] = math.exp(phi.value((i, j))) * nu[wj] / (lam_m * nu[wi])
-    fwd_rows = {
-        i: sum(v for (r, _), v in fwd.items() if r == i) for i in range(1, spec.truncation + 1)
-    }
+    fwd_rows = _pair_sums(fwd, 0, spec.truncation)
 
     # Deep in the chain the kernel and h underflow; pairs with a value below
     # the smallest normal float have no usable logarithm and are left out.
@@ -208,6 +202,15 @@ def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalRepo
         cohomology_residual=resid,
         notes=notes,
     )
+
+
+def _pair_sums(table: dict, axis: int, n: int) -> dict:
+    """Sum of ``table``'s values per coordinate ``axis`` of their pair keys,
+    for the symbols 1 .. n: one pass in insertion order, from the int 0."""
+    out = dict.fromkeys(range(1, n + 1), 0)
+    for key, v in table.items():
+        out[key[axis]] += v
+    return out
 
 
 # -- graph-directed function systems ------------------------------------------------
@@ -384,7 +387,10 @@ def locally_constant_analysis(
     tm_k = build_transfer_matrix(ts, phi, depth=k_eff)
     trip_k = rpf_triplet(tm_k, tol=tol)
     tm_fine = build_transfer_matrix(ts, phi, depth=k_eff + 1)
-    trip_fine = rpf_triplet(tm_fine, tol=tol)
+    # The fine pair's own loops: rpf_triplet would lift the coarse pair,
+    # whose deviation from it is 0 by construction.
+    trip_fine = _perron_pair(tm_fine.matrix, tm_fine.cesaro_period, tol, DEFAULT_MAX_ITER,
+                             tm_fine.irreducible, tm_fine)
     dev = 0.0
     for w, i in tm_fine.word_index.items():
         coarse = trip_k.g[tm_k.word_index[w[:k_eff]]]

@@ -31,6 +31,8 @@ from .transfer import (
     _cylinder_masses,
     _dominant,
     _extend,
+    _lift,
+    _minimal,
     _perron_pair,
     build_transfer_matrix,
     rpf_triplet,
@@ -350,7 +352,10 @@ def component_pressures(
 ) -> tuple:
     """Log spectral radius of the restriction to each transitive component,
     -inf for one without a cycle, from ``_component_pairs``."""
-    pairs = _component_pairs(build_transfer_matrix(ts, phi, depth=depth), tol, max_iter)
+    # The radii are those of every exact depth: solve at the least one.
+    b = max(phi.depth - 1, 1)
+    tm = build_transfer_matrix(ts, phi, depth=b if depth is None else min(depth, b))
+    pairs = _component_pairs(tm, tol, max_iter)
     return tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
 
 
@@ -386,15 +391,18 @@ def component_decomposition(
 ) -> SpectralDecomposition:
     """Decomposition for a reducible structure with one dominant component.
 
-    The operator is assembled once; each component's pressure comes from its
-    diagonal block (``_component_pairs``).  The dominant block's peripheral
-    pair extends across the remaining blocks by resolvent solves; the
+    Each component's pressure comes from its diagonal block
+    (``_component_pairs``) in the reduction at the potential's least exact
+    depth; above it the dominant block's pair is lifted to ``depth`` like
+    ``rpf_triplet``'s (``transfer._lift``).  Its peripheral pair extends
+    across the remaining blocks by resolvent solves; the
     eigenfunction spreads to components reachable from the dominant one, the
     eigenvector to components that reach it.  A pressure tie within
     ``TIE_RTOL`` is an error carrying the tied set.
     """
     tm = build_transfer_matrix(ts, phi, depth=depth)
-    pairs = _component_pairs(tm, tol, max_iter)
+    small = _minimal(tm)
+    pairs = _component_pairs(small, tol, max_iter)
     pressures = tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
     if not math.isfinite(max(pressures)):
         raise PreconditionError("no component carries a cycle; spectral radius is zero")
@@ -402,8 +410,18 @@ def component_decomposition(
     dag = ts.quotient
     classes = period_classes(ts, component=dag.components[dom].symbols)
     rows, pair = pairs[dom]
+    h, nu = pair.h, pair.nu
+    if small is not tm:
+        # Pad the block pair to the whole index, lift it and keep the deep
+        # words inside the dominant component.
+        g, nu = np.zeros(small.dim), np.zeros(small.dim)
+        g[rows], nu[rows] = pair.g, pair.nu
+        g, nu = _lift(tm, small, g, nu, pair.lam)
+        rows = (dag.labels[tm.ranks] == dom).all(axis=1)
+        g, nu = g[rows], nu[rows] / float(nu[rows].sum())
+        h = g / float(nu @ g)
     dec = _decompose(
-        tm, rows, classes, math.exp(pressures[dom]), pair.h, pair.nu,
+        tm, rows, classes, math.exp(pressures[dom]), h, nu,
         component_pressures=pressures, dominant_component=dom,
     )
     return replace(dec, support_patterns=_support_patterns(tm, dag, dom, dec.peripherals))

@@ -18,7 +18,7 @@ system, which the escape-rate identity needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Optional
@@ -512,16 +512,84 @@ def rpf_triplet(
     ``_perron_vector`` (the peripheral rotation of a period-p structure
     defeats plain iteration), run by ``_perron_pair``; the radius is the
     Rayleigh quotient of the pair; an operator not ``tm.irreducible`` takes
-    its block route.  A zero radius (no periodic point in the governing
-    table) and a tie for the largest radius (NonUniqueDominantError) are
-    precondition errors; a run that misses ``tol`` raises ConvergenceError
-    carrying the partial triplet.
+    its block route.  Above the potential's least exact depth b the pair is
+    solved on the depth-b reduction (``_minimal``) and lifted exactly
+    (``_lifted``), so the radius, ``iterations`` and ``period_used`` are
+    those of depth b and the residuals are taken at ``tm``'s depth.  A zero
+    radius (no periodic point in the governing table) and a tie for the
+    largest radius (NonUniqueDominantError) are precondition errors; a run
+    that misses ``tol`` raises ConvergenceError carrying the partial
+    triplet.
     """
     if tm.dim == 0:
         raise PreconditionError(
             "zero spectral radius: the index carries no nonempty cylinders"
         )
-    return _perron_pair(tm.matrix, tm.cesaro_period, tol, max_iter, tm.irreducible, tm)
+    small = _minimal(tm)
+    if small is tm:
+        return _perron_pair(tm.matrix, tm.cesaro_period, tol, max_iter, tm.irreducible, tm)
+    b = small.depth
+    try:
+        pair = _perron_pair(small.matrix, small.cesaro_period, tol, max_iter, small.irreducible,
+                            small)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"depth-{b} reduction: {exc}", partial=_lifted(tm, small, exc.partial, tol)
+        ) from exc
+    trip = _lifted(tm, small, pair, tol)
+    if not trip.converged:
+        raise ConvergenceError(
+            f"the depth-{b} pair converged but a residual of its lift to depth {tm.depth} "
+            f"exceeds 10*tol = {10 * tol:.1e} (residuals {trip.residual_g:.3e}, "
+            f"{trip.residual_nu:.3e}); partial triplet attached",
+            partial=trip,
+        )
+    return trip
+
+
+def _minimal(tm: TransferMatrix) -> TransferMatrix:
+    """The reduction at the least exact depth b = max(d - 1, 1) of the
+    potential, with ``tm``'s tables; ``tm`` itself when it is at depth b."""
+    b = max(tm.potential.depth - 1, 1)
+    if tm.depth == b:
+        return tm
+    return build_transfer_matrix(tm.governing, tm.potential, b, tm.index_structure)
+
+
+def _lift(tm: TransferMatrix, small: TransferMatrix, g, nu, lam: float) -> tuple:
+    """The pair (g, nu) of ``small``, the depth-b reduction of ``tm``, for
+    the radius lam, carried to ``tm``'s depth m.
+
+    Both reductions share one governing table, so L_m P = P L_b for the
+    prefix gather (P f)(w) = f(w[:b]), and g lifts to g[w[:b]].  The left
+    vector's marginal on (m-1)-words is the depth-(m-1) one, so
+    nu(w) = lam^-(m-b) prod_{j<m-b} L_b[w[j+1 : j+1+b], w[j : j+b]] nu(w[m-b:]),
+    normalized to sum one; every window ends in a viable symbol, so it is
+    a row of ``small``.
+    """
+    b = small.depth
+    ind, starts = tm.index_structure, tm.starts
+    at = [
+        np.searchsorted(small.positions, _walk(ind, starts, tm.ranks[:, j : j + b]))
+        for j in range(tm.depth - b + 1)
+    ]
+    out = nu[at[-1]]
+    for j in range(tm.depth - b - 1, -1, -1):
+        out = out * np.asarray(small.matrix[at[j + 1], at[j]]).ravel() / lam
+    return g[at[0]], out / float(out.sum())
+
+
+def _lifted(tm: TransferMatrix, small: TransferMatrix, pair: RpfTriplet, tol: float) -> RpfTriplet:
+    """``pair``, solved on ``small``, lifted to ``tm`` (``_lift``) with its
+    radius, matvecs and period; the residuals are taken on ``tm``'s matrix,
+    and it converged when ``pair`` did and both are at most ten times ``tol``."""
+    lam = pair.lam
+    g, nu = _lift(tm, small, pair.g, pair.nu, lam)
+    res_g = float(np.abs(tm.matrix @ g - lam * g).max()) / lam
+    res_nu = float(np.abs(tm.matrix.T @ nu - lam * nu).sum()) / lam
+    converged = pair.converged and res_g <= 10 * tol and res_nu <= 10 * tol
+    return replace(pair, tm=tm, g=g, nu=nu, residual_g=res_g, residual_nu=res_nu,
+                   converged=converged)
 
 
 def spectral_radius_sup_route(

@@ -56,6 +56,24 @@ class TestRenewal:
         assert rep.notes[-1].startswith("cohomology residual over 64 of 119 pairs: 55 with")
         assert len(renewal_analysis(f4_spec(30)).notes) == 3
 
+    @pytest.mark.parametrize("truncation", [30, 60, 200])
+    def test_kernel_sums_repr_equal_the_quadratic_definition(self, monkeypatch, truncation):
+        import ruelle.applications as applications
+
+        calls = []
+
+        def recording(table, axis, n):
+            calls.append((dict(table), axis, n, pair_sums(table, axis, n)))
+            return calls[-1][-1]
+
+        pair_sums = applications._pair_sums
+        monkeypatch.setattr(applications, "_pair_sums", recording)
+        rep = renewal_analysis(f4_spec(truncation))
+        for table, axis, n, out in calls:
+            ref = {i: sum(v for key, v in table.items() if key[axis] == i) for i in range(1, n + 1)}
+            assert repr(out) == repr(ref)
+        assert [out for *_, out in calls] == [rep.row_sums, rep.column_sums, rep.forward_row_sums]
+
     def test_asymmetric_sequences(self):
         from ruelle import RenewalSpec, TailModel
 
@@ -204,6 +222,23 @@ class TestLocallyConstant:
         assert rep.g_locally_constant
         assert rep.refinement_deviation <= 1e-10
         assert rep.g_depth == 1
+
+    def test_fine_eigenfunction_is_its_own_solve(self, monkeypatch):
+        # The fine pair comes from loops on the depth-2 matrix (3 words),
+        # not from a lift of the depth-1 pair (2 words).
+        import ruelle.transfer as transfer
+
+        dims = []
+
+        def recording(mat, p, tol, max_iter=transfer.DEFAULT_MAX_ITER):
+            dims.append(mat.shape[0])
+            return solver(mat, p, tol, max_iter)
+
+        solver = transfer._perron_vector
+        monkeypatch.setattr(transfer, "_perron_vector", recording)
+        phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})
+        locally_constant_analysis(f2(), phi)
+        assert dims == [2, 2, 3, 3]
 
     def test_constant_potential_constant_eigenfunction(self):
         rep = locally_constant_analysis(f2(), zero_potential(f2()))

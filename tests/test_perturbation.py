@@ -309,10 +309,12 @@ def test_trace_distances_from_the_assembled_operators(case):
 
 
 def test_nilpotent_transient_block_leaves_scipy_sparse_linalg_unloaded():
-    # At depth 2 the hole word (0, 0) of each L_eps whose hole weight
-    # underflowed is transient and feeds no cycle: the block route extends
-    # the dominant block across a nilpotent B22 by substitution sweeps, so a
-    # fresh process never loads scipy's sparse LU.
+    # A depth-3 potential makes depth 2 the least exact depth, which
+    # ``rpf_triplet`` solves itself.  There the hole word (0, 0) of each
+    # L_eps whose hole weight underflowed is transient: the dominant block
+    # feeds it and it feeds no cycle.  The block route extends the dominant
+    # block across that nilpotent B22 by substitution sweeps, so a fresh
+    # process never loads scipy's sparse LU.
     import os
     import subprocess
     import sys
@@ -321,7 +323,8 @@ def test_nilpotent_transient_block_leaves_scipy_sparse_linalg_unloaded():
     code = (
         "import sys\n"
         "import ruelle.transfer as t\n"
-        "from ruelle import HoleSpec, full_shift, gibbs_convergence_trace, zero_potential\n"
+        "from itertools import product\n"
+        "from ruelle import HoleSpec, full_shift, gibbs_convergence_trace, potential_from_weights\n"
         "extend, rest = t._extend, []\n"
         "def recording(mat, rows, *args, **kwargs):\n"
         "    rest.append(int((~rows).sum()))\n"
@@ -330,7 +333,8 @@ def test_nilpotent_transient_block_leaves_scipy_sparse_linalg_unloaded():
         "closed = full_shift((0, 1))\n"
         "hole = HoleSpec.from_hole(closed, [(0, 0)])\n"
         "eps = [2.0**-j for j in range(21)]\n"
-        "gibbs_convergence_trace(zero_potential(closed), hole, eps, [(1,), (0, 1)], depth=2)\n"
+        "phi = potential_from_weights({w: 0.0 for w in product((0, 1), repeat=3)})\n"
+        "gibbs_convergence_trace(phi, hole, eps, [(1,), (0, 1)], depth=2)\n"
         "print(rest, 'scipy.sparse.linalg' in sys.modules)\n"
     )
     root = Path(__file__).resolve().parents[1]

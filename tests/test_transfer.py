@@ -531,8 +531,9 @@ def test_eigendata_and_pressure_leave_words_unbuilt(monkeypatch):
     tm = build_transfer_matrix(ts, phi, depth=4)
     rpf_triplet(tm)
     topological_pressure(ts, phi, n_max=12, depth=4)
-    assert len(built) == 1
-    for t in (tm, built[0]):
+    # Each triplet is solved on the depth-2 reduction and lifted to depth 4.
+    assert [t.depth for t in built] == [2, 4, 2]
+    for t in (tm, *built):
         assert "words" not in t.__dict__
 
 
@@ -588,9 +589,11 @@ def test_operator_irreducibility_flag():
 def test_component_decomposition_solves_one_pair_per_cyclic_component(monkeypatch, depth):
     # Each cyclic component's diagonal block is its own irreducible word
     # graph: one pair of loops per component, and the dominant component's
-    # pair is the one the decomposition extends.  At depth 2 the word (1, 2)
-    # starts in the dominant component {0, 1} but leaves it; it is extended
-    # like any other row, with no separate pair for the words starting there.
+    # pair is the one the decomposition extends.  The pairs are solved at
+    # depth 1, the potential's least exact depth, and at depth 2 the
+    # dominant pair is lifted.  There the word (1, 2) starts in the dominant
+    # component {0, 1} but leaves it; it is extended like any other row,
+    # with no separate pair for the words starting there.
     import ruelle.transfer as transfer
     from ruelle import component_decomposition
 
@@ -604,10 +607,92 @@ def test_component_decomposition_solves_one_pair_per_cyclic_component(monkeypatc
     monkeypatch.setattr(transfer, "_perron_vector", recording)
     ts, phi = two_component_dag(forward=True)
     dec = component_decomposition(ts, phi, depth=depth)
-    assert dims == [2**depth, 2**depth, 1, 1]
+    assert dims == [2, 2, 1, 1]
     assert dec.dominant_component == 0 and dec.lam == pytest.approx(2.0, rel=1e-12)
     assert dec.checks["eigen_residual_h"] <= 1e-12
     assert dec.checks["eigen_residual_nu"] <= 1e-12
+
+
+def _lift_cases():
+    from ruelle import open_operator, perturbed_potential
+
+    from conftest import golden_hole
+
+    full4 = full_shift((0, 1, 2, 3))
+    phi3 = _seeded_weights(full4, 3, 16)
+    for m in (3, 4, 5, 6):
+        yield f"full4-m{m}", build_transfer_matrix(full4, phi3, depth=m)
+    banded = banded_structure(200, 2)
+    phib = potential_from_weights({(i,): -2.0 * math.log(i) for i in range(1, 201)})
+    yield "banded200-m3", build_transfer_matrix(banded, phib, depth=3)
+    hole = golden_hole()
+    yield "golden-hole-open-m4", open_operator(hole, zero_potential(f1()), depth=4)
+    ts, phi = two_component_dag()
+    yield "two-component-m3", build_transfer_matrix(ts, phi, depth=3)
+    # At eps = 2^-12 the hole weight exp(-4096) underflows to 0.
+    eps = perturbed_potential(zero_potential(f1()), hole.closed, hole.open_, 2.0**-12)
+    yield "underflowed-hole-m3", build_transfer_matrix(hole.closed, eps, depth=3)
+
+
+@pytest.mark.parametrize("case", list(_lift_cases()), ids=lambda c: c[0])
+def test_lifted_pair_equals_the_cold_loop(case):
+    # Both pairs are solved to 1e-14, below the 1e-13 compared: at the
+    # default tol each vector is only within about tol of the eigenvector.
+    from ruelle.transfer import DEFAULT_MAX_ITER, _perron_pair
+
+    _, tm = case
+    tol = 1e-14
+    trip = rpf_triplet(tm, tol=tol)
+    cold = _perron_pair(tm.matrix, tm.cesaro_period, tol, DEFAULT_MAX_ITER, tm.irreducible, tm)
+    minimal = build_transfer_matrix(tm.governing, tm.potential, index_structure=tm.index_structure)
+    assert minimal.depth < tm.depth
+    assert trip.tm is tm and trip.converged
+    assert trip.lam == rpf_triplet(minimal, tol=tol).lam
+    assert abs(trip.lam - cold.lam) <= 1e-14 * cold.lam
+    tiny = np.finfo(float).tiny
+    for got, want in ((trip.g, cold.g), (trip.nu, cold.nu)):
+        live = (got >= tiny) | (want >= tiny)
+        assert live.any()
+        assert np.all(np.abs(got - want)[live] <= 1e-13 * np.maximum(got, want)[live])
+
+
+def test_deep_triplet_runs_no_loop_on_the_deep_matrix(monkeypatch):
+    import ruelle.transfer as transfer
+
+    dims = []
+
+    def recording(mat, p, tol, max_iter=transfer.DEFAULT_MAX_ITER):
+        dims.append(mat.shape[0])
+        return solver(mat, p, tol, max_iter)
+
+    solver = transfer._perron_vector
+    monkeypatch.setattr(transfer, "_perron_vector", recording)
+    ts = full_shift((0, 1, 2, 3))
+    trip = rpf_triplet(build_transfer_matrix(ts, _seeded_weights(ts, 3, 16), depth=7))
+    assert trip.tm.dim == 4**7 and len(trip.g) == len(trip.nu) == 4**7
+    assert dims == [16, 16]
+
+
+def test_lifted_convergence_error_carries_the_deep_partial():
+    ts = full_shift((0, 1, 2, 3))
+    tm = build_transfer_matrix(ts, _seeded_weights(ts, 3, 16), depth=5)
+    with pytest.raises(ConvergenceError) as exc:
+        rpf_triplet(tm, max_iter=5)
+    msg = str(exc.value)
+    assert "the eigenfunction loop and the eigenvector loop hit the cap of 5 matvecs" in msg
+    partial = exc.value.partial
+    assert partial.tm is tm and partial.tm.depth == 5 and not partial.converged
+    assert len(partial.g) == len(partial.nu) == tm.dim
+
+
+def test_lifted_tie_raises_with_the_minimal_radius():
+    ts = from_entries((0, 1), {(0, 0), (0, 1), (1, 1)})
+    errors = []
+    for depth in (1, 3):
+        with pytest.raises(NonUniqueDominantError) as exc:
+            rpf_triplet(build_transfer_matrix(ts, zero_potential(ts), depth=depth))
+        errors.append(exc.value)
+    assert errors[1].lam == errors[0].lam and errors[1].tied == errors[0].tied
 
 
 def test_perron_vector_same_bytes_on_csr_and_csc():

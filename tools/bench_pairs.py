@@ -12,12 +12,14 @@ edits are never measured, no git worktree is created and nothing stays
 behind.  Each seed is one pair: ``perfbench/run.py --trace 0`` runs once
 from the root of each tree for ``BENCHMARK.json``'s ``run_seconds``, and
 the side that runs first alternates from pair to pair.
-``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side for the
-per-layer metrics.  The record is written to ``BENCH_<pr>.json`` at the
-repository root, with both commit hashes: per pair the end-to-end metrics
-of ``BENCHMARK.json`` with the attempted and failed operation counts, and
-per metric each side's quartiles, the change's wins, the ratio of the
-medians, the parent's quartile distance and the metric's bound.
+``--traced WORKLOAD:SEEDS`` (a seed spec as for ``--seeds``) adds one
+``--trace 1`` pair per seed for the per-layer metrics, alternating the
+first side in the same way.  The record is written to ``BENCH_<pr>.json``
+at the repository root, with both commit hashes: per pair the end-to-end
+metrics of ``BENCHMARK.json`` with the attempted and failed operation
+counts (every metric of a traced pair), and per metric each side's
+quartiles, the change's wins, the ratio of the medians, the parent's
+quartile distance and the metric's bound (per-layer metrics have none).
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def quartiles(values: list) -> dict:
+    if len(values) == 1:
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -96,11 +100,30 @@ def summarize(pairs: list, metrics: list) -> dict:
             "change": qc,
             "change_wins": wins,
             "pairs": len(pairs),
-            "median_change_over_parent": qc["median"] / qp["median"],
+            "median_change_over_parent": qc["median"] / qp["median"] if qp["median"] else None,
             "parent_quartile_distance": qp["q3"] - qp["q1"],
-            "bound": m["bound"],
+            "bound": m.get("bound"),
         }
     return out
+
+
+def run_pairs(trees: dict, workload: str, seeds: list, seconds: float, trace: int,
+              metrics: list) -> list:
+    """One pair per seed, the side that runs first alternating; each side
+    keeps ``metrics`` (every metric when None) and its operation counts."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            res = run_bench(trees[side], workload, seed, seconds, trace)
+            names = res["metrics"] if metrics is None else [m["name"] for m in metrics]
+            pair[side] = {name: res["metrics"][name]["value"] for name in names}
+            pair[side].update({k: res[k] for k in ("attempted", "failed", "correct")})
+        pairs.append(pair)
+        print(json.dumps({"workload": workload, "trace": trace, "seed": seed, "first": order[0]}),
+              flush=True)
+    return pairs
 
 
 def environment() -> dict:
@@ -131,8 +154,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", required=True, help="the record is written to BENCH_<pr>.json")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", required=True, help="one pair per seed: '2101-2110' or '1,5,9'")
-    ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEED",
-                    help="one --trace 1 run per side, for the per-layer metrics")
+    ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEEDS",
+                    help="one --trace 1 pair per seed, for the per-layer metrics")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -154,16 +177,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: extract(commit, Path(tmp), side) for side, commit in commits.items()}
         for workload in args.workloads:
-            pairs = []
-            for i, seed in enumerate(seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    res = run_bench(trees[side], workload, seed, seconds, 0)
-                    pair[side] = {m["name"]: res["metrics"][m["name"]]["value"] for m in metrics}
-                    pair[side].update({k: res[k] for k in ("attempted", "failed", "correct")})
-                pairs.append(pair)
-                print(json.dumps({"workload": workload, **pair}), flush=True)
+            pairs = run_pairs(trees, workload, seeds, seconds, 0, metrics)
             record["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": summarize(pairs, metrics),
@@ -171,13 +185,15 @@ def main(argv=None) -> int:
                            for side in ("parent", "change")},
             }
         for spec in args.traced:
-            workload, _, seed = spec.partition(":")
-            traced = {"command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
-                                 f"--seconds {seconds:g} --trace 1, one run per side"}
-            for side in ("parent", "change"):
-                res = run_bench(trees[side], workload, int(seed), seconds, 1)
-                traced[side] = {k: v["value"] for k, v in res["metrics"].items()}
-            record[f"traced_{workload}"] = traced
+            workload, _, traced_seeds = spec.partition(":")
+            pairs = run_pairs(trees, workload, parse_seeds(traced_seeds), seconds, 1, None)
+            record[f"traced_{workload}"] = {
+                "command": f"python3 perfbench/run.py --workload {workload} --seed <s> "
+                           f"--seconds {seconds:g} --trace 1; the side that runs first "
+                           "alternates by pair",
+                "pairs": pairs,
+                "summary": summarize(pairs, bench["per_layer"]),
+            }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
