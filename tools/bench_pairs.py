@@ -121,8 +121,7 @@ def run_pairs(trees: dict, workload: str, seeds: list, seconds: float, trace: in
             pair[side] = {name: res["metrics"][name]["value"] for name in names}
             pair[side].update({k: res[k] for k in ("attempted", "failed", "correct")})
         pairs.append(pair)
-        print(json.dumps({"workload": workload, "trace": trace, "seed": seed, "first": order[0]}),
-              flush=True)
+        print(json.dumps({"workload": workload, "trace": trace, **pair}), flush=True)
     return pairs
 
 
