@@ -685,6 +685,35 @@ def _continuation_bounds(tm: TransferMatrix) -> tuple:
     return np.maximum.reduceat(total, runs), np.minimum.reduceat(total, runs)
 
 
+def _prefix_log_sums(tm: TransferMatrix, m: int, logs: tuple) -> tuple:
+    """Each vector R of ``logs`` on ``tm``'s depth-b words carried to depth m.
+
+    The carried R(q) is log sum_w e^{R_m(w)} over the depth-m index words w
+    with w[:b] = q, where R_m(w) = sum_{j<m-b} phi(w[j : j+d]) + R(w[m-b:]).
+    It takes m - b log-space steps of the transpose,
+    R(q) <- logsumexp_{q'} (phi(q q'[-1]) + R(q')) over the entries
+    (q', q) of the matrix; the potential values are read off the potential,
+    not as the log of a weight that may have underflowed, so no term drops.
+    """
+    if m == tm.depth:
+        return logs
+    lt = tm.matrix.T.tocsr()  # [source q, target q']
+    # Every index word ends in a viable symbol, so every source has an entry.
+    first, tgt = lt.indptr[:-1], lt.indices
+    src = np.repeat(np.arange(tm.dim), np.diff(lt.indptr))
+    wins = np.column_stack((tm.ranks[src], tm.ranks[tgt, -1]))[:, : tm.potential.depth]
+    values = np.array([tm.potential.value(w) for w in tm.index_structure.alphabet.words_of(wins)])
+    out = []
+    for r in logs:
+        for _ in range(m - tm.depth):
+            t = values + r[tgt]
+            top = np.maximum.reduceat(t, first)
+            # bincount adds each source's terms left to right from 0.0.
+            r = top + np.log(np.bincount(src, weights=np.exp(t - top[src]), minlength=tm.dim))
+        out.append(r)
+    return tuple(out)
+
+
 def topological_pressure(
     ts: TransitionStructure,
     phi: Potential,
@@ -698,20 +727,27 @@ def topological_pressure(
     Requires a summability certificate (finite alphabets always pass; a
     divergent tail model refuses).  The locally constant case also reports
     the spectral value from the matrix reduction, which the bracket always
-    contains, also when blocks tie for the largest radius.
+    contains, also when blocks tie for the largest radius.  The sequences
+    are those of the depth-m reduction, but every orbit and the spectral
+    solve run on the reduction at the potential's least exact depth b, of
+    which the depth-m ones are exact functions (README, "Numerical
+    conventions").
     """
     cert = summability_certificate(phi, ts)
     if not cert.summable:
         raise PreconditionError("potential is not summable; pressure undefined")
-    tm = build_transfer_matrix(ts, phi, depth=depth)
+    b = max(phi.depth - 1, 1)
+    tm = build_transfer_matrix(ts, phi, depth=b if depth is None else min(depth, b))
     if tm.dim == 0:
         raise PreconditionError("pressure undefined: the index carries no nonempty cylinders")
-    m = tm.depth
+    m = b if depth is None else depth
     if n_max < m:
         raise PreconditionError(f"n_max = {n_max} is below the matrix depth {m}")
-    rsup, rinf = _continuation_bounds(tm)
+    rsup, rinf = _prefix_log_sums(tm, m, _continuation_bounds(tm))
 
     # Upper route: normalized log sums of per-word sups; subadditive in n.
+    # L_m^k 1 is the prefix gather of L_b^k 1, so the depth-m sum over the
+    # words with prefix q is L_b^k 1 at q times e^{rsup(q)}, rsup carried.
     uppers = {}
     infs = {}
     # n = m reads the ones vector itself, n = m + k its k-th orbit step.
@@ -722,23 +758,34 @@ def topological_pressure(
         uppers[n] = (log_scale + _logsumexp(logs + rsup)) / n
         infs[n] = (log_scale + _logsumexp(logs + rinf)) / n
 
-    # Lower route: return sums pinned at one cycle word per cyclic component.
+    # Lower route: return sums pinned at one depth-m cycle word v per cyclic
+    # component, its least word: the least symbol, then each time the least
+    # successor inside (a cyclic component has no dead end).  For n >= m,
+    # (L_m^n)[v, v] = W_v (L_b^(n-m+b))[v[:b], v[m-b:]] with
+    # W_v = prod_{j<m-b} L_b[v[j+1 : j+1+b], v[j : j+b]].
     lowers = {n: -math.inf for n in uppers}
-    dag = tm.governing.quotient
-    rank = tm.index_structure.alphabet.rank
-    pins = []
-    for comp in dag.components:
+    ind = tm.index_structure
+    rank = ind.alphabet.rank
+    indptr, succ = ind.successor_ranks
+    for comp in tm.governing.quotient.components:
         if not comp.has_periodic_point:
             continue
         inside = np.zeros(len(rank), dtype=bool)
         inside[[rank[s] for s in comp.symbols]] = True
-        pins.extend(np.flatnonzero(inside[tm.ranks].all(axis=1))[:1].tolist())
-    for pin in pins:
+        v = [int(np.flatnonzero(inside)[0])]
+        while len(v) < m:
+            nxt = succ[indptr[v[-1]] : indptr[v[-1] + 1]]
+            v.append(int(nxt[inside[nxt]][0]))
+        wins = np.array([v[j : j + b] for j in range(m - b + 1)], dtype=np.int32)
+        at = np.searchsorted(tm.positions, _walk(ind, tm.starts, wins))
+        with np.errstate(divide="ignore"):
+            log_w = float(np.log([tm.matrix[at[j + 1], at[j]] for j in range(m - b)]).sum())
         start = np.zeros(tm.dim)
-        start[pin] = 1.0
-        for n, log_scale, u in _orbit(tm, start, n_max, np.ndarray.sum):
-            if n in lowers and u[pin] > 0.0:
-                z = log_scale + math.log(float(u[pin]))
+        start[at[-1]] = 1.0
+        for s, log_scale, u in _orbit(tm, start, n_max - m + b, np.ndarray.sum):
+            n = s + m - b
+            if n in lowers and u[at[0]] > 0.0:
+                z = log_scale + math.log(float(u[at[0]])) + log_w
                 lowers[n] = max(lowers[n], z / n)
 
     ns = tuple(sorted(uppers))
@@ -747,6 +794,7 @@ def topological_pressure(
     hi = min(upper_seq)
     lo = max(lower_seq) if lower_seq else -math.inf
 
+    # The radius is that of every exact depth: solve at depth b.
     spectral = spectral_bracket = None
     try:
         lam = rpf_triplet(tm, tol=tol, max_iter=max_iter).lam

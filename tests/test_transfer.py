@@ -531,10 +531,72 @@ def test_eigendata_and_pressure_leave_words_unbuilt(monkeypatch):
     tm = build_transfer_matrix(ts, phi, depth=4)
     rpf_triplet(tm)
     topological_pressure(ts, phi, n_max=12, depth=4)
-    # Each triplet is solved on the depth-2 reduction and lifted to depth 4.
-    assert [t.depth for t in built] == [2, 4, 2]
+    # The triplet is solved on the depth-2 reduction and lifted to depth 4;
+    # the pressure builds and solves only the depth-2 one.
+    assert [t.depth for t in built] == [2, 2]
     for t in (tm, *built):
         assert "words" not in t.__dict__
+
+
+def test_deep_pressure_runs_at_the_minimal_depth(monkeypatch):
+    import ruelle.transfer as transfer
+
+    built, dims = [], []
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def recording_orbit(tm, u, steps, norm):
+        dims.append(tm.dim)
+        return orbit(tm, u, steps, norm)
+
+    build, orbit = transfer.build_transfer_matrix, transfer._orbit
+    monkeypatch.setattr(transfer, "build_transfer_matrix", recording_build)
+    monkeypatch.setattr(transfer, "_orbit", recording_orbit)
+    ts = full_shift((0, 1, 2, 3))
+    rep = topological_pressure(ts, _seeded_weights(ts, 3, 16), n_max=40, depth=6)
+    assert rep.ns == tuple(range(6, 41))
+    assert [t.depth for t in built] == [2]
+    # The ones orbit and the one pinned return orbit of the full shift.
+    assert dims == [16, 16]
+
+
+def test_pressure_beyond_the_enumeration_cap():
+    # |W_13| = 4^13 exceeds the word cap; the pressure never enumerates it.
+    ts = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(ts, 3, 16)
+    rep = topological_pressure(ts, phi, n_max=20, depth=13)
+    assert rep.ns == tuple(range(13, 21))
+    assert rep.spectral == math.log(rpf_triplet(build_transfer_matrix(ts, phi, depth=2)).lam)
+    assert rep.bracket[0] <= rep.spectral <= rep.bracket[1]
+
+
+def test_deep_pressure_keeps_its_error_paths():
+    from ruelle import TailModel
+    from ruelle.applications import renewal_potential
+    from conftest import f4
+
+    ts = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(ts, 3, 16)
+    with pytest.raises(PreconditionError, match="matrix depth 1 too small for potential depth 3"):
+        topological_pressure(ts, phi, depth=1)
+    with pytest.raises(PreconditionError, match=r"n_max = 5 is below the matrix depth 6"):
+        topological_pressure(ts, phi, n_max=5, depth=6)
+    dead = from_entries((0, 1), [(0, 1)])
+    with pytest.raises(PreconditionError, match="no nonempty cylinders"):
+        topological_pressure(dead, zero_potential(dead), depth=3)
+    renewal = renewal_potential(f4_spec(6), f4(6))
+    harmonic = potential_from_weights(renewal.weights, tail=TailModel.harmonic())
+    with pytest.raises(PreconditionError, match="not summable"):
+        topological_pressure(f4(6), harmonic, n_max=6, depth=3)
+    chained = from_entries((0, 1), {(0, 0), (0, 1), (1, 1)})
+    assert topological_pressure(chained, zero_potential(chained), depth=3).spectral == 0.0
+    with pytest.raises(ConvergenceError) as exc:
+        topological_pressure(ts, phi, depth=5, max_iter=5)
+    msg = str(exc.value)
+    assert msg.startswith("power iteration did not reach")
+    assert "the eigenfunction loop and the eigenvector loop hit the cap of 5 matvecs" in msg
 
 
 def test_structure_quotient_computed_once(monkeypatch):
