@@ -15,7 +15,7 @@ theta^n.  A depth-d potential therefore has var_n = 0 for n >= d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from .errors import ConfigError, PreconditionError
@@ -106,6 +106,9 @@ class Potential:
     symbol_sup: Optional[Mapping] = None
     tail: Optional[TailModel] = None
     label: str = ""
+    # The last least-depth transfer reduction built through this potential,
+    # with its converged Perron pairs (``transfer._reduction``).
+    _reduction: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1:

@@ -235,17 +235,28 @@ def full_truncated(truncation: int) -> TransitionStructure:
 
 
 def count_admissible_words(ts: TransitionStructure, n: int) -> int:
-    """Size of W_n without enumerating it (vector of counts per end symbol)."""
+    """Size of W_n without enumerating it.
+
+    The count of words per end symbol is carried n - 1 steps along the
+    successor table, in int64 while the total times the largest out-degree
+    stays below 2**63 (no partial sum can overflow) and in Python ints past
+    that, so the count is exact at any size.
+    """
     if n < 1:
         raise PreconditionError("word length must be positive")
-    counts = {s: 1 for s in ts.alphabet.symbols}
+    indptr, succ = ts.successor_ranks
+    degree = np.diff(indptr)
+    heads = np.repeat(np.arange(len(degree)), degree)
+    counts = np.ones(len(degree), dtype=np.int64)
+    total, fan = len(degree), int(degree.max(initial=0))
     for _ in range(n - 1):
-        nxt = {s: 0 for s in ts.alphabet.symbols}
-        for s, c in counts.items():
-            for t in ts.successors[s]:
-                nxt[t] += c
+        if total * fan >= 2**63:
+            counts = counts.astype(object)
+        nxt = np.zeros(len(degree), dtype=counts.dtype)
+        np.add.at(nxt, succ, counts[heads])
         counts = nxt
-    return sum(counts.values())
+        total = int(counts.sum())
+    return total
 
 
 def _extend_ranks(ts: TransitionStructure, rows: np.ndarray, steps: int) -> tuple:

@@ -353,9 +353,7 @@ def component_pressures(
     """Log spectral radius of the restriction to each transitive component,
     -inf for one without a cycle, from ``_component_pairs``."""
     # The radii are those of every exact depth: solve at the least one.
-    b = max(phi.depth - 1, 1)
-    tm = build_transfer_matrix(ts, phi, depth=b if depth is None else min(depth, b))
-    pairs = _component_pairs(tm, tol, max_iter)
+    pairs = _component_pairs(_minimal(ts, phi, depth), tol, max_iter)
     return tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
 
 
@@ -393,15 +391,16 @@ def component_decomposition(
 
     Each component's pressure comes from its diagonal block
     (``_component_pairs``) in the reduction at the potential's least exact
-    depth; above it the dominant block's pair is lifted to ``depth`` like
+    depth, the one its potential holds (``transfer._reduction``); above it
+    the dominant block's pair is lifted to ``depth`` like
     ``rpf_triplet``'s (``transfer._lift``).  Its peripheral pair extends
     across the remaining blocks by resolvent solves; the
     eigenfunction spreads to components reachable from the dominant one, the
     eigenvector to components that reach it.  A pressure tie within
     ``TIE_RTOL`` is an error carrying the tied set.
     """
-    tm = build_transfer_matrix(ts, phi, depth=depth)
-    small = _minimal(tm)
+    small = _minimal(ts, phi, depth)
+    tm = small if depth in (None, small.depth) else build_transfer_matrix(ts, phi, depth=depth)
     pairs = _component_pairs(small, tol, max_iter)
     pressures = tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
     if not math.isfinite(max(pressures)):

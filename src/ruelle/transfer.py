@@ -202,16 +202,21 @@ def _orbit(tm: TransferMatrix, u: np.ndarray, steps: int, norm):
     by the running scale exp(log_scale): each step applies L, divides by
     ``norm`` of the result and adds its log to the scale.  The orbit ends at
     the first step whose norm is <= 0 (the vector died out).  The pressure
-    routes, the sup route and the survivor masses all read it.
+    routes, the sup route and the survivor masses all read it.  Each step
+    calls scipy's ``csr_matvec``, the kernel of ``tm.apply``, into a fresh
+    zeroed vector: the same sums without the sparse-matrix dispatch.
     """
+    n_dim = tm.dim
+    csr = (n_dim, n_dim, tm.matrix.indptr, tm.matrix.indices, tm.matrix.data)
     log_scale = 0.0
     for n in range(1, steps + 1):
-        u = tm.apply(u)
-        s = float(norm(u))
+        lu = np.zeros(n_dim)
+        _csr_matvec(*csr, u, lu)
+        s = float(norm(lu))
         if s <= 0.0:
             return
         log_scale += math.log(s)
-        u = u / s
+        u = lu / s
         yield n, log_scale, u
 
 
@@ -513,29 +518,35 @@ def rpf_triplet(
     defeats plain iteration), run by ``_perron_pair``; the radius is the
     Rayleigh quotient of the pair; an operator not ``tm.irreducible`` takes
     its block route.  Above the potential's least exact depth b the pair is
-    solved on the depth-b reduction (``_minimal``) and lifted exactly
-    (``_lifted``), so the radius, ``iterations`` and ``period_used`` are
-    those of depth b and the residuals are taken at ``tm``'s depth.  A zero
-    radius (no periodic point in the governing table) and a tie for the
-    largest radius (NonUniqueDominantError) are precondition errors; a run
-    that misses ``tol`` raises ConvergenceError carrying the partial
-    triplet.
+    solved on the depth-b reduction its potential holds (``_reduction``)
+    and lifted exactly (``_lifted``), so the radius, ``iterations`` and
+    ``period_used`` are those of depth b and the residuals are taken at
+    ``tm``'s depth; at depth b the held pair is returned when the potential
+    holds ``tm``'s system.  A zero radius (no periodic point in the
+    governing table) and a tie for the largest radius
+    (NonUniqueDominantError) are precondition errors; a run that misses
+    ``tol`` raises ConvergenceError carrying the partial triplet.
     """
     if tm.dim == 0:
         raise PreconditionError(
             "zero spectral radius: the index carries no nonempty cylinders"
         )
-    small = _minimal(tm)
-    if small is tm:
+    least = tm.depth == max(tm.potential.depth - 1, 1)
+    held = _reduction(tm.governing, tm.potential, tm.index_structure, build=not least)
+    if held is None:
         return _perron_pair(tm.matrix, tm.cesaro_period, tol, max_iter, tm.irreducible, tm)
+    small, pairs = held
     b = small.depth
     try:
-        pair = _perron_pair(small.matrix, small.cesaro_period, tol, max_iter, small.irreducible,
-                            small)
+        pair = _solved(small, pairs, tol, max_iter)
     except ConvergenceError as exc:
+        if tm.depth == b:
+            raise ConvergenceError(str(exc), partial=replace(exc.partial, tm=tm)) from exc
         raise ConvergenceError(
             f"depth-{b} reduction: {exc}", partial=_lifted(tm, small, exc.partial, tol)
         ) from exc
+    if tm.depth == b:
+        return replace(pair, tm=tm)
     trip = _lifted(tm, small, pair, tol)
     if not trip.converged:
         raise ConvergenceError(
@@ -547,13 +558,47 @@ def rpf_triplet(
     return trip
 
 
-def _minimal(tm: TransferMatrix) -> TransferMatrix:
-    """The reduction at the least exact depth b = max(d - 1, 1) of the
-    potential, with ``tm``'s tables; ``tm`` itself when it is at depth b."""
-    b = max(tm.potential.depth - 1, 1)
-    if tm.depth == b:
-        return tm
-    return build_transfer_matrix(tm.governing, tm.potential, b, tm.index_structure)
+def _reduction(ts: TransitionStructure, phi: Potential, ind: TransitionStructure,
+               build: bool = True) -> Optional[tuple]:
+    """(L_b, pairs): the reduction of ``phi`` at its least exact depth
+    b = max(d - 1, 1) with governing table ``ts`` and index ``ind``, and its
+    converged Perron pairs by (tol, max_iter).
+
+    The potential holds the last one built here, matched by the identity of
+    ``ts`` and ``ind``, so every depth and route of one system builds and
+    solves it once; another system replaces it.  Without ``build``, None
+    when the potential holds another system.
+    """
+    held = phi._reduction
+    if held is None or held[0].governing is not ts or held[0].index_structure is not ind:
+        if not build:
+            return None
+        held = (build_transfer_matrix(ts, phi, max(phi.depth - 1, 1), ind), {})
+        object.__setattr__(phi, "_reduction", held)
+    return held
+
+
+def _solved(small: TransferMatrix, pairs: dict, tol: float, max_iter: int) -> RpfTriplet:
+    """The Perron pair of the held reduction ``small`` for (tol, max_iter),
+    solved on first use and kept in ``pairs`` with read-only vectors; a
+    solve that raises keeps nothing."""
+    key = (tol, max_iter)
+    if key not in pairs:
+        pair = _perron_pair(small.matrix, small.cesaro_period, tol, max_iter, small.irreducible,
+                            small)
+        pair.g.flags.writeable = pair.nu.flags.writeable = False
+        pairs[key] = pair
+    return pairs[key]
+
+
+def _minimal(ts: TransitionStructure, phi: Potential, depth: Optional[int] = None,
+             ind: Optional[TransitionStructure] = None) -> TransferMatrix:
+    """The held least-depth reduction (``_reduction``) for a route asked for
+    ``depth`` (default b), whose exact depth-m quantities are functions of
+    it; a depth below b is refused by ``build_transfer_matrix``."""
+    if depth is not None and depth < max(phi.depth - 1, 1):
+        return build_transfer_matrix(ts, phi, depth, ind)
+    return _reduction(ts, phi, ts if ind is None else ind)[0]
 
 
 def _lift(tm: TransferMatrix, small: TransferMatrix, g, nu, lam: float) -> tuple:
@@ -604,12 +649,15 @@ def spectral_radius_sup_route(
     Its limit is the spectral radius; read off the normalized orbit of one
     (``_orbit``).  ``index_structure`` lets a subsystem operator act on the
     ambient system's functions (the sequence is 0.0 once the orbit dies out,
-    as it does when the subsystem has no periodic point).
+    as it does when the subsystem has no periodic point).  At depth m above
+    the potential's least exact depth b the orbit runs on the depth-b
+    reduction: L_m P = P L_b for the prefix gather P, and the sup of a
+    gathered vector is the sup of the vector, so the sequence is the same.
     """
-    tm = build_transfer_matrix(ts, phi, depth=depth, index_structure=index_structure)
+    small = _minimal(ts, phi, depth, index_structure)
     out = [
         math.exp((log_scale + math.log(float(u.max()))) / n)
-        for n, log_scale, u in _orbit(tm, np.ones(tm.dim), n_max, _sup)
+        for n, log_scale, u in _orbit(small, np.ones(small.dim), n_max, _sup)
     ]
     return out + [0.0] * (n_max - len(out))
 
@@ -736,10 +784,10 @@ def topological_pressure(
     cert = summability_certificate(phi, ts)
     if not cert.summable:
         raise PreconditionError("potential is not summable; pressure undefined")
-    b = max(phi.depth - 1, 1)
-    tm = build_transfer_matrix(ts, phi, depth=b if depth is None else min(depth, b))
+    tm = _minimal(ts, phi, depth)
     if tm.dim == 0:
         raise PreconditionError("pressure undefined: the index carries no nonempty cylinders")
+    b = tm.depth
     m = b if depth is None else depth
     if n_max < m:
         raise PreconditionError(f"n_max = {n_max} is below the matrix depth {m}")

@@ -18,6 +18,8 @@ from ruelle import (
     scc_quotient,
 )
 
+from ruelle.shifts import _word_trie, count_admissible_words
+
 from conftest import brute_words, f1, f2, f3, f3p, reachability_oracle
 
 
@@ -61,6 +63,43 @@ class TestAdmissibleWords:
         # 1 is a dead end: words ending in 1 have empty cylinders.
         ts = from_entries((0, 1), [(0, 0), (0, 1)])
         assert nonempty_cylinder_words(ts, 2) == [(0, 0)]
+
+
+def _dict_loop_count(ts, n):
+    """|W_n| by the per-symbol dict recurrence over the successor table."""
+    counts = {s: 1 for s in ts.alphabet.symbols}
+    for _ in range(n - 1):
+        nxt = {s: 0 for s in ts.alphabet.symbols}
+        for s, c in counts.items():
+            for t in ts.successors[s]:
+                nxt[t] += c
+        counts = nxt
+    return sum(counts.values())
+
+
+class TestCountAdmissibleWords:
+    @pytest.mark.parametrize("ts", [
+        full_shift((0, 1, 2)),
+        banded_structure(50, 2),
+        renewal_structure(40),
+        from_entries((0, 1, 2, 3), [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (2, 3)]),
+        from_entries((0, 1), []),
+        from_entries((), []),
+    ], ids=["full3", "banded50", "renewal40", "reducible", "no-entries", "no-symbols"])
+    def test_equals_the_dict_loop(self, ts):
+        for n in range(1, 8):
+            got = count_admissible_words(ts, n)
+            assert type(got) is int and got == _dict_loop_count(ts, n)
+
+    def test_exact_beyond_int64(self):
+        ts = full_shift(tuple(range(100)))
+        assert count_admissible_words(ts, 11) == 100**11 == _dict_loop_count(ts, 11)
+        for n in (62, 63, 64, 65, 130):
+            assert count_admissible_words(f1(), n) == 2**n
+
+    def test_cap_refusal_keeps_its_message(self):
+        with pytest.raises(EnumerationCapExceeded, match=r"\|W_11\| = 177147 exceeds cap 100000"):
+            _word_trie(full_shift((0, 1, 2)), 11, cap=100_000)
 
 
 class TestSccQuotient:

@@ -21,6 +21,8 @@ from ruelle import (
     zero_potential,
 )
 
+from ruelle.transfer import DEFAULT_MAX_ITER, DEFAULT_TOL
+
 from conftest import (
     PHI,
     SQRT5,
@@ -532,8 +534,8 @@ def test_eigendata_and_pressure_leave_words_unbuilt(monkeypatch):
     rpf_triplet(tm)
     topological_pressure(ts, phi, n_max=12, depth=4)
     # The triplet is solved on the depth-2 reduction and lifted to depth 4;
-    # the pressure builds and solves only the depth-2 one.
-    assert [t.depth for t in built] == [2, 2]
+    # the pressure reuses that reduction, which the potential holds.
+    assert [t.depth for t in built] == [2]
     for t in (tm, *built):
         assert "words" not in t.__dict__
 
@@ -755,6 +757,159 @@ def test_lifted_tie_raises_with_the_minimal_radius():
             rpf_triplet(build_transfer_matrix(ts, zero_potential(ts), depth=depth))
         errors.append(exc.value)
     assert errors[1].lam == errors[0].lam and errors[1].tied == errors[0].tied
+
+
+def _deep_sup_route(ts, phi, n_max, m, ind):
+    """The sup route on the depth-m matrix itself: its own orbit of ones."""
+    tm = build_transfer_matrix(ts, phi, depth=m, index_structure=ind)
+    u, log_scale, out = np.ones(tm.dim), 0.0, []
+    for n in range(1, n_max + 1):
+        u = tm.apply(u)
+        s = float(u.max(initial=0.0))
+        if s <= 0.0:
+            break
+        log_scale += math.log(s)
+        u = u / s
+        out.append(math.exp((log_scale + math.log(float(u.max()))) / n))
+    return out + [0.0] * (n_max - len(out))
+
+
+def _sup_route_cases():
+    from ruelle import HoleSpec
+
+    full4 = full_shift((0, 1, 2, 3))
+    phi3 = _seeded_weights(full4, 3, 1)
+    for m in range(2, 8):
+        yield f"full4-m{m}", full4, phi3, m, None
+    hole = HoleSpec.from_hole(full4, [(1, 1), (2, 3)])
+    phi2 = _seeded_weights(full4, 2, 12)
+    for m in (1, 3, 5):
+        yield f"open-on-closed-m{m}", hole.open_, phi2, m, hole.closed
+    # Without a cycle the orbit of ones dies out after one step.
+    sub = type(f1())(f1().alphabet, frozenset({(0, 1)}))
+    for m in (1, 3):
+        yield f"dying-m{m}", sub, constant_potential(f1(), 0.0), m, f1()
+
+
+@pytest.mark.parametrize("case", list(_sup_route_cases()), ids=lambda c: c[0])
+def test_sup_route_runs_at_the_least_depth_bitwise(case, monkeypatch):
+    import ruelle.transfer as transfer
+
+    _, ts, phi, m, ind = case
+    want = _deep_sup_route(ts, phi, 40, m, ind)
+    dims = []
+
+    def recording_orbit(tm, u, steps, norm):
+        dims.append(tm.depth)
+        return orbit(tm, u, steps, norm)
+
+    orbit = transfer._orbit
+    monkeypatch.setattr(transfer, "_orbit", recording_orbit)
+    assert spectral_radius_sup_route(ts, phi, 40, depth=m, index_structure=ind) == want
+    assert dims == [max(phi.depth - 1, 1)]
+    assert (want[-1] == 0.0) == case[0].startswith("dying")
+
+
+def _recording(monkeypatch):
+    """Record the depths ``transfer`` builds and the dims of its loops."""
+    import ruelle.transfer as transfer
+
+    built, dims = [], []
+    build, vector = transfer.build_transfer_matrix, transfer._perron_vector
+
+    def recording_build(*args, **kwargs):
+        tm = build(*args, **kwargs)
+        built.append(tm.depth)
+        return tm
+
+    def recording_vector(mat, p, tol, max_iter=transfer.DEFAULT_MAX_ITER):
+        dims.append(mat.shape[0])
+        return vector(mat, p, tol, max_iter)
+
+    monkeypatch.setattr(transfer, "build_transfer_matrix", recording_build)
+    monkeypatch.setattr(transfer, "_perron_vector", recording_vector)
+    return built, dims
+
+
+def test_depth_ladder_builds_and_solves_the_reduction_once(monkeypatch):
+    ts = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(ts, 3, 16)
+    tms = [build_transfer_matrix(ts, phi, depth=m) for m in (3, 4, 5, 6)]
+    built, dims = _recording(monkeypatch)
+    trips = [rpf_triplet(tm) for tm in tms]
+    reps = [topological_pressure(ts, phi, n_max=12, depth=m) for m in (4, 5)]
+    assert built == [2] and dims == [16, 16]
+    assert len({t.lam for t in trips} | {math.exp(r.spectral) for r in reps}) == 1
+    assert [t.tm for t in trips] == tms and all(t.iterations == trips[0].iterations for t in trips)
+    # Another depth-2 build of the same system gets the held pair.
+    own = build_transfer_matrix(ts, phi)
+    trip = rpf_triplet(own)
+    assert trip.tm is own and dims == [16, 16]
+    held = phi._reduction[1][(DEFAULT_TOL, DEFAULT_MAX_ITER)]
+    assert trip.g is held.g and trip.nu is held.nu and trip.lam == held.lam
+
+
+def test_failed_solve_is_not_kept(monkeypatch):
+    ts = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(ts, 3, 16)
+    tm = build_transfer_matrix(ts, phi, depth=5)
+    built, dims = _recording(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="hit the cap of 5 matvecs"):
+            rpf_triplet(tm, max_iter=5)
+    assert built == [2] and dims == [16, 16, 16, 16]
+    assert phi._reduction[1] == {}
+    assert rpf_triplet(tm, max_iter=1000).converged
+    assert list(phi._reduction[1]) == [(DEFAULT_TOL, 1000)]
+    # A tie is refused on every call too.
+    ts2 = from_entries((0, 1), {(0, 0), (0, 1), (1, 1)})
+    tie = build_transfer_matrix(ts2, zero_potential(ts2), depth=3)
+    for _ in range(2):
+        with pytest.raises(NonUniqueDominantError):
+            rpf_triplet(tie)
+    assert tie.potential._reduction[1] == {}
+
+
+def test_held_vectors_are_read_only():
+    ts = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(ts, 3, 16)
+    rpf_triplet(build_transfer_matrix(ts, phi, depth=4))
+    small, pairs = phi._reduction
+    trip = rpf_triplet(small)
+    for v in (trip.g, trip.nu, *(getattr(p, n) for p in pairs.values() for n in ("g", "nu"))):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
+
+
+def test_other_tolerance_and_equal_potential_solve_afresh(monkeypatch):
+    ts = full_shift((0, 1, 2, 3))
+    weights = _seeded_weights(ts, 3, 16).weights
+    phi, twin = potential_from_weights(weights), potential_from_weights(dict(weights))
+    assert phi == twin and phi is not twin
+    built, dims = _recording(monkeypatch)
+    rpf_triplet(build_transfer_matrix(ts, phi, depth=4))
+    rpf_triplet(build_transfer_matrix(ts, phi, depth=4), tol=1e-10)
+    assert built == [2] and dims == [16] * 4
+    assert sorted(phi._reduction[1]) == [(1e-12, DEFAULT_MAX_ITER), (1e-10, DEFAULT_MAX_ITER)]
+    rpf_triplet(build_transfer_matrix(ts, twin, depth=4))
+    assert built == [2, 2] and dims == [16] * 6
+    assert twin._reduction[0] is not phi._reduction[0]
+
+
+def test_held_reduction_lives_and_dies_with_its_potential():
+    import gc
+    import weakref
+
+    phi = _seeded_weights(full_shift((0, 1, 2, 3)), 3, 16)
+    refs = []
+    for _ in range(20):
+        topological_pressure(full_shift((0, 1, 2, 3)), phi, n_max=4)
+        refs.append(weakref.ref(phi._reduction[0]))
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * 19 + [False]
+    del phi
+    gc.collect()
+    assert refs[-1]() is None
 
 
 def test_perron_vector_same_bytes_on_csr_and_csc():
