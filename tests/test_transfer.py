@@ -857,8 +857,13 @@ def test_failed_solve_is_not_kept(monkeypatch):
     for _ in range(2):
         with pytest.raises(ConvergenceError, match="hit the cap of 5 matvecs"):
             rpf_triplet(tm, max_iter=5)
-    assert built == [2] and dims == [16, 16, 16, 16]
+    assert built == [2] and dims == [16] * 4
     assert phi._reduction[1] == {}
+    # A caller's own depth-2 build of the held system gets its own partial.
+    own = build_transfer_matrix(ts, phi)
+    with pytest.raises(ConvergenceError) as exc:
+        rpf_triplet(own, max_iter=5)
+    assert exc.value.partial.tm is own and built == [2]
     assert rpf_triplet(tm, max_iter=1000).converged
     assert list(phi._reduction[1]) == [(DEFAULT_TOL, 1000)]
     # A tie is refused on every call too.
