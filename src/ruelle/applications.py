@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .potentials import DEFAULT_THETA, Potential, TailModel
-from .shifts import TransitionStructure, Alphabet, renewal_structure
+from .shifts import TransitionStructure, from_entries, renewal_structure
 from .transfer import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, _perron_pair, build_transfer_matrix, rpf_triplet,
 )
@@ -77,13 +77,21 @@ class RenewalReport:
     notes: tuple
 
 
-def _renewal_equation(spec: RenewalSpec, lam: float) -> float:
-    """sum over i of (prod_{j<i} b_j) a_i lam^{-i}, over the truncation."""
-    total = 0.0
-    prod_b = 1.0
+def _renewal_series(spec: RenewalSpec) -> tuple:
+    """The coefficients (prod_{j<i} b_j) a_i of the renewal series for
+    i = 1 .. N, each product taken left to right, and prod_{j<=N} b_j."""
+    coeffs, prod_b = [], 1.0
     for i in range(1, spec.truncation + 1):
-        total += prod_b * spec.a(i) / lam**i
+        coeffs.append(prod_b * spec.a(i))
         prod_b *= spec.b(i)
+    return coeffs, prod_b
+
+
+def _renewal_equation(coeffs: list, lam: float) -> float:
+    """sum over i of coeffs[i - 1] lam^{-i} (``_renewal_series``), added in order."""
+    total = 0.0
+    for i, c in enumerate(coeffs, 1):
+        total += c / lam**i
     return total
 
 
@@ -126,8 +134,10 @@ def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalRepo
     # The series is strictly decreasing in lam: bracket the root from the
     # matrix radius, bisect to relative width 1e-15 and keep the end with the
     # smaller residual (an exact zero at lam_m is a bracket of width 0).
+    coeffs, prod_b = _renewal_series(spec)
+
     def excess(x):
-        return _renewal_equation(spec, x) - 1.0
+        return _renewal_equation(coeffs, x) - 1.0
 
     lo, hi = lam_m, lam_m
     while excess(lo) < 0.0:
@@ -137,9 +147,6 @@ def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalRepo
     lam_s = min(_bisect(excess, lo, hi, 1e-15 * lam_m), key=lambda x: abs(excess(x)))
 
     # Two-sided truncation control: the series tail at the computed radius.
-    prod_b = 1.0
-    for i in range(1, spec.truncation + 1):
-        prod_b *= spec.b(i)
     if spec.tail is not None:
         tail_terms = spec.tail.sum_beyond(spec.truncation)
     else:
@@ -149,12 +156,10 @@ def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalRepo
     h = trip.h
     idx = tm.word_index
     kernel = {}
-    prod_b = 1.0
-    for i in range(1, spec.truncation + 1):
-        kernel[(i, 1)] = prod_b * spec.a(i) / lam_m**i
+    for i, c in enumerate(coeffs, 1):
+        kernel[(i, 1)] = c / lam_m**i
         if i + 1 <= spec.truncation:
             kernel[(i, i + 1)] = 1.0
-        prod_b *= spec.b(i)
     row_sums = _pair_sums(kernel, 0, spec.truncation)
     col_sums = _pair_sums(kernel, 1, spec.truncation)
 
@@ -193,7 +198,7 @@ def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalRepo
         truncation=spec.truncation,
         lam_matrix=lam_m,
         lam_scalar=lam_s,
-        scalar_residual=abs(_renewal_equation(spec, lam_s) - 1.0),
+        scalar_residual=abs(_renewal_equation(coeffs, lam_s) - 1.0),
         truncation_tail_bound=tail_bound,
         kernel=kernel,
         row_sums=row_sums,
@@ -270,21 +275,13 @@ def gifs_build(spec: GifsSpec) -> GifsSystem:
         if e.source not in vset or e.target not in vset:
             raise ConfigError(f"edge {e.label!r} touches undeclared vertices")
     # Strong connectivity of the vertex graph.
-    vstruct = TransitionStructure(
-        Alphabet(tuple(spec.vertices)),
-        frozenset((e.source, e.target) for e in spec.edges),
-    )
+    vstruct = from_entries(spec.vertices, ((e.source, e.target) for e in spec.edges))
     if not vstruct.irreducible:
         raise PreconditionError("graph is not strongly connected")
     labels = tuple(e.label for e in spec.edges)
     by_label = {e.label: e for e in spec.edges}
-    entries = frozenset(
-        (e.label, f.label)
-        for e in spec.edges
-        for f in spec.edges
-        if e.target == f.source
-    )
-    structure = TransitionStructure(Alphabet(labels), entries, name="edge-shift")
+    entries = ((e.label, f.label) for e in spec.edges for f in spec.edges if e.target == f.source)
+    structure = from_entries(labels, entries, name="edge-shift")
     return GifsSystem(
         spec=spec,
         structure=structure,

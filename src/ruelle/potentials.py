@@ -16,14 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable, Mapping, Optional
 
+import numpy as np
+
 from .errors import ConfigError, PreconditionError
-from .shifts import TransitionStructure, nonempty_cylinder_words
+from .shifts import Alphabet, TransitionStructure, nonempty_cylinder_words
 
 DEFAULT_THETA = 0.5
 DEFAULT_K = 1
 DEFAULT_TAIL_COEFF = 1.0
+# Above every code of a compiled weight table (``_compile``).
+_NO_CODE = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,8 @@ class Potential:
     # The last least-depth transfer reduction built through this potential,
     # with its converged Perron pairs (``transfer._reduction``).
     _reduction: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # The compiled weight tables by alphabet (``gather``).
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1:
@@ -140,6 +147,30 @@ class Potential:
                 raise PreconditionError(f"word {key!r} is not admissible for this potential")
         return self.rule(key)
 
+    def gather(self, alphabet: Alphabet, rows: np.ndarray, at=None, exp: bool = False) -> np.ndarray:
+        """The values on the rank rows ``rows`` over ``alphabet``, or on the
+        rows ``rows[at]`` (each row keyed once); with ``exp`` their
+        ``math.exp``, taken once per weight.  The weights are compiled once
+        per alphabet (``_compile``); a word without a weight raises the
+        PreconditionError of ``value``."""
+        if alphabet not in self._tables:
+            self._tables[alphabet] = _compile(self, alphabet)
+        levels, values, exps = self._tables[alphabet]
+        key, ok = np.zeros(len(rows), dtype=np.int64), np.ones(len(rows), dtype=bool)
+        for start, stop, level in levels:
+            for j in range(start, stop):
+                key = key * len(alphabet) + rows[:, j]
+            pos = np.searchsorted(level, key)  # lands on an entry: no code reaches _NO_CODE
+            ok &= level[pos] == key
+            key = pos
+        if at is not None:
+            key, ok = key[at], ok[at]
+        if not ok.all():
+            first = np.flatnonzero(~ok)[0]
+            word = alphabet.words_of(rows[[first if at is None else at[first]]])[0]
+            raise PreconditionError(f"word {word!r} is not admissible for this potential")
+        return (exps if exp else values)[key]
+
     def birkhoff(self, word, n: int) -> float:
         """n-step Birkhoff sum along ``word`` (needs length >= n + depth - 1)."""
         if n < 0:
@@ -151,6 +182,32 @@ class Potential:
                 f"word too short for {n}-step Birkhoff sum at depth {self.depth}"
             )
         return sum(self.value(word[i : i + self.depth]) for i in range(n))
+
+
+def _compile(phi: Potential, alphabet: Alphabet) -> tuple:
+    """(levels, values, exps): the weights of the words over ``alphabet`` in
+    lexicographic order, and their ``math.exp``.  A word is keyed exactly:
+    its ranks are folded, key * k + rank, in groups whose codes stay below
+    ``_NO_CODE``, and after each group the key becomes the code's position
+    among the sorted distinct codes of its level.  While k**d < 2**63 the
+    one group's code is the rank code; past that the positions keep every
+    code small, so no key overflows at any alphabet size."""
+    k, d, n = len(alphabet), phi.depth, len(phi.weights)
+    symbols = chain.from_iterable(phi.weights)
+    rows = np.fromiter(map(alphabet.rank.get, symbols, repeat(-1)), np.int64, n * d).reshape(n, d)
+    known = (rows >= 0).all(axis=1)  # a word off the alphabet is never asked for
+    key, bound, start, levels = np.zeros(int(known.sum()), dtype=np.int64), 1, 0, []
+    for stop in range(1, d + 1):
+        if stop == d or bound * k ** (stop + 1 - start) >= _NO_CODE:
+            for j in range(start, stop):
+                key = key * k + rows[known, j]
+            level, key = np.unique(key, return_inverse=True)
+            levels.append((start, stop, np.append(level, _NO_CODE)))
+            bound, start = len(level) + 1, stop
+    values, exps = np.empty(len(key)), np.empty(len(key))
+    values[key] = np.fromiter(phi.weights.values(), float, n)[known]
+    exps[key] = np.fromiter(map(math.exp, phi.weights.values()), float, n)[known]
+    return tuple(levels), values, exps
 
 
 def constant_potential(ts: TransitionStructure, c: float = 0.0) -> Potential:

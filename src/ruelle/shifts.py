@@ -69,28 +69,52 @@ class Alphabet:
         return [tuple(self.symbols[r] for r in row) for row in ranks.tolist()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TransitionStructure:
     """Sparse 0/1 transition table over an alphabet.
 
-    ``entries`` holds the ordered pairs (i, j) with value 1.  When ``parent``
-    is set, this structure is a subsystem of the parent (entries contained in
-    the parent's entries); pairs involving symbols outside the alphabet are
-    treated as zero.
+    ``entries`` holds the ordered pairs (i, j) with value 1 and
+    ``pair_codes`` the same pairs as sorted int64 codes rank(i) * k + rank(j),
+    k = |alphabet|, from which every other piece of the structure's
+    combinatorics is read.  The constructor checks a pair set; the family
+    constructors compile their codes in numpy (``_compiled``), and their
+    ``entries`` are built on first use.  When ``parent`` is set, this
+    structure is a subsystem of the parent (entries contained in the
+    parent's entries).
     """
 
     alphabet: Alphabet
-    entries: frozenset
+    pair_codes: np.ndarray = field(repr=False)
     parent: Optional["TransitionStructure"] = None
     name: str = ""
 
-    def __post_init__(self):
-        for (i, j) in self.entries:
-            if i not in self.alphabet or j not in self.alphabet:
+    def __init__(self, alphabet: Alphabet, entries: frozenset, parent=None, name: str = ""):
+        rank, k = alphabet.rank, len(alphabet)
+        for (i, j) in entries:
+            if i not in rank or j not in rank:
                 raise ConfigError(f"transition ({i!r}, {j!r}) uses undeclared symbols")
-        if self.parent is not None and not self.entries <= self.parent.entries:
-            extra = sorted(self.entries - self.parent.entries)
+        if parent is not None and not entries <= parent.entries:
+            extra = sorted(entries - parent.entries)
             raise ConfigError(f"subsystem entries not contained in parent: {extra}")
+        codes = np.sort(np.array([rank[i] * k + rank[j] for (i, j) in entries], dtype=np.int64))
+        self.__dict__.update(alphabet=alphabet, pair_codes=codes, parent=parent, name=name,
+                             entries=entries)
+
+    @classmethod
+    def _compiled(cls, alphabet: Alphabet, codes: np.ndarray, name: str) -> "TransitionStructure":
+        """The structure of the sorted pair codes ``codes``, unchecked."""
+        ts = cls.__new__(cls)
+        ts.__dict__.update(alphabet=alphabet, pair_codes=codes, parent=None, name=name)
+        return ts
+
+    def __eq__(self, other):
+        if not isinstance(other, TransitionStructure):
+            return NotImplemented
+        same = (self.alphabet, self.parent, self.name) == (other.alphabet, other.parent, other.name)
+        return same and np.array_equal(self.pair_codes, other.pair_codes)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.pair_codes.tobytes(), self.parent, self.name))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -98,13 +122,10 @@ class TransitionStructure:
         return (i, j) in self.entries
 
     @cached_property
-    def pair_codes(self) -> np.ndarray:
-        """The entries as sorted int64 codes rank(i) * k + rank(j), k = |alphabet|.
-
-        Every other piece of the structure's combinatorics is read from this
-        one table."""
-        rank, k = self.alphabet.rank, len(self.alphabet)
-        return np.sort(np.array([rank[i] * k + rank[j] for (i, j) in self.entries], dtype=np.int64))
+    def entries(self) -> frozenset:
+        syms, k = self.alphabet.symbols, len(self.alphabet)
+        heads, tails = (self.pair_codes // k).tolist(), (self.pair_codes % k).tolist()
+        return frozenset(zip(map(syms.__getitem__, heads), map(syms.__getitem__, tails)))
 
     @cached_property
     def successor_ranks(self) -> tuple:
@@ -190,8 +211,8 @@ def _neighbours(symbols, codes: np.ndarray) -> dict:
 
 def full_shift(symbols) -> TransitionStructure:
     syms = tuple(symbols)
-    ent = frozenset((i, j) for i in syms for j in syms)
-    return TransitionStructure(Alphabet(syms), ent, name="full")
+    codes = np.arange(len(syms) ** 2, dtype=np.int64)
+    return TransitionStructure._compiled(Alphabet(syms), codes, "full")
 
 
 def from_entries(symbols, pairs, parent=None, name="") -> TransitionStructure:
@@ -205,29 +226,29 @@ def renewal_structure(truncation: int) -> TransitionStructure:
     if truncation < 2:
         raise ConfigError("renewal truncation must be at least 2")
     syms = tuple(range(1, truncation + 1))
-    ent = {(i, 1) for i in syms} | {(i, i + 1) for i in syms if i + 1 <= truncation}
-    return TransitionStructure(
-        Alphabet(syms, family="renewal", truncation=truncation), frozenset(ent), name="renewal"
+    # Symbol i has rank i - 1: the reset is code (i - 1) * N, the ramp that plus i.
+    heads = np.arange(truncation, dtype=np.int64) * truncation
+    codes = np.sort(np.concatenate((heads, heads[:-1] + np.arange(1, truncation))))
+    return TransitionStructure._compiled(
+        Alphabet(syms, family="renewal", truncation=truncation), codes, "renewal"
     )
 
 
 def banded_structure(truncation: int, width: int) -> TransitionStructure:
     syms = tuple(range(1, truncation + 1))
-    ent = {
-        (i, j)
-        for i in syms
-        for j in range(max(1, i - width), min(truncation, i + width) + 1)
-    }
-    return TransitionStructure(
-        Alphabet(syms, family="banded", truncation=truncation), frozenset(ent), name="banded"
+    r = np.arange(truncation)
+    first = np.maximum(r - width, 0)
+    heads, tails = _ranges(first, np.maximum(np.minimum(r + width, truncation - 1) - first + 1, 0))
+    return TransitionStructure._compiled(
+        Alphabet(syms, family="banded", truncation=truncation), heads * truncation + tails, "banded"
     )
 
 
 def full_truncated(truncation: int) -> TransitionStructure:
     syms = tuple(range(1, truncation + 1))
-    ent = frozenset((i, j) for i in syms for j in syms)
-    return TransitionStructure(
-        Alphabet(syms, family="full", truncation=truncation), frozenset(ent), name="full"
+    codes = np.arange(truncation**2, dtype=np.int64)
+    return TransitionStructure._compiled(
+        Alphabet(syms, family="full", truncation=truncation), codes, "full"
     )
 
 

@@ -186,14 +186,15 @@ def _imag_is_rounding(imag: float, lam: float) -> bool:
     return imag < 1e-9 * max(lam, 1.0)
 
 
-def _remainder_rows(dense_rows, peripherals, rows):
+def _remainder_rows(dense_rows, peripherals, rows, real: bool):
     """Rows ``rows`` of L - sum_i lam_i h_i (x) nu_i from the same rows of L.
 
-    With real peripheral data (p = 1) they are built in float64, otherwise
-    in complex.  Each entry is computed on its own, so a block of rows holds
-    the same values as those rows of the whole remainder.
+    With ``real`` peripheral data (``_real_data``, so p = 1) they are built
+    in float64, otherwise in complex.  Each entry is computed on its own, so
+    a block of rows holds the same values as those rows of the whole
+    remainder.
     """
-    if _real_data(peripherals):
+    if real:
         out = dense_rows.copy()
         for per in peripherals:
             out -= per.eigenvalue.real * np.outer(per.h.real[rows], per.nu.real)
@@ -207,7 +208,7 @@ def _remainder_rows(dense_rows, peripherals, rows):
 def _dense_remainder(tm, peripherals, lam) -> np.ndarray:
     """The n x n remainder, kept as its real part when the imaginary one is
     rounding; either way the real values are the same."""
-    remainder = _remainder_rows(tm.dense(), peripherals, slice(None))
+    remainder = _remainder_rows(tm.dense(), peripherals, slice(None), _real_data(peripherals))
     if np.iscomplexobj(remainder) and _imag_is_rounding(
         float(np.abs(remainder.imag).max(initial=0.0)), lam
     ):
@@ -294,7 +295,8 @@ def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
 
     eigs = np.array([per.eigenvalue for per in peripherals])
     left, right = np.stack(hs, axis=1) * eigs, np.stack(nus)
-    real_r = _real_data(peripherals) if remainder is None else np.isrealobj(remainder)
+    real = _real_data(peripherals)
+    real_r = real if remainder is None else np.isrealobj(remainder)
     if real_r and not (left.imag.any() or right.imag.any()):
         # Real data: the complex product's real parts, in float64 blocks.
         left, right = left.real, right.real
@@ -315,7 +317,7 @@ def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
         else:
             l_rows = matrix[rows]
         if remainder is None:
-            r_rows = _remainder_rows(l_rows, peripherals, rows)
+            r_rows = _remainder_rows(l_rows, peripherals, rows, real)
         else:
             r_rows = remainder[rows]
         if np.iscomplexobj(r_rows):

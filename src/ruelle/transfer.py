@@ -145,18 +145,13 @@ def build_transfer_matrix(
     keep = ind.viable_ranks[c] & allowed
     src, c = src[keep], c[keep]
     tgt = (np.cumsum(viable) - 1)[tgt[keep]]
-    # Sources are in lexicographic order, so equal d-prefixes are adjacent;
-    # at d = m + 1 the prefix is the whole extended word, new at every entry.
+    # The source cylinder is that of the source's d-prefix, or at d = m + 1
+    # of the whole extended word.
     d = phi.depth
     if d <= m:
-        pid = _walk(ind, starts, ranks[:, :d])[src]
-        fresh = np.diff(pid, prepend=-1) != 0
-        pre = ranks[src[fresh], :d]
+        vals = phi.gather(ind.alphabet, ranks[:, :d], src, exp=True)
     else:
-        fresh = np.ones(len(src), dtype=bool)
-        pre = np.column_stack((ranks[src], c))
-    table = [math.exp(phi.value(w)) for w in ind.alphabet.words_of(pre)]
-    vals = np.array(table, dtype=float)[np.cumsum(fresh) - 1]
+        vals = phi.gather(ind.alphabet, np.column_stack((ranks[src], c)), exp=True)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     mat = sp.csc_matrix((vals, tgt, indptr), shape=(n, n)).tocsr()
     return TransferMatrix(
@@ -273,7 +268,7 @@ def _cylinder_masses(tm: TransferMatrix, h, nu, lam: float, cylinders) -> np.nda
     A deeper cylinder is h at its first m symbols times nu at its last m,
     extended by phi - log lam in log space.  The empty cylinder has mass 1,
     one that meets no index word mass 0."""
-    rank, m, phi = tm.index_structure.alphabet.rank, tm.depth, tm.potential
+    alpha, m, phi = tm.index_structure.alphabet, tm.depth, tm.potential
 
     def walk(rows):
         return _walk(tm.index_structure, tm.starts, rows)
@@ -281,7 +276,7 @@ def _cylinder_masses(tm: TransferMatrix, h, nu, lam: float, cylinders) -> np.nda
     def rows_of(at, words):
         """Row of each word among the sorted W_k positions ``at`` (k the
         words' length), or -1."""
-        query = walk(np.array([[rank.get(s, -1) for s in w] for w in words], dtype=np.int32))
+        query = walk(np.array([[alpha.rank.get(s, -1) for s in w] for w in words], dtype=np.int32))
         pos = np.minimum(np.searchsorted(at, query), len(at) - 1)
         return np.where((query >= 0) & (at[pos] == query), pos, -1)
 
@@ -299,10 +294,16 @@ def _cylinder_masses(tm: TransferMatrix, h, nu, lam: float, cylinders) -> np.nda
         else:
             heads = rows_of(tm.positions, [w[:m] for w in words])
             tails = rows_of(tm.positions, [w[-m:] for w in words])
-            for c, w, i, j in zip(cs, words, heads, tails):
-                if tm.index_structure.has_nonempty_cylinder(w) and nu[j] > 0.0:
-                    steps = (phi.value(w[s : s + phi.depth]) - math.log(lam) for s in range(k - m))
-                    out[c] = h[i] * math.exp(sum(steps) + math.log(nu[j]))
+            live = [x for x, (w, j) in enumerate(zip(words, tails))
+                    if tm.index_structure.has_nonempty_cylinder(w) and nu[j] > 0.0]
+            if not live:
+                continue
+            rows = np.array([[alpha.rank[s] for s in words[x]] for x in live], dtype=np.int32)
+            steps = 0.0  # the steps added left to right from 0.0
+            for s in range(k - m):
+                steps = steps + (phi.gather(alpha, rows[:, s : s + phi.depth]) - math.log(lam))
+            for x, step in zip(live, steps.tolist()):
+                out[cs[x]] = h[heads[x]] * math.exp(step + math.log(nu[tails[x]]))
     return out
 
 
@@ -720,10 +721,7 @@ def _continuation_bounds(tm: TransferMatrix) -> tuple:
     # Windows j <= m - d lie inside v; the d - 1 later ones run into ctx.
     wins = [tm.ranks[:, j : j + d] for j in range(m - d + 1)]
     wins += [ctx[:, j : j + d] for j in range(d - 1)]
-    at = np.concatenate([_walk(ts, tm.starts, w) for w in wins])
-    _, one, inv = np.unique(at, return_index=True, return_inverse=True)
-    table = [phi.value(w) for w in ts.alphabet.words_of(np.concatenate(wins)[one])]
-    vals = np.split(np.array(table, dtype=float)[inv], np.cumsum([len(w) for w in wins]))
+    vals = np.split(phi.gather(ts.alphabet, np.concatenate(wins)), np.cumsum([len(w) for w in wins]))
     inner = np.zeros(tm.dim)
     for j in range(m - d + 1):
         inner += vals[j]
@@ -750,7 +748,7 @@ def _prefix_log_sums(tm: TransferMatrix, m: int, logs: tuple) -> tuple:
     first, tgt = lt.indptr[:-1], lt.indices
     src = np.repeat(np.arange(tm.dim), np.diff(lt.indptr))
     wins = np.column_stack((tm.ranks[src], tm.ranks[tgt, -1]))[:, : tm.potential.depth]
-    values = np.array([tm.potential.value(w) for w in tm.index_structure.alphabet.words_of(wins)])
+    values = tm.potential.gather(tm.index_structure.alphabet, wins)
     out = []
     for r in logs:
         for _ in range(m - tm.depth):

@@ -125,6 +125,51 @@ class TestRenewal:
             renewal_analysis(spec)
 
 
+def _renewal_equation_reference(spec, lam: float) -> float:
+    """The renewal series summed term by term from the spec's sequences."""
+    total = 0.0
+    prod_b = 1.0
+    for i in range(1, spec.truncation + 1):
+        total += prod_b * spec.a(i) / lam**i
+        prod_b *= spec.b(i)
+    return total
+
+
+RENEWAL_SEQUENCES = {
+    "quarter": (lambda n: 0.25**n, lambda n: 0.25**n),
+    "asymmetric": (lambda n: 3.0**-n, lambda n: 5.0**-n),
+    "slow": (lambda n: 0.9**n / n, lambda n: 0.99**n),
+}
+
+
+class TestRenewalSeries:
+    @pytest.mark.parametrize("truncation", [2, 30, 60])
+    @pytest.mark.parametrize("sequences", sorted(RENEWAL_SEQUENCES))
+    def test_hoisted_coefficients_sum_bitwise_as_the_series(self, truncation, sequences):
+        from types import SimpleNamespace
+
+        from ruelle.applications import _bisect, _renewal_equation, _renewal_series
+
+        a, b = RENEWAL_SEQUENCES[sequences]
+        # RenewalSpec asks for three states; the series itself is defined from two.
+        spec = SimpleNamespace(a=a, b=b, truncation=truncation)
+        coeffs, prod_b = _renewal_series(spec)
+        assert len(coeffs) == truncation
+        assert prod_b == math.prod(b(i) for i in range(1, truncation + 1))
+        # The bisection's bracket, as renewal_analysis finds it from the root.
+        lo, hi = 1.0, 1.0
+        while _renewal_equation_reference(spec, lo) < 1.0:
+            lo *= 0.5
+        while _renewal_equation_reference(spec, hi) > 1.0:
+            hi *= 2.0
+        steps = []
+        _bisect(lambda x: steps.append(x) or _renewal_equation_reference(spec, x) - 1.0, lo, hi, 1e-15)
+        for lam in [lo, hi, *steps, *np.geomspace(lo / 64, hi * 64, 41).tolist()]:
+            got, want = _renewal_equation(coeffs, lam), _renewal_equation_reference(spec, lam)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), lam
+        assert len(steps) >= 40
+
+
 class TestGifsBuild:
     def test_cantor_edges(self):
         system = gifs_build(f5())

@@ -1,20 +1,26 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ruelle import (
+    Alphabet,
     ConfigError,
     Metric,
     from_entries,
     PreconditionError,
+    Potential,
     TailModel,
     admissible_words,
     birkhoff_sum,
+    build_transfer_matrix,
     constant_potential,
     cylinder_sup,
     d_theta,
     extend_potential,
+    full_shift,
     lex_min_point,
     perturbed_potential,
     potential_from_weights,
@@ -26,6 +32,7 @@ from ruelle import (
 
 from conftest import f1, f2, f4, f4_spec, golden_hole
 from ruelle.applications import renewal_potential
+from ruelle.shifts import _word_trie
 
 
 class TestMetric:
@@ -267,3 +274,94 @@ class TestRepresentatives:
         phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})
         assert cylinder_sup(phi, f2(), (0,)) == pytest.approx(0.3)
         assert cylinder_sup(phi, f2(), (1,)) == pytest.approx(0.5)
+
+
+def _bits(values) -> list:
+    """The IEEE bit patterns of a float sequence."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestWeightTable:
+    """``Potential.gather``: the weights compiled once per alphabet."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_gather_is_bitwise_the_weight_lookup(self, seed, depth):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        symbols = tuple(rng.permutation(k) * 10)  # not in rank order
+        pairs = [(a, b) for a in symbols for b in symbols if rng.random() < 0.6]
+        ts = from_entries(symbols, pairs)
+        words = admissible_words(ts, depth)
+        phi = potential_from_weights({w: float(rng.uniform(-40.0, 40.0)) for w in words})
+        rows, _, _ = _word_trie(ts, depth)
+        for order in (slice(None), rng.permutation(len(words))):
+            want = [words[i] for i in np.arange(len(words))[order]]
+            got_exp = phi.gather(ts.alphabet, rows[order], exp=True)
+            got = phi.gather(ts.alphabet, rows[order])
+            assert _bits(got_exp) == _bits([math.exp(phi.value(w)) for w in want])
+            assert _bits(got) == _bits([phi.value(w) for w in want])
+        if len(words):
+            at = rng.integers(0, len(words), size=3 * len(words))
+            got = phi.gather(ts.alphabet, rows, at, exp=True)
+            assert _bits(got) == _bits([math.exp(phi.value(words[i])) for i in at])
+
+    def test_a_missing_word_raises_and_is_named(self):
+        ts = full_shift(("a", "b", "c"))
+        words = admissible_words(ts, 2)
+        phi = potential_from_weights({w: 0.5 for w in words if w != ("c", "a")})
+        rows, _, _ = _word_trie(ts, 2)
+        with pytest.raises(PreconditionError, match=r"word \('c', 'a'\) is not admissible"):
+            phi.gather(ts.alphabet, rows)
+        with pytest.raises(PreconditionError) as exc:
+            phi.value(("c", "a"))
+        missing = words.index(("c", "a"))
+        with pytest.raises(PreconditionError, match=str(exc.value).replace("(", r"\(").replace(")", r"\)")):
+            phi.gather(ts.alphabet, rows, np.array([0, missing]))
+        # Only the rows asked for are checked.
+        asked = np.array([i for i in range(len(words)) if i != missing])
+        assert phi.gather(ts.alphabet, rows, asked).tolist() == [0.5] * len(asked)
+
+    def test_one_potential_on_two_alphabets_gets_two_tables(self):
+        phi = potential_from_weights({(0, 0): -1.0, (0, 1): 2.0, (1, 0): 0.25, (1, 2): 7.0})
+        forward, backward = full_shift((0, 1, 2)), full_shift((2, 1, 0))
+        for ts in (forward, backward, forward):
+            rank = ts.alphabet.rank
+            rows = np.array([[rank[s] for s in w] for w in phi.weights], dtype=np.int32)
+            assert phi.gather(ts.alphabet, rows).tolist() == list(phi.weights.values())
+        assert len(phi._tables) == 2
+        # A word over symbols outside the alphabet is left out of its table.
+        pair = full_shift((0, 1))
+        rows = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int32)
+        assert phi.gather(pair.alphabet, rows).tolist() == [-1.0, 2.0, 0.25]
+        with pytest.raises(PreconditionError, match=r"word \(1, 1\)"):
+            phi.gather(pair.alphabet, np.array([[1, 1]], dtype=np.int32))
+        assert len(phi._tables) == 3
+
+    def test_keys_stay_exact_past_int64(self):
+        # 3000**6 > 2**63: the rank code of a depth-6 word would overflow.
+        k, depth = 3000, 6
+        assert k**depth > 2**63
+        alphabet = Alphabet(tuple(range(k)))
+        rng = np.random.default_rng(6)
+        words = {tuple(int(r) for r in rng.integers(0, k, size=depth)) for _ in range(200)}
+        # Words that differ in one late symbol only, and the extreme words.
+        words |= {(k - 1,) * depth, (0,) * depth, (k - 1,) * 5 + (0,), (5, 7, 11, 13, 17, 19),
+                  (5, 7, 11, 13, 17, 20), (5, 7, 11, 13, 18, 19)}
+        weights = {w: float(i) for i, w in enumerate(sorted(words))}
+        phi = Potential(depth=depth, weights=weights)
+        rows = np.array(list(weights), dtype=np.int32)
+        assert phi.gather(alphabet, rows).tolist() == list(weights.values())
+        # Words whose int64 rank code wraps onto a present word's are absent.
+        top = np.array([(k - 1,) * depth], dtype=np.int64)
+        code = int((top[0] * k ** np.arange(depth - 1, -1, -1, dtype=np.int64)).sum())
+        assert code != sum(r * k ** (depth - 1 - j) for j, r in enumerate((k - 1,) * depth))
+        for absent in [(5, 7, 11, 13, 17, 21), (k - 1,) * 5 + (1,), (0,) * 5 + (1,)]:
+            assert absent not in weights
+            with pytest.raises(PreconditionError, match=re.escape(repr(absent))):
+                phi.gather(alphabet, np.array([absent], dtype=np.int32))
+
+    def test_assembly_reads_the_table(self):
+        phi = potential_from_weights({w: 0.1 * i for i, w in enumerate(admissible_words(f1(), 2))})
+        build_transfer_matrix(f1(), phi, depth=3)
+        assert list(phi._tables) == [f1().alphabet]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from ruelle import (
     classify,
     from_entries,
     full_shift,
+    full_truncated,
     nonempty_cylinder_words,
     period_classes,
     renewal_structure,
@@ -398,3 +400,79 @@ class TestConstruction:
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ConfigError):
             full_shift((0, 0))
+
+
+def _family_pairs(family: str, n: int, width: int = 0) -> set:
+    """The pairs of a family constructor by the set definitions they compile."""
+    syms = range(1, n + 1)
+    if family == "full":
+        return {(i, j) for i in syms for j in syms}
+    if family == "renewal":
+        return {(i, 1) for i in syms} | {(i, i + 1) for i in syms if i + 1 <= n}
+    return {(i, j) for i in syms for j in range(max(1, i - width), min(n, i + width) + 1)}
+
+
+FAMILY_CASES = {
+    "full_shift3": (lambda: full_shift((0, 1, 2)), (0, 1, 2), {(i, j) for i in range(3) for j in range(3)}),
+    "full_shift_strings": (lambda: full_shift(("b", "a")), ("b", "a"),
+                           {(i, j) for i in "ab" for j in "ab"}),
+    "full_shift_empty": (lambda: full_shift(()), (), set()),
+    "full_truncated1": (lambda: full_truncated(1), (1,), _family_pairs("full", 1)),
+    "full_truncated6": (lambda: full_truncated(6), tuple(range(1, 7)), _family_pairs("full", 6)),
+    "renewal2": (lambda: renewal_structure(2), (1, 2), _family_pairs("renewal", 2)),
+    "renewal3": (lambda: renewal_structure(3), (1, 2, 3), _family_pairs("renewal", 3)),
+    "renewal40": (lambda: renewal_structure(40), tuple(range(1, 41)), _family_pairs("renewal", 40)),
+    "banded1_0": (lambda: banded_structure(1, 0), (1,), _family_pairs("banded", 1, 0)),
+    "banded9_0": (lambda: banded_structure(9, 0), tuple(range(1, 10)), _family_pairs("banded", 9, 0)),
+    "banded50_2": (lambda: banded_structure(50, 2), tuple(range(1, 51)),
+                   _family_pairs("banded", 50, 2)),
+    "banded6_5": (lambda: banded_structure(6, 5), tuple(range(1, 7)), _family_pairs("banded", 6, 5)),
+    "banded5_9": (lambda: banded_structure(5, 9), tuple(range(1, 6)), _family_pairs("banded", 5, 9)),
+}
+
+
+class TestFamilyConstructors:
+    """The numpy-compiled family structures against the set path."""
+
+    @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+    def test_matches_the_set_path(self, case):
+        make, symbols, pairs = FAMILY_CASES[case]
+        ts = make()
+        ref = from_entries(symbols, pairs)
+        assert ts.alphabet.symbols == ref.alphabet.symbols
+        assert ts.pair_codes.dtype == np.int64
+        assert np.array_equal(ts.pair_codes, ref.pair_codes)
+        assert ts.entries == ref.entries == frozenset(pairs)
+        assert ts.successors == ref.successors
+        assert ts.predecessors == ref.predecessors
+        assert ts.quotient == ref.quotient
+        assert np.array_equal(ts.quotient.labels, ref.quotient.labels)
+        assert np.array_equal(ts.quotient.distances, ref.quotient.distances)
+        assert np.array_equal(ts.viable_ranks, ref.viable_ranks)
+        assert ts.viable_symbols == ref.viable_symbols
+        for n in (1, 2, 3):
+            assert admissible_words(ts, n) == admissible_words(ref, n)
+        # The set path over the same alphabet and name is the same structure.
+        twin = type(ts)(ts.alphabet, frozenset(pairs), name=ts.name)
+        assert ts == twin and twin == ts and hash(ts) == hash(twin)
+        assert classify(ts) == classify(twin)
+        assert ts != type(ts)(ts.alphabet, frozenset(pairs), name=ts.name + "'")
+        if pairs:
+            fewer = ts.restrict([min(pairs, key=str)])
+            assert fewer != ts and fewer.parent == twin
+            assert fewer.entries == frozenset(pairs) - {min(pairs, key=str)}
+
+    def test_entries_are_built_on_first_use(self):
+        ts = banded_structure(30, 2)
+        assert "entries" not in ts.__dict__
+        ts.quotient, ts.successor_ranks, ts.viable_ranks
+        assert "entries" not in ts.__dict__
+        assert ts.allows(3, 5) and not ts.allows(3, 6)
+        assert "entries" in ts.__dict__
+
+    def test_equality_ignores_how_the_codes_were_built(self):
+        assert full_shift((0, 1)) == from_entries((0, 1), [(0, 0), (0, 1), (1, 0), (1, 1)], name="full")
+        assert full_shift((0, 1)) != full_shift((1, 0))
+        assert banded_structure(4, 1) != renewal_structure(4)
+        assert len({full_truncated(3), full_truncated(3), full_truncated(4)}) == 2
+        assert full_shift((0, 1)) != "full"

@@ -1069,6 +1069,20 @@ class TestCylinderMasses:
                 masses = self._check(dec.tm, per.h.real, per.nu.real, dec.lam)
                 assert masses[(2,)] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_deep_masses_are_bitwise_the_per_word_sums(self, depth):
+        # Past the depth the steps are gathered from the weight table and
+        # added left to right from 0.0, as the per-word loop adds them.
+        from ruelle.transfer import _cylinder_masses
+
+        ts = from_entries((0, 1, 2), [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
+        trip = rpf_triplet(build_transfer_matrix(ts, _seeded_weights(ts, depth, 30 + depth)))
+        m = trip.tm.depth
+        cyl = [w for n in range(m + 1, m + 5) for w in admissible_words(ts, n)]
+        got = _cylinder_masses(trip.tm, trip.h, trip.nu, trip.lam, cyl)
+        want = _reference_masses(trip.tm, trip.h, trip.nu, trip.lam, cyl)
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
     def test_reducible_fixture_words_off_the_index(self):
         # Every word over the closed alphabet: the open index misses those
         # with a hole pair, at lengths up to m and past it.
