@@ -174,11 +174,11 @@ def renewal_analysis(spec: RenewalSpec, tol: float = DEFAULT_TOL) -> RenewalRepo
 
     # Deep in the chain the kernel and h underflow; pairs with a value below
     # the smallest normal float have no usable logarithm and are left out.
-    resid = 0.0
+    resid, tiny = 0.0, np.finfo(float).tiny
     left_out = 0
     for (i, j), pij in kernel.items():
         hi_, hj_ = h[idx[(i,)]], h[idx[(j,)]]
-        if min(pij, hi_, hj_) < np.finfo(float).tiny:
+        if min(pij, hi_, hj_) < tiny:
             left_out += 1
             continue
         rhs = phi.value((i, j)) - math.log(lam_m) + math.log(hi_) - math.log(hj_)

@@ -189,10 +189,9 @@ def _imag_is_rounding(imag: float, lam: float) -> bool:
 def _remainder_rows(dense_rows, peripherals, rows, real: bool):
     """Rows ``rows`` of L - sum_i lam_i h_i (x) nu_i from the same rows of L.
 
-    With ``real`` peripheral data (``_real_data``, so p = 1) they are built
-    in float64, otherwise in complex.  Each entry is computed on its own, so
-    a block of rows holds the same values as those rows of the whole
-    remainder.
+    With ``real`` peripheral data (p = 1) they are built in float64, otherwise
+    in complex.  Each entry is computed on its own, so a block of rows holds
+    the same values as those rows of the whole remainder.
     """
     if real:
         out = dense_rows.copy()
