@@ -29,16 +29,12 @@ from .shifts import (
     scc_quotient,
 )
 from .potentials import (
-    Metric,
     Potential,
     SummabilityCertificate,
     TailModel,
-    birkhoff_sum,
     constant_potential,
     cylinder_sup,
-    d_theta,
     extend_potential,
-    lex_min_point,
     perturbed_potential,
     potential_from_weights,
     seminorm_bracket,
@@ -50,19 +46,14 @@ from .transfer import (
     PressureReport,
     RpfTriplet,
     TransferMatrix,
-    apply_operator,
     build_transfer_matrix,
     rpf_triplet,
-    spectral_radius_sup_route,
     topological_pressure,
 )
 from .spectral import (
-    ConeReport,
     EventuallyPeriodicPoint,
     GibbsReport,
     SpectralDecomposition,
-    cone_membership,
-    cone_contraction_constant,
     component_decomposition,
     gibbs_check,
     lasota_yorke_check,
@@ -84,9 +75,6 @@ from .perturbation import (
     PerturbationTrace,
     eigenvector_identity_check,
     gibbs_convergence_trace,
-    limit_invariant_masses,
-    operator_distance,
-    pressure_convergence_trace,
     verify_perturbation_conditions,
 )
 from .applications import (
@@ -97,7 +85,6 @@ from .applications import (
     RenewalSpec,
     bowen_dimension,
     gifs_build,
-    locally_constant_analysis,
     renewal_analysis,
     renewal_potential,
 )

@@ -1,5 +1,5 @@
-"""Worked systems: the renewal chain, graph-directed function systems with
-the dimension formula, and uniformly locally constant potentials.
+"""Worked systems: the renewal chain and graph-directed function systems with
+the dimension formula.
 
 The renewal chain couples every state back to 1 and forward by one; its
 radius solves a scalar series equation, cross-checked against the matrix
@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .potentials import DEFAULT_THETA, Potential, TailModel
+from .potentials import Potential, TailModel
 from .shifts import TransitionStructure, from_entries, renewal_structure
-from .transfer import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, _perron_pair, build_transfer_matrix, rpf_triplet,
-)
+from .transfer import DEFAULT_TOL, build_transfer_matrix, rpf_triplet
 
 DEFAULT_S_RANGE = (0.0, 8.0)
 
@@ -344,59 +342,4 @@ def bowen_dimension(spec: GifsSpec, tol: float = 1e-8, max_iter: int = 64) -> Di
         root=root,
         root_pressure=_gifs_pressure(system, root),
         pressure_samples=tuple(samples),
-    )
-
-
-# -- locally constant potentials ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocallyConstantReport:
-    g_depth: int
-    refinement_deviation: float
-    g_locally_constant: bool
-    essential_radii: dict  # theta -> theta * exp(pressure), quoted not computed
-    lam: float
-
-
-def locally_constant_analysis(
-    ts: TransitionStructure,
-    phi: Potential,
-    thetas: Sequence[float] = (DEFAULT_THETA,),
-    k: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-) -> LocallyConstantReport:
-    """Eigenfunction depth certification for a locally constant potential.
-
-    The eigenfunction of a depth-(k+1) potential is exactly depth-k locally
-    constant: computing it at one extra refinement level and lifting must
-    reproduce it to float exactness.  The essential radius values reported
-    per theta are the quoted theta times the radius, outside what finite
-    reductions can certify.
-    """
-    if not phi.locally_constant:
-        raise PreconditionError("analysis needs a locally constant potential")
-    k_eff = k if k is not None else max(phi.depth - 1, 1)
-    if phi.depth > k_eff + 1:
-        raise PreconditionError(
-            f"potential depth {phi.depth} exceeds the claimed local constancy k+1 = {k_eff + 1}"
-        )
-    tm_k = build_transfer_matrix(ts, phi, depth=k_eff)
-    trip_k = rpf_triplet(tm_k, tol=tol)
-    tm_fine = build_transfer_matrix(ts, phi, depth=k_eff + 1)
-    # The fine pair's own loops: rpf_triplet would lift the coarse pair,
-    # whose deviation from it is 0 by construction.
-    trip_fine = _perron_pair(tm_fine.matrix, tm_fine.cesaro_period, tol, DEFAULT_MAX_ITER,
-                             tm_fine.irreducible, tm_fine)
-    dev = 0.0
-    for w, i in tm_fine.word_index.items():
-        coarse = trip_k.g[tm_k.word_index[w[:k_eff]]]
-        dev = max(dev, abs(float(trip_fine.g[i]) - float(coarse)))
-    lam = trip_k.lam
-    return LocallyConstantReport(
-        g_depth=k_eff,
-        refinement_deviation=dev,
-        g_locally_constant=dev <= 1e-9,
-        essential_radii={th: th * lam for th in thetas},
-        lam=lam,
     )

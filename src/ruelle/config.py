@@ -133,7 +133,11 @@ CONFIG_SCHEMA = {
         "k": {"type": "integer", "minimum": 1, "default": DEFAULT_K},
         "epsilons": {
             "anyOf": [
-                {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+                {
+                    "type": "array",
+                    "items": {"type": "number", "exclusiveMinimum": 0},
+                    "minItems": 1,
+                },
                 _SCHEDULE,
             ],
             "default": {"start": 1.0, "ratio": 0.5, "count": 21},
@@ -141,6 +145,7 @@ CONFIG_SCHEMA = {
         "test_cylinders": {
             "type": "array",
             "items": {"type": "array", "items": {"type": ["integer", "string"]}},
+            "minItems": 1,
         },
         "mc": {
             "type": "object",

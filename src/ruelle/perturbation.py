@@ -11,7 +11,7 @@ masses converge on every finite cylinder algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,17 +141,6 @@ def verify_perturbation_conditions(
     )
 
 
-def operator_distance(phi: Potential, hole: HoleSpec, epsilon: float) -> float:
-    """Sup-norm distance between the perturbed closed and open operators.
-
-    Exact for locally constant potentials: the largest row sum of
-    |L_eps - L_open|, that is the sup over cylinder contexts of the summed
-    absolute weight differences across prepended symbols.
-    """
-    pe = perturbed_potential(phi, hole.closed, hole.open_, epsilon)
-    return _sup_distance(_weight_gaps(pe, phi, hole))
-
-
 @dataclass(frozen=True)
 class PerturbationTrace:
     epsilons: tuple
@@ -160,92 +149,14 @@ class PerturbationTrace:
     lam_limit: float
     lam_bracket: tuple
     monotone: bool
-    mass_distances: Optional[tuple] = None
-    test_cylinders: Optional[tuple] = None
-    limit_masses: Optional[dict] = None
+    mass_distances: tuple
+    test_cylinders: tuple
+    limit_masses: dict
 
 
 def _masses(trip, cylinders) -> dict:
     """Cylinder masses of the triplet's invariant measure h nu, by cylinder."""
     return dict(zip(cylinders, _cylinder_masses(trip.tm, trip.h, trip.nu, trip.lam, cylinders).tolist()))
-
-
-def _open_triplet(phi: Potential, hole: HoleSpec, depth, tol: float, max_iter: int):
-    """The ``rpf_triplet`` of the subsystem's operator, whose radius is the
-    schedule's limit."""
-    tm = build_transfer_matrix(hole.open_, phi, depth=depth)
-    return rpf_triplet(tm, tol=tol, max_iter=max_iter)
-
-
-def _schedule_trace(
-    phi: Potential,
-    hole: HoleSpec,
-    epsilons: Sequence[float],
-    lam_open: float,
-    depth: Optional[int],
-    tol: float,
-    cylinders=(),
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple:
-    """The perturbed radii and sup distances along a decreasing schedule,
-    towards the open radius ``lam_open``.
-
-    Each L_eps is assembled once: its triplet gives the radius and the
-    masses of ``cylinders``.  The distance to the hole-killed operator is
-    read off the weights.  Returns the trace and the per-epsilon masses.
-    """
-    A = hole.closed
-    eps = tuple(sorted(epsilons, reverse=True))
-    lams, dists, masses = [], [], []
-    for e in eps:
-        pe = perturbed_potential(phi, A, hole.open_, e)
-        trip = rpf_triplet(build_transfer_matrix(A, pe, depth=depth), tol=tol, max_iter=max_iter)
-        lams.append(trip.lam)
-        dists.append(_sup_distance(_weight_gaps(pe, phi, hole)))
-        masses.append(_masses(trip, cylinders))
-    monotone = all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(lams, lams[1:]))
-    pad = 100.0 * tol * max(1.0, lam_open)
-    trace = PerturbationTrace(
-        epsilons=eps,
-        lams=tuple(lams),
-        operator_distances=tuple(dists),
-        lam_limit=lam_open,
-        lam_bracket=(lam_open - pad, lams[-1] + pad),
-        monotone=monotone,
-    )
-    return trace, masses
-
-
-def pressure_convergence_trace(
-    phi: Potential,
-    hole: HoleSpec,
-    epsilons: Sequence[float],
-    depth: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-) -> PerturbationTrace:
-    """Perturbed radii along a decreasing schedule, with the open-system limit.
-
-    The radii are nonincreasing and bounded below by the open radius, so the
-    final bracket [open radius, last radius] always contains the limit.
-    """
-    lam_open = _open_triplet(phi, hole, depth, tol, DEFAULT_MAX_ITER).lam
-    return _schedule_trace(phi, hole, epsilons, lam_open, depth, tol)[0]
-
-
-def limit_invariant_masses(
-    phi: Potential,
-    hole: HoleSpec,
-    cylinders,
-    depth: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> dict:
-    """Cylinder masses of the open system's invariant measure h nu.
-
-    One ``rpf_triplet`` on the subsystem's operator; a reducible subsystem
-    takes its block route, which requires a unique dominant block.
-    """
-    return _masses(_open_triplet(phi, hole, depth, tol, max_iter), [tuple(w) for w in cylinders])
 
 
 def gibbs_convergence_trace(
@@ -257,17 +168,46 @@ def gibbs_convergence_trace(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PerturbationTrace:
-    """Perturbed invariant cylinder masses against the open-system limit;
-    one triplet of the open operator gives the limit masses and radius."""
+    """The perturbed radii, sup distances and invariant cylinder masses along
+    a decreasing schedule, against the open-system limit.
+
+    One ``rpf_triplet`` of the subsystem's operator gives the limit radius
+    and masses; a reducible subsystem takes its block route, which requires
+    a unique dominant block.  Each L_eps is assembled once: its triplet gives
+    the radius and the masses of ``test_cylinders``, and its sup distance to
+    the hole-killed operator is read off the weights.  The radii are
+    nonincreasing and bounded below by the open radius, so the final bracket
+    [open radius, last radius] always contains the limit.
+    """
+    A = hole.closed
+    eps = tuple(sorted(epsilons, reverse=True))
     cylinders = tuple(tuple(w) for w in test_cylinders)
-    limit_trip = _open_triplet(phi, hole, depth, tol, max_iter)
+    if not eps or not cylinders:
+        raise PreconditionError("the trace needs at least one epsilon and one test cylinder")
+    for w in cylinders:
+        if any(s not in A.alphabet for s in w):
+            raise PreconditionError(f"test cylinder {w!r} has a symbol outside the alphabet")
+    limit_trip = rpf_triplet(build_transfer_matrix(hole.open_, phi, depth=depth), tol=tol,
+                             max_iter=max_iter)
     limit = _masses(limit_trip, cylinders)
-    trace, masses = _schedule_trace(
-        phi, hole, epsilons, limit_trip.lam, depth, tol, cylinders, max_iter
-    )
-    return replace(
-        trace,
-        mass_distances=tuple(max(abs(ms[w] - limit[w]) for w in cylinders) for ms in masses),
+    lams, dists, mass_dists = [], [], []
+    for e in eps:
+        pe = perturbed_potential(phi, A, hole.open_, e)
+        trip = rpf_triplet(build_transfer_matrix(A, pe, depth=depth), tol=tol, max_iter=max_iter)
+        lams.append(trip.lam)
+        dists.append(_sup_distance(_weight_gaps(pe, phi, hole)))
+        ms = _masses(trip, cylinders)
+        mass_dists.append(max(abs(ms[w] - limit[w]) for w in cylinders))
+    monotone = all(b <= a + 1e-10 * max(1.0, a) for a, b in zip(lams, lams[1:]))
+    pad = 100.0 * tol * max(1.0, limit_trip.lam)
+    return PerturbationTrace(
+        epsilons=eps,
+        lams=tuple(lams),
+        operator_distances=tuple(dists),
+        lam_limit=limit_trip.lam,
+        lam_bracket=(limit_trip.lam - pad, lams[-1] + pad),
+        monotone=monotone,
+        mass_distances=tuple(mass_dists),
         test_cylinders=cylinders,
         limit_masses=limit,
     )

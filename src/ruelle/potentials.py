@@ -1,4 +1,4 @@
-"""Potentials on shift spaces: metric, seminorms, summability, extensions.
+"""Potentials on shift spaces: seminorms, summability, extensions.
 
 The workhorse is the uniformly locally constant potential of depth d: its
 value at a point depends only on the first d symbols, so every quantity below
@@ -29,32 +29,6 @@ DEFAULT_K = 1
 DEFAULT_TAIL_COEFF = 1.0
 # Above every code of a compiled weight table (``_compile``).
 _NO_CODE = 2**63 - 1
-
-
-@dataclass(frozen=True)
-class Metric:
-    """The metric d_theta: distance theta^n for first disagreement at n."""
-
-    theta: float = DEFAULT_THETA
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError("theta must lie strictly between 0 and 1")
-
-    def distance(self, agreement: Optional[int]) -> float:
-        """Distance of two points agreeing on exactly ``agreement`` symbols.
-
-        ``None`` means the points are equal.
-        """
-        if agreement is None:
-            return 0.0
-        if agreement < 0:
-            raise PreconditionError("agreement length must be nonnegative")
-        return self.theta**agreement
-
-
-def d_theta(theta: float, agreement: Optional[int]) -> float:
-    return Metric(theta).distance(agreement)
 
 
 @dataclass(frozen=True)
@@ -274,11 +248,6 @@ def _lex_min_extension(ts: TransitionStructure, prefix, length: int) -> tuple:
     return word
 
 
-def lex_min_point(ts: TransitionStructure, prefix, length: int) -> tuple:
-    """Canonical cylinder representative used throughout reports and tests."""
-    return _lex_min_extension(ts, tuple(prefix), length)
-
-
 # -- seminorms ----------------------------------------------------------------
 
 
@@ -399,10 +368,6 @@ def summability_certificate(
     )
 
 
-def birkhoff_sum(phi: Potential, word, n: int) -> float:
-    return phi.birkhoff(tuple(word), n)
-
-
 # -- extension (subshift potential to the ambient shift) -----------------------
 
 
@@ -410,22 +375,20 @@ def extend_potential(
     phi: Potential,
     sub: TransitionStructure,
     ambient: TransitionStructure,
-    policy: str = "lex_min",
 ) -> Potential:
     """Extend a potential on the subshift to the ambient shift.
 
-    A point outside the subshift takes the value of the potential at a fixed
-    representative of its longest prefix whose cylinder still meets the
-    subshift; points of the subshift keep their values.  The result is again
-    locally constant of the same depth, agrees with the input on the
-    subshift, has the same sup norm and the same variations at every depth.
+    A point outside the subshift takes the value of the potential at the
+    lexicographically least completion of its longest prefix whose cylinder
+    still meets the subshift; points of the subshift keep their values.  The
+    result is again locally constant of the same depth, agrees with the
+    input on the subshift, has the same sup norm and the same variations at
+    every depth.
 
     Requires every ambient 1-cylinder to meet the subshift.
     """
     if not phi.locally_constant:
         raise PreconditionError("extension is implemented for locally constant potentials")
-    if policy != "lex_min":
-        raise ConfigError(f"unknown representative policy {policy!r}")
     for s in ambient.alphabet.symbols:
         if not sub.has_nonempty_cylinder((s,)):
             raise PreconditionError(

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, PreconditionError
-from .potentials import DEFAULT_K, DEFAULT_THETA, Potential, lex_min_point
+from .potentials import DEFAULT_K, DEFAULT_THETA, Potential, _lex_min_extension
 from .shifts import TransitionStructure, admissible_words, nonempty_cylinder_words, period_classes
 from .transfer import (
     DEFAULT_MAX_ITER,
@@ -451,66 +451,6 @@ def _support_patterns(tm, dag, dom, peripherals) -> dict:
     }
 
 
-# -- cone membership ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    member: bool
-    c: float
-    k: int
-    worst_pair: Optional[tuple]  # (word_hi, word_lo, margin)
-    worst_margin: float
-
-
-def cone_membership(
-    f: np.ndarray,
-    words: Sequence,
-    c: float,
-    k: int,
-    theta: float = DEFAULT_THETA,
-) -> ConeReport:
-    """Check log-ratio cone membership over word pairs sharing k symbols.
-
-    Nonnegativity plus f(x) <= exp(c d_theta(x, y)) f(y) for all pairs in a
-    common k-cylinder; the returned worst pair realizes the largest violation
-    (or the tightest satisfied margin).
-    """
-    f = np.asarray(f, dtype=float)
-    if float(f.min(initial=0.0)) < 0.0:
-        i = int(np.argmin(f))
-        return ConeReport(False, c, k, (words[i], words[i], float(f[i])), math.inf)
-    worst = -math.inf
-    worst_pair = None
-    n = len(words)
-    m = len(words[0]) if n else 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            wi, wj = words[i], words[j]
-            if wi[:k] != wj[:k]:
-                continue
-            t = next((a for a in range(k, m) if wi[a] != wj[a]), None)
-            dist = theta**t if t is not None else 0.0
-            hi, lo = float(f[i]), float(f[j])
-            if hi == 0.0:
-                continue
-            if lo == 0.0:
-                return ConeReport(False, c, k, (wi, wj, math.inf), math.inf)
-            margin = math.log(hi) - math.log(lo) - c * dist
-            if margin > worst:
-                worst = margin
-                worst_pair = (wi, wj, margin)
-    ok = worst <= 1e-12
-    return ConeReport(ok, c, k, worst_pair, worst)
-
-
-def cone_contraction_constant(phi_seminorm_upper: float, theta: float) -> float:
-    """Smallest cone constant stable under the operator: [phi]_{k+1} theta/(1-theta)."""
-    return phi_seminorm_upper * theta / (1.0 - theta)
-
-
 # -- Gibbs property ------------------------------------------------------------------
 
 
@@ -550,7 +490,7 @@ def gibbs_check(
             if mass <= 0.0:
                 excluded.append(w)
                 continue
-            rep = lex_min_point(ts, w, n + phi.depth - 1)
+            rep = _lex_min_extension(ts, w, n + phi.depth - 1)
             weight = math.exp(-n * pressure + phi.birkhoff(rep, n))
             ratio = mass / weight
             lo = min(lo, ratio)
@@ -628,7 +568,9 @@ def lasota_yorke_check(
     m-th normalized iterate against fitted constants times the L1 norm plus a
     theta^m seminorm term.  The seminorm decay slope is fit per sample; for
     locally constant data the seminorm collapses to exactly zero once m
-    reaches the representation depth, reported as a -inf slope.
+    reaches the representation depth, reported as a -inf slope.  A heuristic:
+    the constants are fitted to these samples, so ``all_hold`` holds by
+    construction, and the slopes are the evidence.
     """
     ts = tm_open.index_structure
     sub = tm_open.governing

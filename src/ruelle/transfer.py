@@ -175,16 +175,6 @@ def _allows(ts: TransitionStructure, a: np.ndarray, b: np.ndarray):
     return table[np.searchsorted(table, query)] == query
 
 
-def apply_operator(tm: TransferMatrix, f: np.ndarray, n: int = 1) -> np.ndarray:
-    """n-fold application of the reduction to a word vector."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (tm.dim,):
-        raise PreconditionError(f"vector of shape {f.shape} does not match index {tm.dim}")
-    for _ in range(n):
-        f = tm.apply(f)
-    return f
-
-
 def _sup(u: np.ndarray) -> float:
     """Sup norm of a nonnegative vector, 0.0 for an empty one."""
     return u.max(initial=0.0)
@@ -197,9 +187,9 @@ def _orbit(tm: TransferMatrix, u: np.ndarray, steps: int, norm):
     by the running scale exp(log_scale): each step applies L, divides by
     ``norm`` of the result and adds its log to the scale.  The orbit ends at
     the first step whose norm is <= 0 (the vector died out).  The pressure
-    routes, the sup route and the survivor masses all read it.  Each step
-    calls scipy's ``csr_matvec``, the kernel of ``tm.apply``, into a fresh
-    zeroed vector: the same sums without the sparse-matrix dispatch.
+    routes and the survivor masses read it.  Each step calls scipy's
+    ``csr_matvec``, the kernel of ``tm.apply``, into a fresh zeroed vector:
+    the same sums without the sparse-matrix dispatch.
     """
     n_dim = tm.dim
     csr = (n_dim, n_dim, tm.matrix.indptr, tm.matrix.indices, tm.matrix.data)
@@ -592,14 +582,13 @@ def _solved(small: TransferMatrix, pairs: dict, tol: float, max_iter: int) -> Rp
     return pairs[key]
 
 
-def _minimal(ts: TransitionStructure, phi: Potential, depth: Optional[int] = None,
-             ind: Optional[TransitionStructure] = None) -> TransferMatrix:
+def _minimal(ts: TransitionStructure, phi: Potential, depth: Optional[int] = None) -> TransferMatrix:
     """The held least-depth reduction (``_reduction``) for a route asked for
     ``depth`` (default b), whose exact depth-m quantities are functions of
     it; a depth below b is refused by ``build_transfer_matrix``."""
     if depth is not None and depth < max(phi.depth - 1, 1):
-        return build_transfer_matrix(ts, phi, depth, ind)
-    return _reduction(ts, phi, ts if ind is None else ind)[0]
+        return build_transfer_matrix(ts, phi, depth)
+    return _reduction(ts, phi, ts)[0]
 
 
 def _lift(tm: TransferMatrix, small: TransferMatrix, g, nu, lam: float) -> tuple:
@@ -636,31 +625,6 @@ def _lifted(tm: TransferMatrix, small: TransferMatrix, pair: RpfTriplet, tol: fl
     converged = pair.converged and res_g <= 10 * tol and res_nu <= 10 * tol
     return replace(pair, tm=tm, g=g, nu=nu, residual_g=res_g, residual_nu=res_nu,
                    converged=converged)
-
-
-def spectral_radius_sup_route(
-    ts: TransitionStructure,
-    phi: Potential,
-    n_max: int,
-    depth: Optional[int] = None,
-    index_structure: Optional[TransitionStructure] = None,
-) -> list:
-    """The sequence of n-th roots of the sup of the iterated operator at one.
-
-    Its limit is the spectral radius; read off the normalized orbit of one
-    (``_orbit``).  ``index_structure`` lets a subsystem operator act on the
-    ambient system's functions (the sequence is 0.0 once the orbit dies out,
-    as it does when the subsystem has no periodic point).  At depth m above
-    the potential's least exact depth b the orbit runs on the depth-b
-    reduction: L_m P = P L_b for the prefix gather P, and the sup of a
-    gathered vector is the sup of the vector, so the sequence is the same.
-    """
-    small = _minimal(ts, phi, depth, index_structure)
-    out = [
-        math.exp((log_scale + math.log(float(u.max()))) / n)
-        for n, log_scale, u in _orbit(small, np.ones(small.dim), n_max, _sup)
-    ]
-    return out + [0.0] * (n_max - len(out))
 
 
 # -- topological pressure -------------------------------------------------------

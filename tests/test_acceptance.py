@@ -23,7 +23,6 @@ from ruelle import (
     gibbs_convergence_trace,
     lasota_yorke_check,
     monte_carlo_survival,
-    operator_distance,
     perturbed_potential,
     potential_from_weights,
     renewal_analysis,
@@ -135,15 +134,17 @@ def test_criterion_3_escape_rate():
 def test_criterion_4_perturbation_program():
     hole = golden_hole()
     phi = zero_potential(f1())
-    for j in range(1, 21):
-        d = operator_distance(phi, hole, 1.0 / j)
-        assert abs(d - math.exp(-j)) <= 1e-12, j
-    eps = [2.0**-j for j in range(0, 21)]
     cyls = [
         w
         for n in (1, 2, 3)
         for w in admissible_words(f1(), n)
     ]
+    inverse = [1.0 / j for j in range(1, 21)]
+    dists = gibbs_convergence_trace(phi, hole, inverse, cyls).operator_distances
+    assert len(dists) == 20
+    for j, d in enumerate(dists, start=1):
+        assert abs(d - math.exp(-j)) <= 1e-12, j
+    eps = [2.0**-j for j in range(0, 21)]
     trace = gibbs_convergence_trace(phi, hole, eps, cyls)
     assert trace.monotone
     assert abs(trace.lams[-1] - PHI) <= 1e-6

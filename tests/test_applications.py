@@ -10,7 +10,6 @@ from ruelle import (
     bowen_dimension,
     build_transfer_matrix,
     gifs_build,
-    locally_constant_analysis,
     potential_from_weights,
     renewal_analysis,
     zero_potential,
@@ -258,45 +257,3 @@ class TestBowenDimension:
             return math.log(max(abs(np.linalg.eigvals(tm.dense()))))
 
         assert pressure_by_eig(rep.root) == pytest.approx(0.0, abs=1e-8)
-
-
-class TestLocallyConstant:
-    def test_golden_depth2_gives_depth1_eigenfunction(self):
-        phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})
-        rep = locally_constant_analysis(f2(), phi, thetas=(0.5, 0.25))
-        assert rep.g_locally_constant
-        assert rep.refinement_deviation <= 1e-10
-        assert rep.g_depth == 1
-
-    def test_fine_eigenfunction_is_its_own_solve(self, monkeypatch):
-        # The fine pair comes from loops on the depth-2 matrix (3 words),
-        # not from a lift of the depth-1 pair (2 words).
-        import ruelle.transfer as transfer
-
-        dims = []
-
-        def recording(mat, p, tol, max_iter=transfer.DEFAULT_MAX_ITER):
-            dims.append(mat.shape[0])
-            return solver(mat, p, tol, max_iter)
-
-        solver = transfer._perron_vector
-        monkeypatch.setattr(transfer, "_perron_vector", recording)
-        phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})
-        locally_constant_analysis(f2(), phi)
-        assert dims == [2, 2, 3, 3]
-
-    def test_constant_potential_constant_eigenfunction(self):
-        rep = locally_constant_analysis(f2(), zero_potential(f2()))
-        assert rep.g_locally_constant
-
-    def test_quoted_essential_radii_scale(self):
-        phi = zero_potential(f2())
-        rep = locally_constant_analysis(f2(), phi, thetas=(0.5, 0.25))
-        assert rep.essential_radii[0.5] == pytest.approx(2 * rep.essential_radii[0.25])
-
-    def test_depth_beyond_claim_rejected(self):
-        phi = potential_from_weights(
-            {w: 0.1 for w in __import__("ruelle").admissible_words(f2(), 3)}
-        )
-        with pytest.raises(PreconditionError):
-            locally_constant_analysis(f2(), phi, k=1)

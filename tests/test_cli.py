@@ -329,6 +329,20 @@ class TestCli:
         assert rep["results"]["monotone"] is True
         assert rep["results"]["mass_distances"][-1] <= 1e-6
 
+    @pytest.mark.parametrize("field", ["epsilons", "test_cylinders"])
+    def test_perturb_empty_array_exits_3(self, tmp_path, capsys, field):
+        cfgp = write_config(tmp_path, dict(GOLDEN, **{field: []}))
+        out = tmp_path / "pert"
+        assert main(["perturb", "--config", str(cfgp), "--out", str(out)]) == 3
+        assert f"config schema violation at {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word", [[5], ["a"]])
+    def test_perturb_cylinder_outside_the_alphabet_exits_3(self, tmp_path, capsys, word):
+        cfgp = write_config(tmp_path, dict(GOLDEN, test_cylinders=[[0], word]))
+        assert main(["perturb", "--config", str(cfgp), "--out", str(tmp_path / "pert")]) == 3
+        assert f"test cylinder {tuple(word)!r}" in capsys.readouterr().err
+
     def test_renewal_command(self, tmp_path):
         doc = {
             "alphabet": {"family": "renewal", "truncation": 25},

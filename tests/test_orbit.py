@@ -1,6 +1,6 @@
-"""The pressure routes, the sup route and the survivor masses read one
-normalized orbit (``transfer._orbit``).  Each is pinned bit for bit against
-its own loop, written out below as the reference.
+"""The pressure routes and the survivor masses read one normalized orbit
+(``transfer._orbit``).  Each is pinned bit for bit against its own loop,
+written out below as the reference.
 
 Above the potential's least exact depth b the pressure runs its orbits on
 the depth-b reduction and reads the depth-m sequences off them.  There its
@@ -24,7 +24,6 @@ from ruelle import (
     log_survivor_masses,
     potential_from_weights,
     rpf_triplet,
-    spectral_radius_sup_route,
     topological_pressure,
     zero_potential,
 )
@@ -157,26 +156,6 @@ def reference_lifted_pressure_routes(ts, phi, n_max, depth):
             tuple(infs[n] for n in ns))
 
 
-def reference_sup_route(ts, phi, n_max, depth, index_structure=None):
-    tm = build_transfer_matrix(ts, phi, depth=depth, index_structure=index_structure)
-    if tm.dim == 0:
-        return [0.0] * n_max
-    u = np.ones(tm.dim)
-    log_scale = 0.0
-    out = []
-    for n in range(1, n_max + 1):
-        u = tm.apply(u)
-        m = float(u.max())
-        if m <= 0.0:
-            out.append(0.0)
-            u = np.zeros_like(u)
-            continue
-        log_scale += math.log(m)
-        u = u / m
-        out.append(math.exp((log_scale + math.log(float(u.max()))) / n))
-    return out
-
-
 def reference_log_masses(hole, phi, trip, n_max):
     tm_open = open_operator(hole, phi, trip.tm.depth)
     v = trip.h.copy()
@@ -200,7 +179,7 @@ def _cases():
     banded = banded_structure(200, 2)
     yield "banded200", banded, _seeded_weights(banded, 2, 1302), None, [(1, 1), (5, 7)], 40
     # The open system keeps only 0 -> 1: its orbits die after one step, so
-    # the sup route pads with 0.0 and the survivor masses with -inf.
+    # the survivor masses pad with -inf.
     full2 = full_shift((0, 1))
     yield "dying", full2, zero_potential(full2), 1, [(0, 0), (1, 0), (1, 1)], 6
 
@@ -217,15 +196,7 @@ def test_orbit_consumers_equal_their_own_loops(case):
     assert rep.lower == lower
     assert rep.inf_route == inf_route
 
-    assert spectral_radius_sup_route(ts, phi, n_max, depth=depth) == reference_sup_route(
-        ts, phi, n_max, depth
-    )
-
     hole = HoleSpec.from_hole(ts, hole_pairs)
-    assert spectral_radius_sup_route(
-        hole.open_, phi, n_max, depth=depth, index_structure=ts
-    ) == reference_sup_route(hole.open_, phi, n_max, depth, index_structure=ts)
-
     trip = rpf_triplet(build_transfer_matrix(ts, phi, depth=depth))
     got = log_survivor_masses(hole, phi, trip, n_max)
     assert got == reference_log_masses(hole, phi, trip, n_max)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,22 +7,26 @@ import pytest
 from ruelle import (
     HoleSpec,
     NonUniqueDominantError,
+    PreconditionError,
     admissible_words,
     build_transfer_matrix,
     eigenvector_identity_check,
     extend_potential,
     gibbs_convergence_trace,
-    limit_invariant_masses,
-    operator_distance,
     perturbed_potential,
     potential_from_weights,
-    pressure_convergence_trace,
     rpf_triplet,
     verify_perturbation_conditions,
     zero_potential,
 )
 
 from conftest import PHI, f1, f2, f3, golden_hole, golden_mu, hole_cases
+
+
+def _trace(phi, hole, epsilons, **kwargs):
+    """The trace with the empty cylinder (mass 1) as its one test cylinder,
+    for the fields that do not read the cylinders."""
+    return gibbs_convergence_trace(phi, hole, epsilons, [()], **kwargs)
 
 
 class TestPerturbationConditions:
@@ -70,24 +75,24 @@ class TestPerturbationConditions:
 class TestOperatorDistance:
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 6, 8, 12, 16, 20])
     def test_exact_exponential(self, j):
-        d = operator_distance(zero_potential(f1()), golden_hole(), 1.0 / j)
+        d = _trace(zero_potential(f1()), golden_hole(), [1.0 / j]).operator_distances[0]
         assert d == math.exp(-j)
 
     def test_no_hole_zero(self):
         hole = HoleSpec(closed=f1(), open_=f1())
-        assert operator_distance(zero_potential(f1()), hole, 0.25) == 0.0
+        assert _trace(zero_potential(f1()), hole, [0.25]).operator_distances[0] == 0.0
 
     def test_decreasing_in_epsilon(self):
         phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})
         ext = extend_potential(phi, f2(), f1())
-        ds = [operator_distance(ext, golden_hole(), e) for e in (1.0, 0.5, 0.25, 0.125)]
+        ds = _trace(ext, golden_hole(), [1.0, 0.5, 0.25, 0.125]).operator_distances
         assert all(b < a for a, b in zip(ds, ds[1:]))
 
 
 class TestPressureTrace:
     def test_golden_hole_monotone_to_limit(self):
         eps = [2.0**-j for j in range(0, 21, 2)]
-        trace = pressure_convergence_trace(zero_potential(f1()), golden_hole(), eps)
+        trace = _trace(zero_potential(f1()), golden_hole(), eps)
         assert trace.monotone
         assert trace.lam_limit == pytest.approx(PHI, abs=1e-10)
         assert trace.lams[-1] == pytest.approx(PHI, abs=1e-6)
@@ -98,12 +103,12 @@ class TestPressureTrace:
         for eps in (0.125, 0.5):
             x = math.exp(-1.0 / eps)
             expected = ((1 + x) + math.sqrt((1 + x) ** 2 - 4 * (x - 1))) / 2.0
-            trace = pressure_convergence_trace(zero_potential(f1()), golden_hole(), [eps])
+            trace = _trace(zero_potential(f1()), golden_hole(), [eps])
             assert trace.lams[0] == pytest.approx(expected, abs=1e-10)
 
     def test_no_hole_constant(self):
         hole = HoleSpec(closed=f1(), open_=f1())
-        trace = pressure_convergence_trace(zero_potential(f1()), hole, [1.0, 0.25, 0.0625])
+        trace = _trace(zero_potential(f1()), hole, [1.0, 0.25, 0.0625])
         assert all(v == pytest.approx(2.0, abs=1e-11) for v in trace.lams)
 
     def test_depth_three_schedule_with_underflowing_weights(self):
@@ -113,9 +118,9 @@ class TestPressureTrace:
         phi, hole = zero_potential(f1()), golden_hole()
         eps = [2.0**-j for j in range(21)]
         cyls = [w for n in (1, 2, 3) for w in admissible_words(f1(), n)]
-        ref = pressure_convergence_trace(phi, hole, eps)
+        ref = _trace(phi, hole, eps)
         for trace in (
-            pressure_convergence_trace(phi, hole, eps, depth=3),
+            _trace(phi, hole, eps, depth=3),
             gibbs_convergence_trace(phi, hole, eps, cyls, depth=3),
         ):
             assert abs(trace.lam_limit - ref.lam_limit) <= 1e-12
@@ -124,7 +129,7 @@ class TestPressureTrace:
     def test_two_cycle_hole_limit_one(self):
         hole = HoleSpec(closed=f1(), open_=f3())
         eps = [2.0**-j for j in range(0, 16, 3)]
-        trace = pressure_convergence_trace(zero_potential(f1()), hole, eps)
+        trace = _trace(zero_potential(f1()), hole, eps)
         assert trace.monotone
         assert trace.lam_limit == pytest.approx(1.0, abs=1e-12)
         assert trace.lams[-1] == pytest.approx(1.0, abs=1e-4)
@@ -162,6 +167,16 @@ class TestGibbsTrace:
         # the limit masses and the limit radius.
         assert len(solved) == len(eps) + 1 == 22
         assert trace.lam_limit == pytest.approx(PHI, rel=1e-12)
+
+    @pytest.mark.parametrize("word", [(5,), ("a",), (0, 1, 7)])
+    def test_symbol_outside_the_alphabet_named(self, word):
+        with pytest.raises(PreconditionError, match=re.escape(repr(word))):
+            gibbs_convergence_trace(zero_potential(f1()), golden_hole(), [0.5], [(0,), word])
+
+    @pytest.mark.parametrize("eps, cyls", [([], [(0,)]), ([0.5], [])])
+    def test_empty_schedule_or_cylinders_refused(self, eps, cyls):
+        with pytest.raises(PreconditionError, match="at least one"):
+            gibbs_convergence_trace(zero_potential(f1()), golden_hole(), eps, cyls)
 
     def test_tie_surfaces(self):
         from ruelle import from_entries
@@ -230,7 +245,9 @@ class TestLimitMasses:
         kept = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)]
         opened = closed.restrict([p for p in closed.entries if p not in kept])
         hole = HoleSpec(closed=closed, open_=opened)
-        masses = limit_invariant_masses(zero_potential(closed), hole, [(0,), (1,), (2,), (1, 2)])
+        masses = gibbs_convergence_trace(
+            zero_potential(closed), hole, [1.0], [(0,), (1,), (2,), (1, 2)]
+        ).limit_masses
         assert masses[(2,)] == pytest.approx(0.0, abs=1e-9)
         assert masses[(1, 2)] == pytest.approx(0.0, abs=1e-9)
         assert masses[(0,)] + masses[(1,)] == pytest.approx(1.0, abs=1e-9)
@@ -286,7 +303,7 @@ def _reference_distance_tables(phi, hole, epsilons):
 def test_operator_distance_bitwise_equals_word_loop(case):
     _, hole, phi = case
     for e in GAP_EPSILONS:
-        assert operator_distance(phi, hole, e) == _reference_operator_distance(phi, hole, e)
+        assert _trace(phi, hole, [e]).operator_distances[0] == _reference_operator_distance(phi, hole, e)
 
 
 @pytest.mark.parametrize("case", hole_cases(), ids=lambda c: c[0])
@@ -304,7 +321,7 @@ def test_trace_distances_from_the_assembled_operators(case):
     ref = tuple(_reference_operator_distance(phi, hole, e) for e in GAP_EPSILONS)
     m = build_transfer_matrix(hole.closed, perturbed_potential(phi, hole.closed, hole.open_, 1.0)).depth
     for depth in (None, m + 1):
-        trace = pressure_convergence_trace(phi, hole, GAP_EPSILONS, depth=depth)
+        trace = _trace(phi, hole, GAP_EPSILONS, depth=depth)
         assert trace.operator_distances == ref
 
 

@@ -7,21 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from ruelle import (
     Alphabet,
-    ConfigError,
-    Metric,
     from_entries,
     PreconditionError,
     Potential,
     TailModel,
     admissible_words,
-    birkhoff_sum,
     build_transfer_matrix,
     constant_potential,
     cylinder_sup,
-    d_theta,
     extend_potential,
     full_shift,
-    lex_min_point,
     perturbed_potential,
     potential_from_weights,
     seminorm_bracket,
@@ -32,24 +27,8 @@ from ruelle import (
 
 from conftest import f1, f2, f4, f4_spec, golden_hole
 from ruelle.applications import renewal_potential
+from ruelle.potentials import _lex_min_extension
 from ruelle.shifts import _word_trie
-
-
-class TestMetric:
-    def test_values(self):
-        assert d_theta(0.5, 0) == 1.0
-        assert d_theta(0.5, 3) == 0.125
-        assert d_theta(0.5, None) == 0.0
-
-    def test_theta_range(self):
-        with pytest.raises(ConfigError):
-            Metric(1.0)
-        with pytest.raises(ConfigError):
-            Metric(0.0)
-
-    @given(st.floats(0.01, 0.99), st.integers(0, 30))
-    def test_monotone_in_agreement(self, theta, n):
-        assert d_theta(theta, n + 1) < d_theta(theta, n)
 
 
 class TestSeminorm:
@@ -129,22 +108,22 @@ class TestSummability:
 
 class TestBirkhoff:
     def test_zero(self):
-        assert birkhoff_sum(zero_potential(f1()), (0, 1, 0, 1), 3) == 0.0
+        assert zero_potential(f1()).birkhoff((0, 1, 0, 1), 3) == 0.0
 
     def test_renewal_table_lookup(self):
         ts = f4(6)
         phi = renewal_potential(f4_spec(6), ts)
-        val = birkhoff_sum(phi, (1, 2, 1), 2)
+        val = phi.birkhoff((1, 2, 1), 2)
         assert val == pytest.approx(math.log(0.25) + math.log(4.0**-2))
 
     def test_constant_scales(self):
         phi = constant_potential(f1(), 0.7)
-        assert birkhoff_sum(phi, (0, 1, 0, 1, 0), 5) == pytest.approx(3.5)
+        assert phi.birkhoff((0, 1, 0, 1, 0), 5) == pytest.approx(3.5)
 
     def test_too_short_rejected(self):
         phi = potential_from_weights({w: 1.0 for w in admissible_words(f1(), 2)})
         with pytest.raises(PreconditionError):
-            birkhoff_sum(phi, (0, 1), 2)
+            phi.birkhoff((0, 1), 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 200))
@@ -155,9 +134,9 @@ class TestBirkhoff:
         if not words:
             return
         w = words[pick % len(words)]
-        total = birkhoff_sum(phi, w, n + m)
+        total = phi.birkhoff(w, n + m)
         assert total == pytest.approx(
-            birkhoff_sum(phi, w, n) + birkhoff_sum(phi, w[n:], m)
+            phi.birkhoff(w, n) + phi.birkhoff(w[n:], m)
         )
 
 
@@ -195,10 +174,6 @@ class TestExtension:
         amb3 = from_entries((0, 1, 2), [(i, j) for i in range(3) for j in range(3)])
         with pytest.raises(PreconditionError):
             extend_potential(self.phi, self.sub, amb3)
-
-    def test_representative_policy_named(self):
-        with pytest.raises(ConfigError):
-            extend_potential(self.phi, self.sub, self.amb, policy="random")
 
 
 class TestPerturbedPotential:
@@ -267,8 +242,8 @@ class TestPerturbedPotential:
 
 class TestRepresentatives:
     def test_lex_min_point(self):
-        assert lex_min_point(f2(), (0,), 5) == (0, 1, 0, 1, 0)
-        assert lex_min_point(f2(), (1, 1), 4) == (1, 1, 0, 1)
+        assert _lex_min_extension(f2(), (0,), 5) == (0, 1, 0, 1, 0)
+        assert _lex_min_extension(f2(), (1, 1), 4) == (1, 1, 0, 1)
 
     def test_cylinder_sup_exact(self):
         phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})

@@ -12,8 +12,6 @@ from ruelle import (
     admissible_words,
     banded_structure,
     build_transfer_matrix,
-    cone_contraction_constant,
-    cone_membership,
     component_decomposition,
     from_entries,
     gibbs_check,
@@ -525,49 +523,6 @@ class TestComponentPressuresFromOneMatrix:
         assert not pair.converged and pair.iterations == 10 and pair.lam > 0.0
         assert pair.tm is None
         assert len(pair.g) == len(pair.nu) == 30
-
-
-class TestConeMembership:
-    def test_eigenfunction_in_cone(self):
-        tm = build_transfer_matrix(f2(), zero_potential(f2()), depth=2)
-        trip = rpf_triplet(tm)
-        c1 = cone_contraction_constant(0.0, 0.5)
-        rep = cone_membership(trip.g, tm.words, c=c1, k=1)
-        assert rep.member
-
-    def test_indicator_of_short_cylinder(self):
-        tm = build_transfer_matrix(f2(), zero_potential(f2()), depth=2)
-        f = np.array([1.0 if w[0] == 1 else 0.0 for w in tm.words])
-        assert cone_membership(f, tm.words, c=0.0, k=1).member
-
-    def test_negative_entry_fails(self):
-        tm = build_transfer_matrix(f2(), zero_potential(f2()), depth=2)
-        f = np.array([1.0, -0.1, 1.0, 1.0])
-        rep = cone_membership(f, tm.words, c=5.0, k=1)
-        assert not rep.member
-
-    def test_violating_pair_reported(self):
-        tm = build_transfer_matrix(f1(), zero_potential(f1()), depth=2)
-        f = np.array([10.0 if w == (0, 0) else 1.0 for w in tm.words])
-        rep = cone_membership(f, tm.words, c=0.1, k=1)
-        assert not rep.member
-        hi, lo, margin = rep.worst_pair
-        assert hi == (0, 0) and margin > 0
-
-    def test_operator_stability(self):
-        # Applying the operator keeps cone members inside, at the stated
-        # contraction constant.
-        phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})
-        ts = f2()
-        tm = build_transfer_matrix(ts, phi, depth=3)
-        from ruelle import seminorm_bracket
-
-        sem = seminorm_bracket(phi, ts, k=2, enumeration_depth=5).upper
-        c1 = cone_contraction_constant(sem, 0.5)
-        f = np.array([1.0 if w[:1] == (1,) else 0.0 for w in tm.words])
-        assert cone_membership(f, tm.words, c=c1, k=1).member
-        Lf = tm.apply(f)
-        assert cone_membership(Lf, tm.words, c=c1, k=1).member
 
 
 class TestGibbsCheck:

@@ -8,7 +8,6 @@ from ruelle import (
     NonUniqueDominantError,
     PreconditionError,
     admissible_words,
-    apply_operator,
     banded_structure,
     build_transfer_matrix,
     constant_potential,
@@ -16,7 +15,6 @@ from ruelle import (
     full_shift,
     potential_from_weights,
     rpf_triplet,
-    spectral_radius_sup_route,
     topological_pressure,
     zero_potential,
 )
@@ -31,7 +29,6 @@ from conftest import (
     f1,
     f2,
     f3,
-    fib,
     golden_nu,
     period2_rich,
     random5_primitive,
@@ -76,32 +73,6 @@ class TestBuild:
             assert out[i] == pytest.approx(
                 direct_operator_apply(ts, phi, by_word, w), rel=1e-14
             )
-
-
-class TestApply:
-    def test_full_shift_doubling(self):
-        tm = build_transfer_matrix(f1(), zero_potential(f1()), depth=1)
-        out = apply_operator(tm, np.ones(2), n=7)
-        assert np.allclose(out, 2.0**7)
-
-    def test_golden_fibonacci_counts(self):
-        # Entries of the iterated operator at one count admissible
-        # predecessor words.
-        tm = build_transfer_matrix(f2(), zero_potential(f2()), depth=1)
-        for n in range(1, 15):
-            out = apply_operator(tm, np.ones(2), n=n)
-            total = out.sum()
-            assert total == fib(n + 3)  # number of admissible words of length n+1
-
-    def test_permutation_involution(self):
-        tm = build_transfer_matrix(f3(), zero_potential(f3()), depth=1)
-        f = np.array([0.3, 1.7])
-        assert np.allclose(apply_operator(tm, f, n=2), f)
-
-    def test_shape_mismatch(self):
-        tm = build_transfer_matrix(f1(), zero_potential(f1()), depth=1)
-        with pytest.raises(PreconditionError):
-            apply_operator(tm, np.ones(3))
 
 
 class TestRpfTriplet:
@@ -304,23 +275,6 @@ class TestRpfTriplet:
     def test_tie_keeps_the_spectral_pressure(self, entries):
         ts = from_entries((0, 1), entries)
         assert topological_pressure(ts, zero_potential(ts)).spectral == 0.0
-
-
-class TestSupRoute:
-    def test_full_shift_constant(self):
-        seq = spectral_radius_sup_route(f1(), zero_potential(f1()), 10)
-        assert all(v == pytest.approx(2.0) for v in seq)
-
-    def test_golden_converges(self):
-        seq = spectral_radius_sup_route(f2(), zero_potential(f2()), 60)
-        assert seq[-1] == pytest.approx(PHI, abs=1e-2)
-        assert abs(seq[-1] - PHI) < abs(seq[5] - PHI)
-
-    def test_acyclic_decays_to_zero(self):
-        sub = type(f1())(f1().alphabet, frozenset({(0, 1)}))
-        phi = constant_potential(f1(), 0.0)
-        seq = spectral_radius_sup_route(sub, phi, 6, index_structure=f1())
-        assert seq[-1] == 0.0
 
 
 class TestPressure:
@@ -757,57 +711,6 @@ def test_lifted_tie_raises_with_the_minimal_radius():
             rpf_triplet(build_transfer_matrix(ts, zero_potential(ts), depth=depth))
         errors.append(exc.value)
     assert errors[1].lam == errors[0].lam and errors[1].tied == errors[0].tied
-
-
-def _deep_sup_route(ts, phi, n_max, m, ind):
-    """The sup route on the depth-m matrix itself: its own orbit of ones."""
-    tm = build_transfer_matrix(ts, phi, depth=m, index_structure=ind)
-    u, log_scale, out = np.ones(tm.dim), 0.0, []
-    for n in range(1, n_max + 1):
-        u = tm.apply(u)
-        s = float(u.max(initial=0.0))
-        if s <= 0.0:
-            break
-        log_scale += math.log(s)
-        u = u / s
-        out.append(math.exp((log_scale + math.log(float(u.max()))) / n))
-    return out + [0.0] * (n_max - len(out))
-
-
-def _sup_route_cases():
-    from ruelle import HoleSpec
-
-    full4 = full_shift((0, 1, 2, 3))
-    phi3 = _seeded_weights(full4, 3, 1)
-    for m in range(2, 8):
-        yield f"full4-m{m}", full4, phi3, m, None
-    hole = HoleSpec.from_hole(full4, [(1, 1), (2, 3)])
-    phi2 = _seeded_weights(full4, 2, 12)
-    for m in (1, 3, 5):
-        yield f"open-on-closed-m{m}", hole.open_, phi2, m, hole.closed
-    # Without a cycle the orbit of ones dies out after one step.
-    sub = type(f1())(f1().alphabet, frozenset({(0, 1)}))
-    for m in (1, 3):
-        yield f"dying-m{m}", sub, constant_potential(f1(), 0.0), m, f1()
-
-
-@pytest.mark.parametrize("case", list(_sup_route_cases()), ids=lambda c: c[0])
-def test_sup_route_runs_at_the_least_depth_bitwise(case, monkeypatch):
-    import ruelle.transfer as transfer
-
-    _, ts, phi, m, ind = case
-    want = _deep_sup_route(ts, phi, 40, m, ind)
-    dims = []
-
-    def recording_orbit(tm, u, steps, norm):
-        dims.append(tm.depth)
-        return orbit(tm, u, steps, norm)
-
-    orbit = transfer._orbit
-    monkeypatch.setattr(transfer, "_orbit", recording_orbit)
-    assert spectral_radius_sup_route(ts, phi, 40, depth=m, index_structure=ind) == want
-    assert dims == [max(phi.depth - 1, 1)]
-    assert (want[-1] == 0.0) == case[0].startswith("dying")
 
 
 def _recording(monkeypatch):
