@@ -88,6 +88,8 @@ def verify_perturbation_conditions(
     """
     A = hole.closed
     eps = tuple(sorted(epsilons, reverse=True))
+    if not eps:
+        raise PreconditionError("the conditions need at least one epsilon")
     symbols = [s for s in A.alphabet.symbols if A.has_nonempty_cylinder((s,))]
     failures = []
 

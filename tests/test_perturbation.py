@@ -64,6 +64,10 @@ class TestPerturbationConditions:
         assert rep.failures == ()
         assert rep.uniform_sum <= rep.summability_total + 1e-12
 
+    def test_empty_schedule_refused(self):
+        with pytest.raises(PreconditionError, match="at least one epsilon"):
+            verify_perturbation_conditions(zero_potential(f1()), golden_hole(), [])
+
     def test_weighted_uniform_sum_below_certificate(self):
         phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})
         ext = extend_potential(phi, f2(), f1())
@@ -303,7 +307,8 @@ def _reference_distance_tables(phi, hole, epsilons):
 def test_operator_distance_bitwise_equals_word_loop(case):
     _, hole, phi = case
     for e in GAP_EPSILONS:
-        assert _trace(phi, hole, [e]).operator_distances[0] == _reference_operator_distance(phi, hole, e)
+        got = _trace(phi, hole, [e]).operator_distances[0]
+        assert got == _reference_operator_distance(phi, hole, e)
 
 
 @pytest.mark.parametrize("case", hole_cases(), ids=lambda c: c[0])
