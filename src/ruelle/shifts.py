@@ -308,8 +308,9 @@ def _word_trie(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> 
     one row per word in lexicographic order.  ``starts[j - 1]`` (j <= n) is
     the CSR pointer from W_j into W_{j+1}: the extensions of the q-th word of
     W_j are the words starts[j - 1][q] .. starts[j - 1][q + 1] - 1 of W_{j+1},
-    so ``_walk`` finds words up to length n + 1.  ``suf[i]`` is the position
-    of rows[i, 1:] in W_{n-1} (0 when n = 1).
+    so ``_walk`` finds words up to length n + 1.  ``suf[j - 1]`` (j <= n) is
+    the suffix link of level j: the position of w[1:] in W_{j-1} for each
+    W_j word w (0, the empty word, at j = 1).
     Refuses with :class:`EnumerationCapExceeded` before allocating when
     ``|W_n| > cap``.
     """
@@ -322,18 +323,28 @@ def _word_trie(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> 
         )
     indptr, succ = ts.successor_ranks
     degree = np.diff(indptr)
-    rows = np.arange(len(ts.alphabet), dtype=np.int32)[:, None]
-    starts, suf = [], np.zeros(len(rows), dtype=np.int64)
+    # Level by level, each word's last symbol and the position of its parent.
+    last, parent = [np.arange(len(ts.alphabet), dtype=np.int32)], []
+    starts, suf = [], [np.zeros(len(last[0]), dtype=np.int64)]
     for _ in range(n - 1):
-        first, count = indptr[rows[:, -1]], degree[rows[:, -1]]
+        first, count = indptr[last[-1]], degree[last[-1]]
         src, pos = _ranges(first, count)
         # The suffix of p.c is the suffix of p extended by c, which sits at
         # c's offset among the successors of p's last symbol; that of a.c is c.
-        suf = starts[-1][suf[src]] + (pos - first[src]) if starts else succ[pos].astype(np.int64)
+        suf.append(starts[-1][suf[-1][src]] + (pos - first[src]) if starts
+                   else succ[pos].astype(np.int64))
         starts.append(np.concatenate(([0], np.cumsum(count))))
-        rows = np.column_stack((rows[src], succ[pos]))
-    starts.append(np.concatenate(([0], np.cumsum(degree[rows[:, -1]]))))
-    return rows, tuple(starts), suf
+        parent.append(src)
+        last.append(succ[pos])
+    starts.append(np.concatenate(([0], np.cumsum(degree[last[-1]]))))
+    # Column j of a word is the last symbol of its (j + 1)-prefix.
+    rows = np.empty((len(last[-1]), n), dtype=np.int32)
+    at = np.arange(len(last[-1]))
+    for j in range(n - 1, -1, -1):
+        rows[:, j] = last[j][at]
+        if j:
+            at = parent[j - 1][at]
+    return rows, tuple(starts), tuple(suf)
 
 
 def _walk(ts: TransitionStructure, starts, rows: np.ndarray) -> np.ndarray:
@@ -394,9 +405,10 @@ class QuotientDag:
     reaches: bit b is set when a reaches b (reflexive and transitive).
     Symbols with no entries at all are excluded from every component and
     listed in ``isolated``.  Over the alphabet ranks, ``labels`` holds each
-    symbol's component (-1 when isolated) and ``distances`` its BFS distance
-    from its component's first symbol inside a cyclic component (-1 off
-    them).
+    symbol's component (-1 when isolated) and ``distances`` its DFS-tree
+    depth less that of its component's first symbol inside a cyclic
+    component (-1 off them), which is the symbol's cyclic class modulo the
+    component's period.
     """
 
     components: tuple  # of ComponentInfo
@@ -414,18 +426,20 @@ class QuotientDag:
         return tuple(b for b in range(len(self.components)) if mask >> b & 1)
 
 
-def _tarjan_sccs(roots, indptr, succ) -> list:
-    """Strongly connected components of a rank graph given as CSR lists.
+def _tarjan_sccs(roots, indptr, succ) -> tuple:
+    """Strongly connected components of a rank graph given as CSR lists,
+    with each vertex's depth in the DFS forest.
 
     Iterative Tarjan from each root in turn; a component is emitted after
     every component it reaches.  A vertex whose component is emitted gets
     index n, above every live one, so it never lowers a low-link and no
-    on-stack flag is needed."""
+    on-stack flag is needed.  Returns (sccs, depth)."""
     n = len(indptr) - 1
     index = [-1] * n
     low = [0] * n
     cursor = indptr[:-1]
-    depth = [0] * n  # position on the stack
+    place = [0] * n  # position on the stack
+    depth = [0] * n  # depth in the DFS forest
     stack = []
     sccs = []
     counter = 0
@@ -434,7 +448,7 @@ def _tarjan_sccs(roots, indptr, succ) -> list:
             continue
         index[root] = low[root] = counter
         counter += 1
-        depth[root] = len(stack)
+        place[root] = len(stack)
         stack.append(root)
         work = [root]
         while work:
@@ -448,7 +462,8 @@ def _tarjan_sccs(roots, indptr, succ) -> list:
                     low[v] = lv
                     index[w] = low[w] = counter
                     counter += 1
-                    depth[w] = len(stack)
+                    place[w] = len(stack)
+                    depth[w] = len(work)
                     stack.append(w)
                     work.append(w)
                     break
@@ -460,12 +475,12 @@ def _tarjan_sccs(roots, indptr, succ) -> list:
                 if work and lv < low[work[-1]]:
                     low[work[-1]] = lv
                 if lv == index[v]:
-                    comp = stack[depth[v] :]
-                    del stack[depth[v] :]
+                    comp = stack[place[v] :]
+                    del stack[place[v] :]
                     for w in comp:
                         index[w] = n
                     sccs.append(comp)
-    return sccs
+    return sccs, depth
 
 
 def scc_quotient(ts: TransitionStructure) -> QuotientDag:
@@ -477,16 +492,17 @@ def scc_quotient(ts: TransitionStructure) -> QuotientDag:
 
 
 def _quotient(ts: TransitionStructure) -> QuotientDag:
-    """Components, reach masks, periods and BFS distances from the pair codes
-    (periods and distances by ``_periods``, from each component's first
-    symbol)."""
+    """Components, reach masks, periods and period offsets from the pair
+    codes: periods by ``_periods`` from the DFS depths of ``_tarjan_sccs``,
+    and each cyclic component's offsets as those depths less its first
+    symbol's."""
     k = len(ts.alphabet)
     codes = ts.pair_codes
     heads, tails = codes // k, codes % k
     indptr, succ = ts.successor_ranks
     active = np.zeros(k, dtype=bool)
     active[heads] = active[tails] = True
-    sccs = _tarjan_sccs(np.flatnonzero(active).tolist(), indptr.tolist(), succ.tolist())
+    sccs, depth = _tarjan_sccs(np.flatnonzero(active).tolist(), indptr.tolist(), succ.tolist())
     comps = sorted((sorted(c) for c in sccs), key=lambda c: c[0])
     labels = np.full(k, -1)
     for c, comp in enumerate(comps):
@@ -495,7 +511,12 @@ def _quotient(ts: TransitionStructure) -> QuotientDag:
     loops[heads[heads == tails]] = True
     cyclic = [len(comp) > 1 or bool(loops[comp[0]]) for comp in comps]
 
-    dist, period = _periods(heads, tails, labels, [comp[0] for comp, cyc in zip(comps, cyclic) if cyc])
+    depth = np.array(depth)
+    period = _periods(heads, tails, labels, depth)
+    dist = np.full(k, -1)
+    for comp, cyc in zip(comps, cyclic):
+        if cyc:
+            dist[comp] = depth[comp] - depth[comp[0]]
 
     syms = ts.alphabet.symbols
     infos = tuple(
@@ -536,44 +557,26 @@ def _quotient(ts: TransitionStructure) -> QuotientDag:
 # -- periods ------------------------------------------------------------------
 
 
-def _periods(heads: np.ndarray, tails: np.ndarray, labels: np.ndarray, roots) -> tuple:
-    """BFS distances and periods of the cyclic components of a graph.
+def _periods(heads: np.ndarray, tails: np.ndarray, labels: np.ndarray, depth: np.ndarray) -> dict:
+    """Periods of the cyclic components of a graph, {label: period}.
 
     The edges (heads[i], tails[i]) are sorted by head; ``labels`` gives each
-    vertex's component and ``roots`` the first vertex of each cyclic one.
-    Edges inside a component are exactly those of the cyclic ones; one BFS
-    from every root at once stays inside each component along them, and
-    dist is -1 off the cyclic components.  A component's period is the gcd
-    of dist(a) + 1 - dist(b) over its inner edges (a, b).  Returns
-    (dist, {label: period}).
+    vertex's component and ``depth`` its depth in the DFS forest of
+    ``_tarjan_sccs``.  Edges inside a component are exactly those of the
+    cyclic ones.  The tree paths from a component's first visited vertex
+    stay inside it, so depth rises by one along a spanning tree of inner
+    edges, and the period is the gcd of depth(a) + 1 - depth(b) over the
+    inner edges (a, b).
     """
-    n = len(labels)
     inner = labels[heads] == labels[tails]
     a, b = heads[inner], tails[inner]
-    inner_ptr = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n)))).tolist()
-    inner_succ = b.tolist()
-    dist = [-1] * n
-    frontier = list(roots)
-    for s in frontier:
-        dist[s] = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u] + 1
-            for w in inner_succ[inner_ptr[u] : inner_ptr[u + 1]]:
-                if dist[w] < 0:
-                    dist[w] = du
-                    nxt.append(w)
-        frontier = nxt
-    dist = np.array(dist)
     # The inner entries grouped by component, one gcd per group.
     order = np.argsort(labels[a], kind="stable")
     owners, starts = np.unique(labels[a][order], return_index=True)
-    period = {}
-    if len(order):
-        gcds = np.abs(np.gcd.reduceat((dist[a] + 1 - dist[b])[order], starts))
-        period = dict(zip(owners.tolist(), gcds.tolist()))
-    return dist, period
+    if not len(order):
+        return {}
+    gcds = np.abs(np.gcd.reduceat((depth[a] + 1 - depth[b])[order], starts))
+    return dict(zip(owners.tolist(), gcds.tolist()))
 
 
 @dataclass(frozen=True)
@@ -602,7 +605,7 @@ def period_classes(ts: TransitionStructure, component=None) -> PeriodClasses:
     components, in any order; by default ``ts`` must be a single transitive
     component.  Any other symbol set is a precondition error, and so is a
     component without a cycle, whose period is undefined ("no periodic
-    point").  The classes are the BFS distances that the quotient kept,
+    point").  The classes are the depth offsets that the quotient kept,
     modulo the period.
     """
     dag = ts.quotient

@@ -47,9 +47,10 @@ class TransferMatrix:
     ``ranks`` holds the index words as alphabet ranks of the index
     structure, one int32 row per word in lexicographic order; ``words`` is
     their tuple view, built on first use.  The index words are the W_m
-    words (admissible, length m) whose cylinder is nonempty: ``starts`` are
-    the links of their enumeration (``shifts._word_trie``), which
-    ``shifts._walk`` descends to find any admissible word, and
+    words (admissible, length m) whose cylinder is nonempty.  ``starts``
+    and ``suf`` are the links of their enumeration, per level
+    (``shifts._word_trie``): ``shifts._walk`` descends ``starts`` to find
+    any admissible word, and ``_lift`` climbs both from depth b to m.
     ``positions`` holds each index word's position in W_m.
     """
 
@@ -60,6 +61,7 @@ class TransferMatrix:
     index_structure: TransitionStructure
     potential: Potential
     starts: tuple = field(compare=False, repr=False)
+    suf: tuple = field(compare=False, repr=False)
     positions: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
@@ -78,6 +80,10 @@ class TransferMatrix:
         return self.matrix.toarray()
 
     def apply(self, f: np.ndarray) -> np.ndarray:
+        if len(f) != self.dim:
+            raise PreconditionError(
+                f"a vector of length {len(f)} does not match the {self.dim} index words"
+            )
         return self.matrix @ f
 
     @cached_property
@@ -129,31 +135,35 @@ def build_transfer_matrix(
     positions = np.flatnonzero(viable)
     ranks = rows.take(positions, axis=0)
     n = len(ranks)
-    # Source w and successor c give the entry (w[1:] + (c,), w) when the
-    # target's cylinder is nonempty and the governing table allows w[0] -> w[1].
-    # The target extends w[1:] (at suf(w) in W_{m-1}) by c, at c's offset
-    # among the successors of w's last symbol; at m = 1 it is c itself.
-    indptr, succ = ind.successor_ranks
-    first = indptr[ranks[:, -1]]
-    src, pos = _ranges(first, indptr[ranks[:, -1] + 1] - first)
-    c = succ[pos]
+    # Row v holds the sources a v[:-1] whose new transition a -> v[0] the
+    # governing table allows, in row order: a stable sort groups the sources
+    # by key, and v reads the group of its own key.  At m = 1 the sources
+    # are v[0]'s predecessors, keyed by the successor symbol; above, they
+    # are the index words keyed by their suffix link, and v reads the group
+    # of its parent in W_{m-1}.
     if m == 1:
-        tgt, allowed = c, _allows(ts, ranks[src, 0], c)
+        pred, c = np.divmod(ind.pair_codes, len(ind.alphabet))
+        ok = _governed(ts, ind, pred, c) & ind.viable_ranks[c]
+        src, key, own = (np.cumsum(viable) - 1)[pred[ok]], c[ok], ranks[:, 0]
+        size = len(ind.alphabet)
     else:
-        tgt = (starts[m - 2][suf[positions]] - first)[src] + pos
-        allowed = _allows(ts, ranks[:, 0], ranks[:, 1])[src]
-    keep = ind.viable_ranks[c] & allowed
-    src, c = src[keep], c[keep]
-    tgt = (np.cumsum(viable) - 1)[tgt[keep]]
-    # The source cylinder is that of the source's d-prefix, or at d = m + 1
-    # of the whole extended word.
+        ok = _governed(ts, ind, ranks[:, 0], ranks[:, 1])
+        src, key = np.flatnonzero(ok), suf[m - 1][positions[ok]]
+        size = len(starts[m - 2]) - 1
+        own = np.repeat(np.arange(size), np.diff(starts[m - 2]))[positions]
+    count = np.bincount(key, minlength=size)
+    row, at = _ranges((np.cumsum(count) - count)[own], count[own])
+    src = src[np.argsort(key, kind="stable")]
+    # The source cylinder is that of the source's d-prefix, valued once per
+    # grouped source, or at d = m + 1 that of the whole extended word.
     d = phi.depth
     if d <= m:
-        vals = phi.gather(ind.alphabet, ranks[:, :d], src, exp=True)
+        vals, src = phi.gather(ind.alphabet, ranks[:, :d], src, exp=True)[at], src[at]
     else:
-        vals = phi.gather(ind.alphabet, np.column_stack((ranks[src], c)), exp=True)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    mat = sp.csc_matrix((vals, tgt, indptr), shape=(n, n)).tocsr()
+        src = src[at]
+        vals = phi.gather(ind.alphabet, np.column_stack((ranks[src], ranks[row, -1])), exp=True)
+    indptr = np.concatenate(([0], np.cumsum(count[own])))
+    mat = sp.csr_matrix((vals, src, indptr), shape=(n, n))
     return TransferMatrix(
         depth=m,
         ranks=ranks,
@@ -162,6 +172,7 @@ def build_transfer_matrix(
         index_structure=ind,
         potential=phi,
         starts=starts,
+        suf=suf,
         positions=positions,
     )
 
@@ -173,6 +184,12 @@ def _allows(ts: TransitionStructure, a: np.ndarray, b: np.ndarray):
     table = np.append(ts.pair_codes, k * k)
     query = a.astype(np.int64) * k + b
     return table[np.searchsorted(table, query)] == query
+
+
+def _governed(ts: TransitionStructure, ind: TransitionStructure, a: np.ndarray, b: np.ndarray):
+    """Whether the governing ``ts`` allows each pair (a, b) of the index
+    ``ind``: every one when the index is the governing table itself."""
+    return np.ones(len(a), dtype=bool) if ts is ind else _allows(ts, a, b)
 
 
 def _sup(u: np.ndarray) -> float:
@@ -376,14 +393,14 @@ def _block_pair(mat, tol: float, max_iter: int):
     irreducible, through its Frobenius normal form: ``_tarjan_sccs`` splits
     the nonzero pattern (an underflowed explicit 0 is no entry) into
     strongly connected components, numbered by first row; each cyclic one
-    gets both loops on its diagonal block with its own period (``_periods``),
-    and ``_extend`` carries the ``_dominant`` one's pair, whose period is
-    returned."""
+    gets both loops on its diagonal block with its own period (``_periods``
+    on the run's DFS depths), and ``_extend`` carries the ``_dominant``
+    one's pair, whose period is returned."""
     live = sp.csr_matrix(mat, dtype=np.float64, copy=True)
     live.eliminate_zeros()
     n = live.shape[0]
     loops = live.diagonal() != 0.0
-    sccs = _tarjan_sccs(range(n), live.indptr.tolist(), live.indices.tolist())
+    sccs, depth = _tarjan_sccs(range(n), live.indptr.tolist(), live.indices.tolist())
     comps = sorted(sorted(c) for c in sccs)
     blocks = [c for c in comps if len(c) > 1 or loops[c[0]]]
     if not blocks:
@@ -394,7 +411,7 @@ def _block_pair(mat, tol: float, max_iter: int):
     for c, rows in enumerate(comps):
         labels[rows] = c
     heads = np.repeat(np.arange(n), np.diff(live.indptr))
-    _, period = _periods(heads, live.indices, labels, [rows[0] for rows in blocks])
+    period = _periods(heads, live.indices, labels, np.array(depth))
     pairs, its, ok_g, ok_l = [], 0, True, True
     for rows in blocks:
         sub = live[rows][:, rows]
@@ -599,19 +616,35 @@ def _lift(tm: TransferMatrix, small: TransferMatrix, g, nu, lam: float) -> tuple
     prefix gather (P f)(w) = f(w[:b]), and g lifts to g[w[:b]].  The left
     vector's marginal on (m-1)-words is the depth-(m-1) one, so
     nu(w) = lam^-(m-b) prod_{j<m-b} L_b[w[j+1 : j+1+b], w[j : j+b]] nu(w[m-b:]),
-    normalized to sum one; every window ends in a viable symbol, so it is
-    a row of ``small``.
+    normalized to sum one.  Both are read off the enumeration's links, on
+    all of W_l (words off the index carry 0 and feed only words off the
+    index): g at a word is g at its b-prefix, and level by level
+    nu_{l+1} = nu_l[suf_{l+1}] * step / lam, step = L_b[w[1 : b+1], w[:b]],
+    which is exp phi(w[:d]) where the governing table allows w[0] -> w[1]
+    and 0 elsewhere.  It depends on w's (b+1)-prefix alone and is read from
+    a table over W_{b+1}, so the lift multiplies the window product's
+    values in its order and is bitwise equal to it.
     """
-    b = small.depth
-    ind, starts = tm.index_structure, tm.starts
-    at = [
-        np.searchsorted(small.positions, _walk(ind, starts, tm.ranks[:, j : j + b]))
-        for j in range(tm.depth - b + 1)
-    ]
-    out = nu[at[-1]]
-    for j in range(tm.depth - b - 1, -1, -1):
-        out = out * np.asarray(small.matrix[at[j + 1], at[j]]).ravel() / lam
-    return g[at[0]], out / float(out.sum())
+    b, m, starts = small.depth, tm.depth, tm.starts
+    # The W_{b+1} position of each W_l word's (b+1)-prefix, l = b+1 .. m.
+    pre = [np.arange(starts[b - 1][-1])]
+    for l in range(b + 1, m):
+        pre.append(np.repeat(pre[-1], np.diff(starts[l - 1])))
+    # The index words sort by their (b+1)-prefixes: one row per distinct one.
+    at = pre[-1][tm.positions]
+    fresh = np.flatnonzero(np.diff(at, prepend=-1))
+    heads = tm.ranks[fresh, : b + 1]
+    ok = _governed(tm.governing, tm.index_structure, heads[:, 0], heads[:, 1])
+    step = np.zeros(len(pre[0]))
+    step[at[fresh[ok]]] = tm.potential.gather(
+        tm.index_structure.alphabet, heads[ok, : tm.potential.depth], exp=True
+    )
+    g_b, nu_l = np.zeros(len(starts[b - 1]) - 1), np.zeros(len(starts[b - 1]) - 1)
+    g_b[small.positions], nu_l[small.positions] = g, nu
+    for suf, p in zip(tm.suf[b:m], pre):
+        nu_l = nu_l[suf] * step[p] / lam
+    out = nu_l[tm.positions]
+    return np.repeat(g_b, np.diff(starts[b - 1]))[at], out / float(out.sum())
 
 
 def _lifted(tm: TransferMatrix, small: TransferMatrix, pair: RpfTriplet, tol: float) -> RpfTriplet:

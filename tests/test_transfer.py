@@ -74,6 +74,11 @@ class TestBuild:
                 direct_operator_apply(ts, phi, by_word, w), rel=1e-14
             )
 
+    def test_apply_refuses_a_vector_of_the_wrong_length(self):
+        tm = build_transfer_matrix(f1(), zero_potential(f1()), depth=1)
+        with pytest.raises(PreconditionError, match="length 3 does not match the 2 index words"):
+            tm.apply(np.ones(3))
+
 
 class TestRpfTriplet:
     def test_full_shift(self):
@@ -453,6 +458,9 @@ def _assembly_cases():
     big_renewal = renewal_structure(10000)
     yield "renewal10000-m5", big_renewal, _seeded_weights(big_renewal, 2, 20), 5, None
     yield "full4-m6", full4, phi3, 6, None
+    # At m = b = 2 a depth-3 potential's prefix is the whole extended word,
+    # and the target reads the group of its parent in W_1.
+    yield "open-on-closed-m2-d3", hole.open_, _seeded_weights(full4, 3, 21), 2, hole.closed
 
 
 @pytest.mark.parametrize("case", list(_assembly_cases()), ids=lambda c: c[0])
@@ -672,6 +680,61 @@ def test_lifted_pair_equals_the_cold_loop(case):
         live = (got >= tiny) | (want >= tiny)
         assert live.any()
         assert np.all(np.abs(got - want)[live] <= 1e-13 * np.maximum(got, want)[live])
+
+
+def _window_lift(tm, small, g, nu, lam):
+    """The lift as a product of depth-b windows: each window found by a walk
+    down the enumeration's links, its entry read off the depth-b matrix."""
+    from ruelle.shifts import _walk
+
+    b = small.depth
+    at = [
+        np.searchsorted(small.positions, _walk(tm.index_structure, tm.starts, tm.ranks[:, j : j + b]))
+        for j in range(tm.depth - b + 1)
+    ]
+    out = nu[at[-1]]
+    for j in range(tm.depth - b - 1, -1, -1):
+        out = out * np.asarray(small.matrix[at[j + 1], at[j]]).ravel() / lam
+    return g[at[0]], out / float(out.sum())
+
+
+@pytest.mark.parametrize("case", list(_lift_cases()), ids=lambda c: c[0])
+def test_lift_bitwise_equals_the_window_product(case):
+    from ruelle.transfer import _lift
+
+    _, tm = case
+    small = build_transfer_matrix(tm.governing, tm.potential, index_structure=tm.index_structure)
+    pair = rpf_triplet(small)
+    got = _lift(tm, small, pair.g, pair.nu, pair.lam)
+    want = _window_lift(tm, small, pair.g, pair.nu, pair.lam)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_component_lift_bitwise_equals_the_window_product(monkeypatch, forward):
+    import ruelle.spectral as spectral
+    from ruelle import component_decomposition
+
+    ts, phi = two_component_dag(forward=forward)
+    got = component_decomposition(ts, phi, depth=3)
+    monkeypatch.setattr(spectral, "_lift", _window_lift)
+    want = component_decomposition(ts, phi, depth=3)
+    assert got.lam == want.lam
+    for x, y in zip(got.peripherals, want.peripherals):
+        assert x.h.tobytes() == y.h.tobytes() and x.nu.tobytes() == y.nu.tobytes()
+
+
+def test_deep_triplet_walks_no_word(monkeypatch):
+    import ruelle.transfer as transfer
+
+    def refuse(*args):
+        raise AssertionError("the lift walked the enumeration")
+
+    monkeypatch.setattr(transfer, "_walk", refuse)
+    ts = full_shift((0, 1, 2, 3))
+    trip = rpf_triplet(build_transfer_matrix(ts, _seeded_weights(ts, 3, 17), depth=7))
+    assert trip.converged and len(trip.g) == len(trip.nu) == 4**7
 
 
 def test_deep_triplet_runs_no_loop_on_the_deep_matrix(monkeypatch):
