@@ -3,6 +3,9 @@ Markov shifts with holes."""
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -14,6 +17,7 @@ from .errors import (
 from .shifts import (
     Alphabet,
     Classification,
+    HoleSpec,
     PeriodClasses,
     QuotientDag,
     TransitionStructure,
@@ -42,59 +46,55 @@ from .potentials import (
     variation,
     zero_potential,
 )
-from .transfer import (
-    PressureReport,
-    RpfTriplet,
-    TransferMatrix,
-    build_transfer_matrix,
-    rpf_triplet,
-    topological_pressure,
-)
-from .spectral import (
-    EventuallyPeriodicPoint,
-    GibbsReport,
-    SpectralDecomposition,
-    component_decomposition,
-    gibbs_check,
-    lasota_yorke_check,
-    small_eigenfunction,
-    spectral_decomposition,
-)
-from .opensystem import (
-    EscapeReport,
-    HoleSpec,
-    MonteCarloEstimate,
-    escape_rate,
-    log_survivor_masses,
-    monte_carlo_survival,
-    open_operator,
-    survivor_mass,
-)
-from .perturbation import (
-    PerturbationConditionsReport,
-    PerturbationTrace,
-    eigenvector_identity_check,
-    gibbs_convergence_trace,
-    verify_perturbation_conditions,
-)
-from .applications import (
-    DimensionReport,
-    GifsEdge,
-    GifsSpec,
-    RenewalReport,
-    RenewalSpec,
-    bowen_dimension,
-    gifs_build,
-    renewal_analysis,
-    renewal_potential,
+
+# The three layers above need only numpy.  Every other name is read from its
+# module on each access, and the first access loads the module, with scipy or
+# jsonschema: a command loads only the layers it runs, and
+# ``python -m ruelle.config`` executes that module once, as __main__.  Nothing
+# is copied into this namespace, so ``ruelle.<name>`` is always the module's
+# current attribute.
+_LAZY = {
+    name: module
+    for module, names in {
+        "transfer": (
+            "PressureReport", "RpfTriplet", "TransferMatrix", "build_transfer_matrix",
+            "rpf_triplet", "topological_pressure",
+        ),
+        "spectral": (
+            "EventuallyPeriodicPoint", "GibbsReport", "SpectralDecomposition",
+            "component_decomposition", "gibbs_check", "lasota_yorke_check",
+            "small_eigenfunction", "spectral_decomposition",
+        ),
+        "opensystem": (
+            "EscapeReport", "MonteCarloEstimate", "escape_rate", "log_survivor_masses",
+            "monte_carlo_survival", "open_operator", "survivor_mass",
+        ),
+        "perturbation": (
+            "PerturbationConditionsReport", "PerturbationTrace", "eigenvector_identity_check",
+            "gibbs_convergence_trace", "verify_perturbation_conditions",
+        ),
+        "applications": (
+            "DimensionReport", "GifsEdge", "GifsSpec", "RenewalReport", "RenewalSpec",
+            "bowen_dimension", "gifs_build", "renewal_analysis", "renewal_potential",
+        ),
+        "config": ("CONFIG_SCHEMA", "SystemConfig"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_LAZY)
 )
 
 
 def __getattr__(name):
-    # The config layer, and jsonschema with it, loads on first use, so that
-    # ``python -m ruelle.config`` executes that module once, as __main__.
-    if name in ("SystemConfig", "CONFIG_SCHEMA"):
-        from . import config
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{module}", __name__), name)
 
-        return getattr(config, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -22,11 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .potentials import Potential, TailModel
+from .potentials import DEFAULT_S_RANGE, DEFAULT_TOL, Potential, TailModel
 from .shifts import TransitionStructure, from_entries, renewal_structure
-from .transfer import DEFAULT_TOL, build_transfer_matrix, rpf_triplet
-
-DEFAULT_S_RANGE = (0.0, 8.0)
+from .transfer import build_transfer_matrix, rpf_triplet
 
 
 # -- renewal chain ---------------------------------------------------------------

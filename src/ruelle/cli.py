@@ -11,6 +11,9 @@ writes its bundle, flagged ``converged: false``: it holds every result the
 command filled before the failure plus the error as ``warning``, and ``rpf``
 adds the partial triplet.  The config's ``max_iter`` caps each eigen loop of
 ``pressure``, ``rpf``, ``spectrum``, ``escape`` and ``perturb``.
+
+Each command imports the layers it runs in its own body, so a process loads
+no other: ``classify`` needs no scipy.
 """
 
 from __future__ import annotations
@@ -28,12 +31,6 @@ import numpy as np
 from . import __version__
 from .config import SystemConfig
 from .errors import ConvergenceError, PreconditionError, RuelleError
-from .opensystem import escape_rate, monte_carlo_survival
-from .perturbation import gibbs_convergence_trace, verify_perturbation_conditions
-from .shifts import classify, period_classes, scc_quotient
-from .spectral import component_decomposition, spectral_decomposition
-from .transfer import build_transfer_matrix, rpf_triplet, topological_pressure
-from .applications import bowen_dimension, renewal_analysis
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 2
@@ -120,6 +117,8 @@ def _csv_cell(c):
 
 
 def cmd_classify(b: Bundle, cfg: SystemConfig) -> None:
+    from .shifts import classify, period_classes, scc_quotient
+
     ts = cfg.open_structure()
     flags = classify(ts)
     dag = scc_quotient(ts)
@@ -163,6 +162,8 @@ def cmd_classify(b: Bundle, cfg: SystemConfig) -> None:
 
 
 def cmd_pressure(b: Bundle, cfg: SystemConfig) -> None:
+    from .transfer import topological_pressure
+
     ts = cfg.open_structure()
     phi = cfg.potential(on=ts)
     rep = topological_pressure(
@@ -191,6 +192,8 @@ def cmd_pressure(b: Bundle, cfg: SystemConfig) -> None:
 
 
 def cmd_rpf(b: Bundle, cfg: SystemConfig) -> None:
+    from .transfer import build_transfer_matrix, rpf_triplet
+
     ts = cfg.open_structure()
     phi = cfg.potential(on=ts)
     tm = build_transfer_matrix(ts, phi, depth=cfg.depth)
@@ -223,6 +226,9 @@ def cmd_rpf(b: Bundle, cfg: SystemConfig) -> None:
 
 
 def cmd_spectrum(b: Bundle, cfg: SystemConfig) -> None:
+    from .spectral import component_decomposition, spectral_decomposition
+    from .transfer import build_transfer_matrix
+
     ts = cfg.open_structure()
     phi = cfg.potential(on=ts)
     if ts.irreducible:
@@ -262,6 +268,8 @@ def cmd_spectrum(b: Bundle, cfg: SystemConfig) -> None:
 
 
 def cmd_escape(b: Bundle, cfg: SystemConfig) -> None:
+    from .opensystem import escape_rate, monte_carlo_survival
+
     hole = cfg.hole_spec()
     if hole is None:
         raise PreconditionError("escape command needs a holes section")
@@ -299,6 +307,8 @@ def cmd_escape(b: Bundle, cfg: SystemConfig) -> None:
 
 
 def cmd_perturb(b: Bundle, cfg: SystemConfig) -> None:
+    from .perturbation import gibbs_convergence_trace, verify_perturbation_conditions
+
     hole = cfg.hole_spec()
     if hole is None:
         raise PreconditionError("perturb command needs a holes section")
@@ -337,6 +347,8 @@ def cmd_perturb(b: Bundle, cfg: SystemConfig) -> None:
 
 
 def cmd_dimension(b: Bundle, cfg: SystemConfig) -> None:
+    from .applications import bowen_dimension
+
     spec = cfg.gifs_spec()
     rep = bowen_dimension(spec, tol=max(cfg.tolerance, 1e-12))
     b.results["dimension"] = rep.root
@@ -354,6 +366,8 @@ def cmd_dimension(b: Bundle, cfg: SystemConfig) -> None:
 
 
 def cmd_renewal(b: Bundle, cfg: SystemConfig) -> None:
+    from .applications import renewal_analysis
+
     spec = cfg.renewal_spec()
     rep = renewal_analysis(spec, tol=cfg.tolerance)
     b.results["lam_matrix"] = rep.lam_matrix

@@ -15,14 +15,13 @@ from typing import Optional
 
 import jsonschema
 
-from .applications import DEFAULT_S_RANGE, GifsEdge, GifsSpec, RenewalSpec
 from .errors import ConfigError
-from .opensystem import HoleSpec
 from .potentials import (
-    DEFAULT_K, DEFAULT_TAIL_COEFF, DEFAULT_THETA, Potential, TailModel, constant_potential,
-    potential_from_weights,
+    DEFAULT_K, DEFAULT_MAX_ITER, DEFAULT_N_MAX, DEFAULT_S_RANGE, DEFAULT_TAIL_COEFF,
+    DEFAULT_THETA, DEFAULT_TOL, Potential, TailModel, constant_potential, potential_from_weights,
 )
 from .shifts import (
+    HoleSpec,
     TransitionStructure,
     banded_structure,
     from_entries,
@@ -31,7 +30,6 @@ from .shifts import (
     nonempty_cylinder_words,
     renewal_structure,
 )
-from .transfer import DEFAULT_MAX_ITER, DEFAULT_N_MAX, DEFAULT_TOL
 
 _OPEN_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 _PAIRS = {"type": "array", "items": {"type": "array", "minItems": 2, "maxItems": 2}}
@@ -293,7 +291,7 @@ class SystemConfig:
             return renewal_potential(spec, ts)
         return constant_potential(ts, pot["constant"])
 
-    def renewal_spec(self) -> RenewalSpec:
+    def renewal_spec(self) -> "RenewalSpec":
         pot = _with_defaults(self.raw, "potential")
         if pot.get("rule") != "renewal_log":
             raise ConfigError("renewal analysis needs potential.rule = renewal_log")
@@ -302,6 +300,8 @@ class SystemConfig:
             raise ConfigError("renewal analysis needs alphabet.family = renewal")
         ra = pot["a_ratio"]
         rb = pot.get("b_ratio", ra)
+        from .applications import RenewalSpec
+
         return RenewalSpec(
             a=lambda n: ra**n,
             b=lambda n: rb**n,
@@ -325,9 +325,11 @@ class SystemConfig:
             return tuple(w for n in (1, 2, 3) for w in nonempty_cylinder_words(ts, n))
         return tuple(_word(c) for c in cyls)
 
-    def gifs_spec(self) -> GifsSpec:
+    def gifs_spec(self) -> "GifsSpec":
         if "gifs" not in self.raw:
             raise ConfigError("dimension command needs a gifs section")
+        from .applications import GifsEdge, GifsSpec
+
         g = _with_defaults(self.raw, "gifs")
         edges = tuple(
             GifsEdge(

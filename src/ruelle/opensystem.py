@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .potentials import Potential
-from .shifts import TransitionStructure
+from .shifts import HoleSpec
 from .transfer import (
     DEFAULT_MAX_ITER,
     DEFAULT_N_MAX,
@@ -36,28 +36,6 @@ from .transfer import (
     build_transfer_matrix,
     rpf_triplet,
 )
-
-
-@dataclass(frozen=True)
-class HoleSpec:
-    """Closed structure, its subsystem, and the 2-cylinder hole between them."""
-
-    closed: TransitionStructure
-    open_: TransitionStructure
-
-    def __post_init__(self):
-        if not self.open_.entries <= self.closed.entries:
-            raise PreconditionError("open system transitions must refine the closed ones")
-        if self.open_.alphabet != self.closed.alphabet:
-            raise PreconditionError("the open and closed systems must share one alphabet")
-
-    @property
-    def hole_pairs(self) -> frozenset:
-        return self.closed.entries - self.open_.entries
-
-    @staticmethod
-    def from_hole(closed: TransitionStructure, hole_pairs) -> "HoleSpec":
-        return HoleSpec(closed=closed, open_=closed.restrict(hole_pairs))
 
 
 @dataclass(frozen=True)

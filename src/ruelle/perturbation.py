@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .opensystem import HoleSpec
 from .potentials import (
     DEFAULT_K,
     DEFAULT_THETA,
@@ -27,6 +26,7 @@ from .potentials import (
     seminorm_bracket,
     summability_certificate,
 )
+from .shifts import HoleSpec
 from .transfer import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, _cylinder_masses, build_transfer_matrix, rpf_triplet
 )

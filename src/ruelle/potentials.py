@@ -27,6 +27,12 @@ from .shifts import Alphabet, TransitionStructure, nonempty_cylinder_words
 DEFAULT_THETA = 0.5
 DEFAULT_K = 1
 DEFAULT_TAIL_COEFF = 1.0
+# The operator layers' run defaults, declared here with the three above so
+# that the config schema reads them all without importing those layers.
+DEFAULT_TOL = 1e-12
+DEFAULT_MAX_ITER = 100_000
+DEFAULT_N_MAX = 40
+DEFAULT_S_RANGE = (0.0, 8.0)
 # Above every code of a compiled weight table (``_compile``).
 _NO_CODE = 2**63 - 1
 

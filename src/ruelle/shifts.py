@@ -128,6 +128,12 @@ class TransitionStructure:
         return frozenset(zip(map(syms.__getitem__, heads), map(syms.__getitem__, tails)))
 
     @cached_property
+    def code_table(self) -> np.ndarray:
+        """``pair_codes`` followed by the sentinel k * k, which exceeds every
+        pair code, so each ``searchsorted`` query lands on an entry."""
+        return np.append(self.pair_codes, len(self.alphabet) ** 2)
+
+    @cached_property
     def successor_ranks(self) -> tuple:
         """The successor table over alphabet ranks as CSR: (indptr, ranks)."""
         k = len(self.alphabet)
@@ -204,6 +210,28 @@ def _neighbours(symbols, codes: np.ndarray) -> dict:
     for a, b in zip(heads, tails):
         out[symbols[a]].append(symbols[b])
     return {s: tuple(v) for s, v in out.items()}
+
+
+@dataclass(frozen=True)
+class HoleSpec:
+    """Closed structure, its subsystem, and the 2-cylinder hole between them."""
+
+    closed: TransitionStructure
+    open_: TransitionStructure
+
+    def __post_init__(self):
+        if not self.open_.entries <= self.closed.entries:
+            raise PreconditionError("open system transitions must refine the closed ones")
+        if self.open_.alphabet != self.closed.alphabet:
+            raise PreconditionError("the open and closed systems must share one alphabet")
+
+    @property
+    def hole_pairs(self) -> frozenset:
+        return self.closed.entries - self.open_.entries
+
+    @staticmethod
+    def from_hole(closed: TransitionStructure, hole_pairs) -> "HoleSpec":
+        return HoleSpec(closed=closed, open_=closed.restrict(hole_pairs))
 
 
 # -- constructors -----------------------------------------------------------
@@ -357,8 +385,7 @@ def _walk(ts: TransitionStructure, starts, rows: np.ndarray) -> np.ndarray:
     """
     k = len(ts.alphabet)
     indptr, _ = ts.successor_ranks
-    # The sentinel k * k exceeds every pair code, so each query lands on an entry.
-    codes = np.append(ts.pair_codes, k * k)
+    codes = ts.code_table
     idx = rows[:, 0].astype(np.int64)
     ok = idx >= 0
     for j in range(1, rows.shape[1]):

@@ -28,14 +28,13 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
-from .potentials import Potential, summability_certificate
+from .potentials import (
+    DEFAULT_MAX_ITER, DEFAULT_N_MAX, DEFAULT_TOL, Potential, summability_certificate,
+)
 from .shifts import (
     TransitionStructure, _extend_ranks, _periods, _ranges, _tarjan_sccs, _walk, _word_trie,
 )
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
-DEFAULT_N_MAX = 40
 # Component pressures within this relative distance of the largest tie it.
 TIE_RTOL = 1e-9
 
@@ -180,8 +179,7 @@ def build_transfer_matrix(
 def _allows(ts: TransitionStructure, a: np.ndarray, b: np.ndarray):
     """Whether ``ts`` allows each pair of alphabet ranks (a, b)."""
     k = len(ts.alphabet.rank)
-    # The sentinel k * k exceeds every pair code, so each query lands on an entry.
-    table = np.append(ts.pair_codes, k * k)
+    table = ts.code_table
     query = a.astype(np.int64) * k + b
     return table[np.searchsorted(table, query)] == query
 

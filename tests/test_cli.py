@@ -395,3 +395,67 @@ class TestCli:
         assert len(list(tmp_path.glob("spectrum*/report.json"))) == 3  # cantor_ifs has none
         assert len(list(tmp_path.glob("perturb*/report.json"))) >= 1
         assert out.stdout.splitlines()[-1] == str([False] * 33)
+
+    @pytest.mark.parametrize(
+        "config", sorted(p.name for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    )
+    def test_classify_loads_neither_scipy_nor_the_operator_layers(self, tmp_path, config):
+        # `classify` reads only the config and the shift's combinatorics, so a
+        # fresh process that runs it never imports the transfer layer, and so
+        # no scipy; the cantor_ifs config has no alphabet and exits 3.
+        import os
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['ruelle', 'classify', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "try:\n"
+            "    runpy.run_module('ruelle.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code, 'scipy' in sys.modules, 'ruelle.transfer' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(root / "configs" / config), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            check=True,
+        )
+        exit_code = 3 if config == "cantor_ifs.json" else 0
+        assert out.stdout.splitlines()[-1] == f"{exit_code} False False"
+
+
+def test_import_loads_only_the_numpy_layers_and_resolves_every_name():
+    # `import ruelle` loads errors, shifts and potentials; every other
+    # exported name loads its module on first access, and each one is
+    # listed by dir().
+    import os
+    import subprocess
+    import sys
+
+    import ruelle
+
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import ruelle\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('ruelle', 'scipy', 'jsonschema'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        check=True,
+    )
+    assert out.stdout.strip() == str(["ruelle", "ruelle.errors", "ruelle.potentials", "ruelle.shifts"])
+    for name in ruelle.__all__:
+        getattr(ruelle, name)  # an AttributeError fails the test
+    assert set(ruelle.__all__) <= set(dir(ruelle))
+    assert {"classify", "rpf_triplet", "SystemConfig"} <= set(ruelle.__all__)
+    # Resolved names are not copied into the package, so a patched module
+    # attribute is what the package returns.
+    assert "rpf_triplet" not in vars(ruelle) and "SystemConfig" not in vars(ruelle)

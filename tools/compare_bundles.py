@@ -12,7 +12,10 @@ Both sides are committed trees, extracted with ``git archive`` like
 that tree's ``src`` on ``PYTHONPATH`` and the same ``<out>`` on both sides.
 The exit codes, stdout, stderr and every file of the bundle are compared;
 ``report.json`` is compared with its ``timestamp`` key dropped.  One line is
-printed per run, and the exit code is 1 when any run differs, else 0.
+printed per run, with each side's wall time in seconds (interpreter start
+included, so it shows start-up changes per command; the side that runs first
+alternates from run to run), and the exit code is 1 when any run differs,
+else 0.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 from bench_pairs import commit_of, extract
 
@@ -33,15 +37,17 @@ TIMEOUT_S = 600
 
 
 def run(tree: Path, command: str, config: str, out: Path) -> dict:
-    """Exit code, stdout, stderr and bundle files of one command in ``tree``."""
+    """Exit code, stdout, stderr, bundle files and wall time of a command in ``tree``."""
     if out.exists():
         shutil.rmtree(out)
+    start = perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "ruelle.cli", command, "--config", f"configs/{config}",
          "--out", str(out)],
         cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
         capture_output=True, timeout=TIMEOUT_S,
     )
+    wall_s = perf_counter() - start
     files = {}
     if out.exists():
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
@@ -51,7 +57,8 @@ def run(tree: Path, command: str, config: str, out: Path) -> dict:
                 doc.pop("timestamp", None)
                 body = json.dumps(doc).encode()
             files[str(path.relative_to(out))] = body
-    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": files}
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "files": files,
+            "wall_s": wall_s}
 
 
 def differences(parent: dict, change: dict) -> list:
@@ -77,12 +84,14 @@ def main(argv=None) -> int:
         out = Path(tmp) / "out"
         for command in COMMANDS:
             for config in configs:
-                sides = {side: run(tree, command, config, out) for side, tree in trees.items()}
+                order = sorted(trees, reverse=runs % 2 == 1)
+                sides = {side: run(trees[side], command, config, out) for side in order}
                 diff = differences(sides["parent"], sides["change"])
                 runs += 1
                 differ += bool(diff)
                 status = "differs: " + ", ".join(diff) if diff else "identical"
-                print(f"{command:10s} {config:22s} exit {sides['change']['exit']}  {status}",
+                print(f"{command:10s} {config:22s} exit {sides['change']['exit']}  "
+                      f"{sides['parent']['wall_s']:.3f} -> {sides['change']['wall_s']:.3f} s  {status}",
                       flush=True)
     print(f"{differ} of {runs} runs differ")
     return 1 if differ else 0
