@@ -55,7 +55,7 @@ def renewal_potential(spec: RenewalSpec, ts: TransitionStructure) -> Potential:
             weights[(i, j)] = math.log(spec.a(i))
         else:
             weights[(i, j)] = math.log(spec.b(i))
-    return Potential(depth=2, weights=weights, tail=spec.tail, label="renewal")
+    return Potential(depth=2, weights=weights, tail=spec.tail)
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ def _renewal_equation(coeffs: list, lam: float) -> float:
     return total
 
 
-def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 64) -> tuple:
+def _bisect(f, lo: float, hi: float, tol: float) -> tuple:
     """Bracket of the root of a decreasing f with f(lo) >= 0 >= f(hi), halved
-    until its width is at most ``tol`` or ``max_iter`` halvings are done."""
-    for _ in range(max_iter):
+    until its width is at most ``tol`` or 64 halvings are done."""
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
@@ -249,11 +249,7 @@ class GifsSystem:
     log_ratios: dict  # edge label -> log ratio
 
     def potential(self, s: float) -> Potential:
-        return Potential(
-            depth=1,
-            weights={(lab,): s * lr for lab, lr in self.log_ratios.items()},
-            label=f"s={s}",
-        )
+        return Potential(depth=1, weights={(lab,): s * lr for lab, lr in self.log_ratios.items()})
 
 
 def gifs_build(spec: GifsSpec) -> GifsSystem:
@@ -299,7 +295,7 @@ def _gifs_pressure(system: GifsSystem, s: float, tol: float = 1e-13) -> float:
     return math.log(rpf_triplet(tm, tol=tol).lam)
 
 
-def bowen_dimension(spec: GifsSpec, tol: float = 1e-8, max_iter: int = 64) -> DimensionReport:
+def bowen_dimension(spec: GifsSpec, tol: float = 1e-8) -> DimensionReport:
     """Dimension of the limit set as the root of the pressure in s.
 
     The pressure is strictly decreasing (the log ratios are negative), so
@@ -330,7 +326,7 @@ def bowen_dimension(spec: GifsSpec, tol: float = 1e-8, max_iter: int = 64) -> Di
         grow += 1
     if p_hi > 0.0:
         raise PreconditionError("no sign change found in the dimension search range")
-    lo, hi = _bisect(lambda s: _gifs_pressure(system, s), s_lo, s_hi, tol / 4, max_iter)
+    lo, hi = _bisect(lambda s: _gifs_pressure(system, s), s_lo, s_hi, tol / 4)
     root = 0.5 * (lo + hi)
     samples = []
     for s in np.linspace(s_lo, s_hi, 7):

@@ -273,6 +273,11 @@ def cmd_escape(b: Bundle, cfg: SystemConfig) -> None:
     hole = cfg.hole_spec()
     if hole is None:
         raise PreconditionError("escape command needs a holes section")
+    mc = cfg.mc_params()
+    if mc["n"] > cfg.n_max:
+        raise PreconditionError(
+            f"mc.n = {mc['n']} exceeds n_max = {cfg.n_max}: no exact survivor mass to compare with"
+        )
     phi = cfg.potential(on=hole.closed)
     rep = escape_rate(
         hole, phi, n_max=cfg.n_max, depth=cfg.depth, tol=cfg.tolerance, max_iter=cfg.max_iter
@@ -283,7 +288,6 @@ def cmd_escape(b: Bundle, cfg: SystemConfig) -> None:
     b.results["lam_closed"] = rep.lam_closed
     b.results["lam_open"] = rep.lam_open
     b.results["period"] = rep.period
-    mc = cfg.mc_params()
     est = monte_carlo_survival(hole, phi, rep.triplet_closed, mc["n"], mc["samples"], seed=cfg.seed)
     exact = math.exp(rep.log_masses[mc["n"] - 1])
     b.results["monte_carlo"] = {

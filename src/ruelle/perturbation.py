@@ -98,7 +98,7 @@ def verify_perturbation_conditions(
     worst_by_eps = []  # per epsilon: largest weight gap per first symbol
     for e in eps:
         pe = perturbed_potential(phi, A, hole.open_, e)
-        semis.append(seminorm_bracket(pe, A, k + 1, max(pe.depth, k + 1), theta=theta).upper)
+        semis.append(seminorm_bracket(pe, A, k + 1, theta=theta).upper)
         for w, v in pe.weights.items():
             sup_by_symbol[w[0]] = max(sup_by_symbol[w[0]], v)
         worst = dict.fromkeys(symbols, 0.0)
@@ -106,7 +106,7 @@ def verify_perturbation_conditions(
             worst[w[0]] = max(worst[w[0]], g)
         worst_by_eps.append(worst)
     uniform_semi = max(semis)
-    ref = seminorm_bracket(phi, A, k + 1, max(phi.depth, k + 1), theta=theta).upper
+    ref = seminorm_bracket(phi, A, k + 1, theta=theta).upper
     if not math.isfinite(uniform_semi):
         failures.append("seminorm: unbounded over the epsilon schedule")
 

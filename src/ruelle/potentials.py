@@ -1,15 +1,13 @@
 """Potentials on shift spaces: seminorms, summability, extensions.
 
-The workhorse is the uniformly locally constant potential of depth d: its
+A potential is a uniformly locally constant weight table of depth d: its
 value at a point depends only on the first d symbols, so every quantity below
-is computed exactly by finite enumeration.  Rule-based potentials (value
-callable plus declared variation bounds) are supported with interval
-semantics where they are cheap; anything requiring an undeclared bound
-returns an "unbounded" sentinel rather than guessing.
+is computed exactly by finite enumeration.
 
 Seminorms follow the variation convention var_n f = sup |f(x) - f(y)| over
 points agreeing on their first n symbols, and [f]_k = sup_{n >= k} var_n /
-theta^n.  A depth-d potential therefore has var_n = 0 for n >= d.
+theta^n.  A depth-d potential has var_n = 0 for n >= d, so [f]_k is the
+maximum over n = k .. d-1 and is exact.
 """
 
 from __future__ import annotations
@@ -48,49 +46,37 @@ class TailModel:
 
     term: Callable[[int], float]
     sum_beyond: Callable[[int], float]
-    description: str = ""
 
     @staticmethod
-    def geometric(coeff: float, ratio: float, description: str = "") -> "TailModel":
+    def geometric(coeff: float, ratio: float) -> "TailModel":
         if not 0.0 < ratio < 1.0:
             raise ConfigError("geometric tail needs ratio in (0, 1)")
         return TailModel(
             term=lambda s: coeff * ratio**s,
             sum_beyond=lambda n: coeff * ratio ** (n + 1) / (1.0 - ratio),
-            description=description or f"geometric coeff={coeff} ratio={ratio}",
         )
 
     @staticmethod
     def harmonic(coeff: float = DEFAULT_TAIL_COEFF) -> "TailModel":
-        return TailModel(
-            term=lambda s: coeff / max(s, 1),
-            sum_beyond=lambda n: math.inf,
-            description=f"harmonic coeff={coeff} (divergent)",
-        )
+        return TailModel(term=lambda s: coeff / max(s, 1), sum_beyond=lambda n: math.inf)
 
     @staticmethod
     def zero() -> "TailModel":
-        return TailModel(term=lambda s: 0.0, sum_beyond=lambda n: 0.0, description="zero tail")
+        return TailModel(term=lambda s: 0.0, sum_beyond=lambda n: 0.0)
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Depth-d cylinder weight table, or a rule with declared bounds.
+    """Depth-d cylinder weight table.
 
-    Locally constant case: ``weights`` maps every depth-d admissible word to
-    its value and the potential is exactly constant on depth-d cylinders.
-    Rule-based case: ``rule`` evaluates on a word treated as a cylinder
-    representative, ``var_bounds(n)`` must dominate var_n, and
-    ``symbol_sup(s)`` must dominate the sup over the 1-cylinder of s.
+    ``weights`` maps every depth-d admissible word to its value, and the
+    potential is exactly constant on depth-d cylinders; ``tail`` bounds it
+    past a truncation.
     """
 
     depth: int
-    weights: Optional[Mapping] = None
-    rule: Optional[Callable] = None
-    var_bounds: Optional[Callable[[int], float]] = None
-    symbol_sup: Optional[Mapping] = None
+    weights: Mapping
     tail: Optional[TailModel] = None
-    label: str = ""
     # The last least-depth transfer reduction built through this potential,
     # with its converged Perron pairs (``transfer._reduction``).
     _reduction: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
@@ -100,32 +86,23 @@ class Potential:
     def __post_init__(self):
         if self.depth < 1:
             raise ConfigError("potential depth must be at least 1")
-        if (self.weights is None) == (self.rule is None):
-            raise ConfigError("exactly one of weights or rule must be given")
-        if self.weights is not None:
-            for w, v in self.weights.items():
-                if len(w) != self.depth:
-                    raise ConfigError(f"weight key {w!r} does not have depth {self.depth}")
-                if not math.isfinite(v):
-                    raise ConfigError(f"weight for {w!r} is not finite")
-
-    @property
-    def locally_constant(self) -> bool:
-        return self.weights is not None
+        for w, v in self.weights.items():
+            if len(w) != self.depth:
+                raise ConfigError(f"weight key {w!r} does not have depth {self.depth}")
+            if not math.isfinite(v):
+                raise ConfigError(f"weight for {w!r} is not finite")
 
     def value(self, word) -> float:
-        """Value on the cylinder of ``word`` (exact when locally constant)."""
+        """Value on the cylinder of ``word``."""
         if len(word) < self.depth:
             raise PreconditionError(
                 f"word of length {len(word)} is shorter than potential depth {self.depth}"
             )
         key = tuple(word[: self.depth])
-        if self.weights is not None:
-            try:
-                return self.weights[key]
-            except KeyError:
-                raise PreconditionError(f"word {key!r} is not admissible for this potential")
-        return self.rule(key)
+        try:
+            return self.weights[key]
+        except KeyError:
+            raise PreconditionError(f"word {key!r} is not admissible for this potential")
 
     def gather(self, alphabet: Alphabet, rows: np.ndarray, at=None, exp: bool = False) -> np.ndarray:
         """The values on the rank rows ``rows`` over ``alphabet``, or on the
@@ -191,19 +168,18 @@ def _compile(phi: Potential, alphabet: Alphabet) -> tuple:
 
 
 def constant_potential(ts: TransitionStructure, c: float = 0.0) -> Potential:
-    return Potential(depth=1, weights={(s,): c for s in ts.alphabet.symbols}, label=f"const {c}")
+    return Potential(depth=1, weights={(s,): c for s in ts.alphabet.symbols})
 
 
 def zero_potential(ts: TransitionStructure) -> Potential:
     return constant_potential(ts, 0.0)
 
 
-def potential_from_weights(weights: Mapping, tail: Optional[TailModel] = None,
-                           label: str = "") -> Potential:
+def potential_from_weights(weights: Mapping, tail: Optional[TailModel] = None) -> Potential:
     depths = {len(w) for w in weights}
     if len(depths) != 1:
         raise ConfigError("all weight keys must share one depth")
-    return Potential(depth=depths.pop(), weights=dict(weights), tail=tail, label=label)
+    return Potential(depth=depths.pop(), weights=dict(weights), tail=tail)
 
 
 # -- cylinder sups ------------------------------------------------------------
@@ -218,28 +194,12 @@ def _depth_words_from(ts: TransitionStructure, prefix, depth: int) -> list:
 
 
 def cylinder_sup(phi: Potential, ts: TransitionStructure, prefix) -> float:
-    """sup of the potential over the cylinder of ``prefix`` (within the shift).
-
-    Exact for locally constant potentials.  Rule-based potentials must declare
-    per-symbol sups; deeper prefixes use the representative value plus the
-    declared variation bound.
-    """
+    """sup of the potential over the cylinder of ``prefix`` (within the shift), exact."""
     prefix = tuple(prefix)
     if not ts.has_nonempty_cylinder(prefix):
         raise PreconditionError(f"cylinder of {prefix!r} is empty")
-    if phi.locally_constant:
-        words = _depth_words_from(ts, prefix, max(phi.depth, len(prefix)))
-        if not words:
-            raise PreconditionError(f"cylinder of {prefix!r} is empty")
-        return max(phi.value(w) for w in words)
-    if len(prefix) == 1:
-        if phi.symbol_sup is None:
-            raise ConfigError("rule-based potential needs a declared symbol_sup table")
-        return phi.symbol_sup[prefix[0]]
-    if phi.var_bounds is None:
-        return math.inf
-    rep = _lex_min_extension(ts, prefix, max(phi.depth, len(prefix)))
-    return phi.rule(rep[: phi.depth]) + phi.var_bounds(len(prefix))
+    # A nonempty cylinder has an admissible extension to every depth.
+    return max(phi.value(w) for w in _depth_words_from(ts, prefix, max(phi.depth, len(prefix))))
 
 
 def _lex_min_extension(ts: TransitionStructure, prefix, length: int) -> tuple:
@@ -259,21 +219,19 @@ def _lex_min_extension(ts: TransitionStructure, prefix, length: int) -> tuple:
 
 @dataclass(frozen=True)
 class SeminormBracket:
-    """Two-sided bracket for [f]_k, with the theta it was computed against."""
+    """[f]_k as a bracket with lower == upper, and the theta it was computed against."""
 
     k: int
     theta: float
     lower: float
     upper: float
-    attained_at: Optional[int] = None  # variation depth n realizing the lower bound
+    attained_at: Optional[int] = None  # variation depth n realizing [f]_k
 
 
 def variation(phi: Potential, ts: TransitionStructure, n: int) -> float:
-    """var_n over the shift space, exact for locally constant potentials."""
+    """var_n over the shift space, exact."""
     if n < 1:
         raise PreconditionError("variation depth must be positive")
-    if not phi.locally_constant:
-        raise PreconditionError("exact variation needs a locally constant potential")
     if n >= phi.depth:
         return 0.0
     groups = {}
@@ -290,49 +248,18 @@ def seminorm_bracket(
     phi: Potential,
     ts: TransitionStructure,
     k: int,
-    enumeration_depth: int,
     theta: float = DEFAULT_THETA,
 ) -> SeminormBracket:
-    """Bracket [f]_k from variations up to ``enumeration_depth``.
-
-    Exact (lower == upper) for locally constant potentials once the
-    enumeration depth reaches the potential depth.  Rule-based potentials add
-    the declared variation tail to the upper end; a missing declaration gives
-    an unbounded upper end.
-    """
-    if k < 1 or enumeration_depth < k:
-        raise PreconditionError("need k >= 1 and enumeration depth >= k")
-    lower = 0.0
-    attained = None
-    if phi.locally_constant:
-        for n in range(k, enumeration_depth + 1):
-            v = variation(phi, ts, n) / theta**n
-            if v > lower:
-                lower, attained = v, n
-        upper = lower
-    else:
-        words = nonempty_cylinder_words(ts, enumeration_depth + 1)
-        for n in range(k, enumeration_depth + 1):
-            groups = {}
-            for w in words:
-                rep = _lex_min_extension(ts, w, max(phi.depth, len(w)))
-                groups.setdefault(w[:n], []).append(phi.rule(rep[: phi.depth]))
-            v = 0.0
-            for vals in groups.values():
-                if len(vals) > 1:
-                    v = max(v, max(vals) - min(vals))
-            v /= theta**n
-            if v > lower:
-                lower, attained = v, n
-        if phi.var_bounds is None:
-            upper = math.inf
-        else:
-            tail = max(
-                (phi.var_bounds(n) / theta**n for n in range(enumeration_depth + 1, enumeration_depth + 64)),
-                default=0.0,
-            )
-            upper = max(lower, tail)
-    return SeminormBracket(k=k, theta=theta, lower=lower, upper=upper, attained_at=attained)
+    """[f]_k = max of var_n / theta^n over n = k .. d-1, exact (lower == upper):
+    a depth-d potential has var_n = 0 for n >= d."""
+    if k < 1:
+        raise PreconditionError("need k >= 1")
+    value, attained = 0.0, None
+    for n in range(k, phi.depth):
+        v = variation(phi, ts, n) / theta**n
+        if v > value:
+            value, attained = v, n
+    return SeminormBracket(k=k, theta=theta, lower=value, upper=value, attained_at=attained)
 
 
 # -- summability ----------------------------------------------------------------
@@ -350,9 +277,7 @@ class SummabilityCertificate:
         return math.isfinite(self.total_upper)
 
 
-def summability_certificate(
-    phi: Potential, ts: TransitionStructure, truncation: Optional[int] = None
-) -> SummabilityCertificate:
+def summability_certificate(phi: Potential, ts: TransitionStructure) -> SummabilityCertificate:
     """Certificate for the symbol sum of exp(sup over 1-cylinders).
 
     The partial sum runs over the (truncated) alphabet; the tail bound comes
@@ -363,7 +288,7 @@ def summability_certificate(
         if not ts.has_nonempty_cylinder((s,)):
             continue
         partial += math.exp(cylinder_sup(phi, ts, (s,)))
-    n_trunc = truncation if truncation is not None else ts.alphabet.truncation
+    n_trunc = ts.alphabet.truncation
     if phi.tail is None:
         tail = 0.0
     else:
@@ -393,8 +318,6 @@ def extend_potential(
 
     Requires every ambient 1-cylinder to meet the subshift.
     """
-    if not phi.locally_constant:
-        raise PreconditionError("extension is implemented for locally constant potentials")
     for s in ambient.alphabet.symbols:
         if not sub.has_nonempty_cylinder((s,)):
             raise PreconditionError(
@@ -412,12 +335,7 @@ def extend_potential(
             m = max(i for i in range(1, d) if sub.has_nonempty_cylinder(w[:i]))
             rep = _lex_min_extension(sub, w[:m], d)
             new_weights[w] = phi.value(rep)
-    return Potential(
-        depth=d,
-        weights=new_weights,
-        tail=phi.tail,
-        label=(phi.label + " extended").strip(),
-    )
+    return Potential(depth=d, weights=new_weights, tail=phi.tail)
 
 
 # -- perturbation family --------------------------------------------------------
@@ -444,8 +362,6 @@ def perturbed_potential(
     """
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
-    if not phi.locally_constant:
-        raise PreconditionError("perturbation is implemented for locally constant potentials")
     holes = hole_cylinders(ambient, sub)
     d = max(phi.depth, 2)
     inv = 1.0 / epsilon
@@ -464,9 +380,4 @@ def perturbed_potential(
         else:
             val = clamp - inv * chi
         new_weights[w] = val
-    return Potential(
-        depth=d,
-        weights=new_weights,
-        tail=phi.tail,
-        label=(phi.label + f" eps={epsilon}").strip(),
-    )
+    return Potential(depth=d, weights=new_weights, tail=phi.tail)

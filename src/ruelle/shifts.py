@@ -243,10 +243,9 @@ def full_shift(symbols) -> TransitionStructure:
     return TransitionStructure._compiled(Alphabet(syms), codes, "full")
 
 
-def from_entries(symbols, pairs, parent=None, name="") -> TransitionStructure:
-    return TransitionStructure(
-        Alphabet(tuple(symbols)), frozenset(tuple(p) for p in pairs), parent=parent, name=name
-    )
+def from_entries(symbols, pairs, name="") -> TransitionStructure:
+    entries = frozenset(tuple(p) for p in pairs)
+    return TransitionStructure(Alphabet(tuple(symbols)), entries, name=name)
 
 
 def renewal_structure(truncation: int) -> TransitionStructure:
@@ -407,10 +406,10 @@ def admissible_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CA
     return ts.alphabet.words_of(_word_trie(ts, n, cap)[0])
 
 
-def nonempty_cylinder_words(ts: TransitionStructure, n: int, cap: int = DEFAULT_WORD_CAP) -> list:
+def nonempty_cylinder_words(ts: TransitionStructure, n: int) -> list:
     """Admissible words of length ``n`` whose cylinder meets the shift space."""
     viable = ts.viable_symbols
-    return [w for w in admissible_words(ts, n, cap=cap) if w[-1] in viable]
+    return [w for w in admissible_words(ts, n) if w[-1] in viable]
 
 
 # -- transitive components ---------------------------------------------------

@@ -52,6 +52,11 @@ ARPACK_K = 4
 # 8.3 / 5.4 ms at 32 / 16 / 64 rows for n = 800 and 149 / 140 / 239 ms for
 # n = 4000 (banded, 2-core Xeon).
 _BLOCK_ROWS = 32
+# A Lasota-Yorke seminorm below this share of its sample's sup norm is
+# rounding, counted as zero.
+_NOISE_FLOOR = 1e-12
+# The series eigenfunction's truncated tail stays below this.
+_SERIES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -478,6 +483,9 @@ def gibbs_check(
     these ratios per depth is the Gibbs constant bracket.  Zero-mass words
     are excluded and reported.
     """
+    depths = tuple(depths)
+    if not depths:
+        raise PreconditionError("the Gibbs check needs at least one word length")
     ts = triplet.tm.index_structure
     cmins, cmaxs = [], []
     excluded = []
@@ -503,7 +511,7 @@ def gibbs_check(
     spread_last = cmaxs[-1] / cmins[-1]
     stable = spread_last <= spread_first * 1.05
     return GibbsReport(
-        depths=tuple(depths),
+        depths=depths,
         c_min_by_depth=tuple(cmins),
         c_max_by_depth=tuple(cmaxs),
         c_min=overall_min,
@@ -560,7 +568,6 @@ def lasota_yorke_check(
     m_values: Sequence[int],
     k: int = DEFAULT_K,
     theta: float = DEFAULT_THETA,
-    noise_floor: float = 1e-12,
 ) -> LasotaYorkeReport:
     """Two-term contraction inequality for the normalized open operator.
 
@@ -572,6 +579,11 @@ def lasota_yorke_check(
     the constants are fitted to these samples, so ``all_hold`` holds by
     construction, and the slopes are the evidence.
     """
+    m_values = sorted(m_values)
+    if not m_values or m_values[0] < 1:
+        raise PreconditionError("the Lasota-Yorke check needs at least one positive iterate m")
+    if len(samples) == 0:
+        raise PreconditionError("the Lasota-Yorke check needs at least one sample")
     ts = tm_open.index_structure
     sub = tm_open.governing
     d = max(phi.depth, phi_dominating.depth, 2)
@@ -583,7 +595,6 @@ def lasota_yorke_check(
 
     lam0 = triplet_dominating.lam
     mu0 = triplet_dominating.h * triplet_dominating.nu
-    m_values = sorted(m_values)
     rows = []
     per_sample_semis = []
     for si, f0 in enumerate(samples):
@@ -597,7 +608,7 @@ def lasota_yorke_check(
             f = tm_open.apply(f) / lam0
             if m in m_values:
                 sem = _word_seminorm(f, tm_open.ranks, k, theta)
-                if sem < noise_floor * scale:
+                if sem < _NOISE_FLOOR * scale:
                     sem = 0.0
                 semis[m] = (float(np.abs(f).max()), sem)
         per_sample_semis.append((l1, norm_f, semis))
@@ -731,17 +742,15 @@ def small_eigenfunction(
     m: int,
     theta: float = DEFAULT_THETA,
     ambient: Optional[TransitionStructure] = None,
-    sample_points: Optional[Sequence[EventuallyPeriodicPoint]] = None,
     n_points: int = 50,
-    series_tol: float = 1e-12,
 ) -> SmallEigReport:
     """Explicit eigenfunction for an eigenvalue inside the small disc.
 
     Builds the geometric series f = g sum (p/lam)^n (f_m / g) o shift^n from
     a kernel element f_m pinned to a periodic orbit and a sibling entrance
     (or, for a single-orbit subsystem, an ambient detour word), truncates at
-    a geometric tail below ``series_tol``, and evaluates the eigen-residual
-    pointwise on eventually periodic sample points.
+    a geometric tail below ``_SERIES_TOL``, and evaluates the eigen-residual
+    pointwise on ``n_points`` eventually periodic sample points.
     """
     ts = tm.governing
     phi = tm.potential
@@ -799,7 +808,7 @@ def small_eigenfunction(
     ratio = abs(p_value) / lam
     sup_fm = math.exp(-min(phi.weights.values())) if case == "sibling" else 1.0
     bound = sup_fm / g_floor
-    n_terms = max(8, int(math.ceil(math.log(series_tol * (1 - ratio) / max(bound, 1e-300)) / math.log(ratio))))
+    n_terms = max(8, int(math.ceil(math.log(_SERIES_TOL * (1 - ratio) / max(bound, 1e-300)) / math.log(ratio))))
     tail = bound * ratio ** (n_terms + 1) / (1.0 - ratio)
 
     def g_at(pt: EventuallyPeriodicPoint) -> float:
@@ -821,10 +830,8 @@ def small_eigenfunction(
             coeff *= p_value / lam
         return triplet.g_value(pt.prefix(tm.depth)) * total
 
-    if sample_points is None:
-        sample_points = _default_sample_points(ts, cycle, n_points)
     residuals = []
-    for pt in sample_points:
+    for pt in _default_sample_points(ts, cycle, n_points):
         lhs = 0.0 + 0.0j
         for a in ts.alphabet.symbols:
             if not ts.allows(a, pt.symbol(0)):

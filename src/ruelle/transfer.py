@@ -119,8 +119,6 @@ def build_transfer_matrix(
     ``ts``) supplies the word index over the same alphabet.  Requires
     m >= depth(potential) - 1 so that source-cylinder values are exact.
     """
-    if not phi.locally_constant:
-        raise PreconditionError("matrix reduction needs a locally constant potential")
     ind = index_structure if index_structure is not None else ts
     if ind.alphabet != ts.alphabet:
         raise PreconditionError("the governing and index structures must share one alphabet")

@@ -177,6 +177,14 @@ class TestCli:
         assert doc["results"]["monte_carlo"]["samples"] == 20000
         assert (tmp_path / "out" / "survivor_masses.csv").exists()
 
+    def test_escape_refuses_a_sample_length_past_n_max(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, GOLDEN)
+        out = tmp_path / "escape"
+        assert main(["escape", "--config", str(cfgp), "--out", str(out), "--n-max", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: mc.n = 10 exceeds n_max = 5")
+        assert "Traceback" not in err and not out.exists()
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         cfgp = write_config(tmp_path, GOLDEN)
         for cmd in ("classify", "rpf", "escape", "spectrum", "pressure"):

@@ -1,5 +1,5 @@
-"""Cross-module invariants: positivity, supports, rule-based intervals, and
-the non-converged reporting path."""
+"""Cross-module invariants: positivity, supports, and the non-converged
+reporting path."""
 
 import json
 import math
@@ -9,13 +9,9 @@ import pytest
 
 from ruelle import (
     ConvergenceError,
-    Potential,
     build_transfer_matrix,
-    cylinder_sup,
     potential_from_weights,
     rpf_triplet,
-    seminorm_bracket,
-    summability_certificate,
     zero_potential,
 )
 from ruelle.cli import main as cli_main
@@ -40,44 +36,6 @@ class TestPositivity:
                 # eigenfunction is positive on every symbol cylinder.
                 assert float(trip.nu.min()) > 0.0
                 assert float(trip.g.min()) > 0.0
-
-
-class TestRuleBasedPotentials:
-    def _rule_potential(self, with_bounds=True):
-        # Depth-1 representative rule with a declared exponential variation
-        # envelope; values depend on the first symbol only, so the envelope
-        # is an overestimate and the bracket stays an interval.
-        rule = lambda w: 0.25 if w[0] == 0 else -0.5
-        return Potential(
-            depth=1,
-            rule=rule,
-            var_bounds=(lambda n: 0.3 * 0.5**n) if with_bounds else None,
-            symbol_sup={0: 0.25, 1: -0.5},
-        )
-
-    def test_seminorm_interval_contains_tail(self):
-        phi = self._rule_potential()
-        br = seminorm_bracket(phi, f2(), k=1, enumeration_depth=4, theta=0.5)
-        assert br.lower <= br.upper
-        assert math.isfinite(br.upper)
-
-    def test_missing_bounds_is_unbounded_sentinel(self):
-        phi = self._rule_potential(with_bounds=False)
-        br = seminorm_bracket(phi, f2(), k=1, enumeration_depth=3, theta=0.5)
-        assert br.upper == math.inf
-
-    def test_symbol_sup_table_feeds_summability(self):
-        phi = self._rule_potential()
-        cert = summability_certificate(phi, f2())
-        assert cert.partial_sum == pytest.approx(math.exp(0.25) + math.exp(-0.5))
-        assert cylinder_sup(phi, f2(), (0,)) == 0.25
-
-    def test_rule_without_sup_table_rejected(self):
-        phi = Potential(depth=1, rule=lambda w: 0.0)
-        from ruelle import ConfigError
-
-        with pytest.raises(ConfigError):
-            cylinder_sup(phi, f2(), (0,))
 
 
 class TestNonConvergedPath:

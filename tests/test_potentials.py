@@ -33,12 +33,12 @@ from ruelle.shifts import _word_trie
 
 class TestSeminorm:
     def test_zero_potential(self):
-        br = seminorm_bracket(zero_potential(f1()), f1(), k=1, enumeration_depth=4)
+        br = seminorm_bracket(zero_potential(f1()), f1(), k=1)
         assert br.lower == br.upper == 0.0
 
     def test_depth_equals_k_vanishes(self):
         phi = potential_from_weights({(0, 1): 0.7, (1, 0): -0.3, (1, 1): 0.1})
-        br = seminorm_bracket(phi, f2(), k=2, enumeration_depth=6)
+        br = seminorm_bracket(phi, f2(), k=2)
         assert br.lower == br.upper == 0.0
 
     def test_golden_depth2_variation_is_zero_on_subshift(self):
@@ -46,7 +46,7 @@ class TestSeminorm:
         # singletons or equal-valued; the brute-force enumeration agrees.
         phi = potential_from_weights({(0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0})
         ts = f2()
-        br = seminorm_bracket(phi, ts, k=1, enumeration_depth=6, theta=0.5)
+        br = seminorm_bracket(phi, ts, k=1, theta=0.5)
         groups = {}
         for w in admissible_words(ts, 6):
             if not ts.has_nonempty_cylinder(w):
@@ -63,16 +63,25 @@ class TestSeminorm:
         # The same weights with a default on the hole word have variation 1
         # at depth 1: [phi]_1 = 1 / theta = 2.
         phi = potential_from_weights({(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0})
-        br = seminorm_bracket(phi, f1(), k=1, enumeration_depth=6, theta=0.5)
+        br = seminorm_bracket(phi, f1(), k=1, theta=0.5)
         assert br.lower == br.upper == pytest.approx(2.0)
         assert br.attained_at == 1
+
+    def test_variation_below_the_depth_counts_at_every_n(self):
+        # Depth-3 weights 5 x_2 vary by 5 at n = 1 and n = 2, so
+        # [phi]_1 = max(5 / 0.5, 5 / 0.25) = 20, attained at n = 2.
+        ts = full_shift((0, 1))
+        phi = potential_from_weights({w: 5.0 * w[2] for w in admissible_words(ts, 3)})
+        br = seminorm_bracket(phi, ts, k=1, theta=0.5)
+        assert br.lower == br.upper == 20.0
+        assert br.attained_at == 2
 
     def test_monotone_in_k(self):
         phi = potential_from_weights(
             {w: hash(w) % 7 * 0.1 for w in admissible_words(f1(), 3)}
         )
         brackets = [
-            seminorm_bracket(phi, f1(), k=k, enumeration_depth=6).upper for k in (1, 2, 3)
+            seminorm_bracket(phi, f1(), k=k).upper for k in (1, 2, 3)
         ]
         assert brackets[0] >= brackets[1] >= brackets[2]
 
@@ -228,10 +237,10 @@ class TestPerturbedPotential:
         hole = golden_hole()
         phi = potential_from_weights({(0, 1): 0.3, (1, 0): -0.2, (1, 1): 0.5})
         ext = extend_potential(phi, hole.open_, hole.closed)
-        ref = seminorm_bracket(ext, hole.closed, k=2, enumeration_depth=5).upper
+        ref = seminorm_bracket(ext, hole.closed, k=2).upper
         for eps in (1.0, 0.25, 0.0625):
             pe = perturbed_potential(ext, hole.closed, hole.open_, eps)
-            got = seminorm_bracket(pe, hole.closed, k=2, enumeration_depth=5).upper
+            got = seminorm_bracket(pe, hole.closed, k=2).upper
             assert got <= ref + 1e-12
 
     def test_epsilon_positive(self):

@@ -564,6 +564,11 @@ class TestGibbsCheck:
         ]
         assert drift[2] < drift[1] < drift[0]
 
+    def test_no_depth_is_refused(self):
+        trip = rpf_triplet(build_transfer_matrix(f1(), zero_potential(f1()), depth=1))
+        with pytest.raises(PreconditionError, match="at least one word length"):
+            gibbs_check(trip, zero_potential(f1()), math.log(2.0), depths=())
+
 
 class TestLasotaYorke:
     def _setup(self):
@@ -626,6 +631,19 @@ class TestLasotaYorke:
         )
         with pytest.raises(PreconditionError):
             lasota_yorke_check(tm_open, phi, phi_low, trip0, [np.ones(tm_open.dim)], [1])
+
+    @pytest.mark.parametrize("m_values", [(), (0,), (0, 2)])
+    def test_no_positive_iterate_is_refused(self, m_values):
+        # (0,) once gave no rows and all_hold; (0, 2) dropped m = 0 silently.
+        hole, phi, tm_open, trip0 = self._setup()
+        with pytest.raises(PreconditionError, match="positive iterate"):
+            lasota_yorke_check(tm_open, phi, phi, trip0, [np.ones(tm_open.dim)], m_values)
+
+    def test_no_sample_is_refused(self):
+        # An empty sample list once gave no rows and all_hold.
+        hole, phi, tm_open, trip0 = self._setup()
+        with pytest.raises(PreconditionError, match="at least one sample"):
+            lasota_yorke_check(tm_open, phi, phi, trip0, [], [1, 2])
 
 
 class TestSmallEigenfunctions:
