@@ -121,7 +121,9 @@ def escape_rate(
     if n_max < p + 1:
         raise PreconditionError(f"need n_max > period {p} for a slope fit")
     diffs = [logs[i + 1] - logs[i] for i in range(len(logs) - 1) if math.isfinite(logs[i + 1])]
-    window = diffs[-p:] if len(diffs) >= p else diffs
+    if not diffs:
+        raise PreconditionError("survivor masses vanish after the first step: no decay rate to fit")
+    window = diffs[-p:]
     fitted = -sum(window) / len(window)
     return EscapeReport(
         ns=tuple(range(1, len(logs) + 1)),

@@ -307,21 +307,6 @@ def count_admissible_words(ts: TransitionStructure, n: int) -> int:
     return total
 
 
-def _extend_ranks(ts: TransitionStructure, rows: np.ndarray, steps: int) -> tuple:
-    """Extend rank rows by ``steps`` admissible symbols, in lexicographic order.
-
-    Returns the extended rows and, for each, the index of the row it extends.
-    """
-    indptr, succ = ts.successor_ranks
-    parent = np.arange(len(rows))
-    for _ in range(steps):
-        first = indptr[rows[:, -1]]
-        src, pos = _ranges(first, indptr[rows[:, -1] + 1] - first)
-        rows = np.column_stack((rows[src], succ[pos]))
-        parent = parent[src]
-    return rows, parent
-
-
 def _ranges(first: np.ndarray, count: np.ndarray) -> tuple:
     """The runs first[i], ..., first[i] + count[i] - 1 concatenated, with their i."""
     src = np.repeat(np.arange(len(count)), count)

@@ -409,7 +409,7 @@ def component_decomposition(
     tm = small if depth in (None, small.depth) else build_transfer_matrix(ts, phi, depth=depth)
     pairs = _component_pairs(small, tol, max_iter)
     pressures = tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
-    if not math.isfinite(max(pressures)):
+    if not math.isfinite(max(pressures, default=-math.inf)):
         raise PreconditionError("no component carries a cycle; spectral radius is zero")
     dom = _dominant(pressures, "component")
     dag = ts.quotient

@@ -32,7 +32,7 @@ from .potentials import (
     DEFAULT_MAX_ITER, DEFAULT_N_MAX, DEFAULT_TOL, Potential, summability_certificate,
 )
 from .shifts import (
-    TransitionStructure, _extend_ranks, _periods, _ranges, _tarjan_sccs, _walk, _word_trie,
+    TransitionStructure, _periods, _ranges, _tarjan_sccs, _walk, _word_trie,
 )
 
 # Component pressures within this relative distance of the largest tie it.
@@ -77,6 +77,17 @@ class TransferMatrix:
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+    @cached_property
+    def _edges(self) -> tuple:
+        """(first, src, tgt, values): the entries as edges from source q to
+        target q', in runs by source row starting at ``first``, valued
+        phi(q q'[-1]) off the potential (``_step``)."""
+        lt = self.matrix.T.tocsr()
+        first, tgt = lt.indptr[:-1], lt.indices
+        src = np.repeat(np.arange(self.dim), np.diff(lt.indptr))
+        wins = np.column_stack((self.ranks[src], self.ranks[tgt, -1]))[:, : self.potential.depth]
+        return first, src, tgt, self.potential.gather(self.index_structure.alphabet, wins)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         if len(f) != self.dim:
@@ -686,71 +697,75 @@ class PressureReport:
         return 0.5 * (self.bracket[0] + self.bracket[1])
 
 
-def _continuation_bounds(tm: TransferMatrix) -> tuple:
-    """(log-sup, log-inf) of the remaining m Birkhoff terms past a word.
+def _step(edges: tuple, r: np.ndarray, reduce) -> np.ndarray:
+    """One semiring step R(q) <- reduce_{q -> q'} (value(q, q') + r(q')).
 
-    For index word v these bound the sum of the potential over windows whose
-    start lies in v but whose support runs d-1 symbols beyond; the extremes
-    are over extendable continuations.  Each sum adds the window values left
-    to right from 0.0, as the tuple definition does.
+    ``edges`` = (first, src, tgt, values) lists the terms grouped in runs by
+    source row, ``first`` the start of each run; every row has a term.
+    ``reduce`` is np.maximum, np.minimum or np.logaddexp; the last is taken
+    as top + log sum e^(t - top), whose sum bincount adds left to right
+    from 0.0.
     """
-    ts = tm.index_structure
-    phi = tm.potential
+    first, src, tgt, values = edges
+    t = values + r[tgt]
+    if reduce is not np.logaddexp:
+        return reduce.reduceat(t, first)
+    top = np.maximum.reduceat(t, first)
+    return top + np.log(np.bincount(src, weights=np.exp(t - top[src]), minlength=len(first)))
+
+
+def _continuation_bounds(tm: TransferMatrix) -> tuple:
+    """(log-sup, log-inf) over viable continuations of the m window sums.
+
+    For index word v the windows j <= m - d lie inside v, and ``inner`` adds
+    them left to right from 0.0.  The d - 1 later ones run into a
+    continuation whose last symbol is viable: they are the edge values
+    e_1 .. e_{d-1} of a path from v's last b = d - 1 symbols in the
+    ungoverned depth-b reduction (the index structure's own transitions,
+    never a governed matrix).  The sum is (inner + e_1) + R with
+    R = e_2 + (e_3 + ... + (e_{d-1} + 0)), extremized by d - 2 max (min)
+    steps from R = 0 (``_step``) and one final step per word over the edges
+    of its row.  Rounding is monotone, max_c fl(a + x_c) = fl(a + max_c x_c),
+    so for d <= 3 every sum is bitwise the left-to-right one.
+    """
+    ind, phi = tm.index_structure, tm.potential
     m, d = tm.depth, phi.depth
-    # Continuations past v depend only on its last d - 1 symbols (at least
-    # one): extend each distinct suffix once and keep the viable ends.
-    # The rows are found by their positions among the admissible words
-    # (``_walk``), which sort like the rows themselves.
-    width = max(d - 1, 1)
-    suffixes = tm.ranks[:, m - width :]
-    _, one, of_word = np.unique(_walk(ts, tm.starts, suffixes), return_index=True, return_inverse=True)
-    ctx, of_ctx = _extend_ranks(ts, suffixes[one], d - 1)
-    live = ts.viable_ranks[ctx[:, -1]]
-    ctx, count = ctx[live], np.bincount(of_ctx[live], minlength=len(one))
-    first = np.cumsum(count) - count
-    parent, row = _ranges(first[of_word], count[of_word])
-    # Every index word ends in a viable symbol, so it has a continuation.
-    runs = np.cumsum(count[of_word]) - count[of_word]
-    # Windows j <= m - d lie inside v; the d - 1 later ones run into ctx.
-    wins = [tm.ranks[:, j : j + d] for j in range(m - d + 1)]
-    wins += [ctx[:, j : j + d] for j in range(d - 1)]
-    vals = np.split(phi.gather(ts.alphabet, np.concatenate(wins)), np.cumsum([len(w) for w in wins]))
     inner = np.zeros(tm.dim)
     for j in range(m - d + 1):
-        inner += vals[j]
-    total = inner[parent]
-    for j in range(m - d + 1, m):
-        total += vals[j][row]
-    return np.maximum.reduceat(total, runs), np.minimum.reduceat(total, runs)
+        inner += phi.gather(ind.alphabet, tm.ranks[:, j : j + d])
+    if d == 1:
+        return inner, inner.copy()
+    small = _reduction(ind, phi, ind)[0]
+    first, _, tgt, values = small._edges
+    count = np.diff(first, append=len(tgt))
+    # The row of each word's last b symbols, down the suffix links.
+    pos = tm.positions
+    for suf in reversed(tm.suf[small.depth : m]):
+        pos = suf[pos]
+    row = np.searchsorted(small.positions, pos)
+    word, at = _ranges(first[row], count[row])
+    last = (np.cumsum(count[row]) - count[row], word, tgt[at], inner[word] + values[at])
+    bounds = []
+    for reduce in (np.maximum, np.minimum):
+        r = np.zeros(small.dim)
+        for _ in range(d - 2):
+            r = _step(small._edges, r, reduce)
+        bounds.append(_step(last, r, reduce))
+    return tuple(bounds)
 
 
 def _prefix_log_sums(tm: TransferMatrix, m: int, logs: tuple) -> tuple:
     """Each vector R of ``logs`` on ``tm``'s depth-b words carried to depth m.
 
     The carried R(q) is log sum_w e^{R_m(w)} over the depth-m index words w
-    with w[:b] = q, where R_m(w) = sum_{j<m-b} phi(w[j : j+d]) + R(w[m-b:]).
-    It takes m - b log-space steps of the transpose,
-    R(q) <- logsumexp_{q'} (phi(q q'[-1]) + R(q')) over the entries
-    (q', q) of the matrix; the potential values are read off the potential,
-    not as the log of a weight that may have underflowed, so no term drops.
+    with w[:b] = q, where R_m(w) = sum_{j<m-b} phi(w[j : j+d]) + R(w[m-b:]):
+    m - b logsumexp steps (``_step``) over the edges q -> q' of the
+    matrix, whose values phi(q q'[-1]) are read off the potential, not as
+    the log of a weight that may have underflowed, so no term drops.
     """
-    if m == tm.depth:
-        return logs
-    lt = tm.matrix.T.tocsr()  # [source q, target q']
-    # Every index word ends in a viable symbol, so every source has an entry.
-    first, tgt = lt.indptr[:-1], lt.indices
-    src = np.repeat(np.arange(tm.dim), np.diff(lt.indptr))
-    wins = np.column_stack((tm.ranks[src], tm.ranks[tgt, -1]))[:, : tm.potential.depth]
-    values = tm.potential.gather(tm.index_structure.alphabet, wins)
-    out = []
-    for r in logs:
-        for _ in range(m - tm.depth):
-            t = values + r[tgt]
-            top = np.maximum.reduceat(t, first)
-            # bincount adds each source's terms left to right from 0.0.
-            r = top + np.log(np.bincount(src, weights=np.exp(t - top[src]), minlength=tm.dim))
-        out.append(r)
-    return tuple(out)
+    for _ in range(m - tm.depth):
+        logs = tuple(_step(tm._edges, r, np.logaddexp) for r in logs)
+    return logs
 
 
 def topological_pressure(
@@ -855,10 +870,7 @@ def topological_pressure(
         bracket=(lo, hi),
         spectral=spectral,
         spectral_bracket=spectral_bracket,
-        theta_note=(
-            "depth-m reduction is exact for locally constant data; general "
-            "functions carry an extra error of order [f]_k theta^m"
-        ),
+        theta_note="the depth-m reduction is exact for the potential's depth-d weight table",
     )
 
 

@@ -254,6 +254,27 @@ class TestCli:
         assert main(["rpf", "--config", str(cfgp), "--out", str(out), "--seed", "1"]) == 3
         assert "schema violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            # One symbol without a transition: no component carries a cycle.
+            ("spectrum", {"alphabet": {"symbols": [0]}, "transitions": {"entries": []}},
+             "no component carries a cycle"),
+            # Two self-loops, one of them the hole: the survivors die after
+            # one step, so no log-mass past the first is finite.
+            ("escape", {"alphabet": {"symbols": [0, 1]},
+                        "transitions": {"entries": [[0, 0], [1, 1]]},
+                        "holes": {"entries": [[0, 0]]},
+                        "potential": {"weights": {"0": -1, "1": -6}},
+                        "mc": {"n": 2, "samples": 100}},
+             "survivor masses vanish"),
+        ],
+    )
+    def test_degenerate_system_exits_3(self, tmp_path, capsys, command, doc, message):
+        cfgp = write_config(tmp_path, doc)
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_spectrum_honours_max_iter(self, tmp_path, capsys):
         root = Path(__file__).resolve().parents[1]
         doc = json.loads((root / "configs" / "golden_hole.json").read_text())

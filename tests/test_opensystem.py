@@ -8,6 +8,7 @@ from ruelle import (
     PreconditionError,
     build_transfer_matrix,
     escape_rate,
+    from_entries,
     log_survivor_masses,
     monte_carlo_survival,
     potential_from_weights,
@@ -109,6 +110,16 @@ class TestEscapeRate:
             math.log(rep.lam_closed) - math.log(rep.lam_open), abs=1e-8
         )
         assert rep.lam_closed > rep.lam_open
+
+    def test_vanishing_survivors_are_refused(self):
+        # The hole cuts the dominant self-loop, and the closed measure puts
+        # no mass on the other: no log-mass after the first is finite.
+        hole = HoleSpec.from_hole(from_entries((0, 1), [(0, 0), (1, 1)]), [(0, 0)])
+        phi = potential_from_weights({(0,): -1.0, (1,): -6.0})
+        trip = rpf_triplet(build_transfer_matrix(hole.closed, phi))
+        assert math.isinf(log_survivor_masses(hole, phi, trip, 2)[1])
+        with pytest.raises(PreconditionError, match="survivor masses vanish"):
+            escape_rate(hole, phi, n_max=10)
 
 
 class TestMonteCarlo:

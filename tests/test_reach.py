@@ -1,6 +1,8 @@
 """Every public function of ``ruelle`` runs under a shipped command or is
-named in the README's "Library-only functions" section."""
+named in the README's "Library-only functions" section, and every private
+module-level helper has a caller."""
 
+import ast
 import inspect
 import re
 import sys
@@ -43,3 +45,22 @@ def test_every_public_function_is_reached_or_named(tmp_path):
     # One list: a name the commands reach, or one that is not a public
     # function, has no place in the section.
     assert unreached == named, (sorted(unreached - named), sorted(named - unreached))
+
+
+def test_every_private_helper_is_referenced():
+    """Each module-level ``_name`` function of ``src/ruelle`` is named by
+    some code there outside its own def; an import alone is no use."""
+    tops = [top for path in sorted((ROOT / "src" / "ruelle").glob("*.py"))
+            for top in ast.parse(path.read_text()).body]
+    users = {}
+    for top in tops:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                users.setdefault(name, set()).add(id(top))
+    orphans = [
+        top.name for top in tops
+        if isinstance(top, ast.FunctionDef) and re.match(r"_[^_]", top.name)
+        and users.get(top.name, set()) <= {id(top)}
+    ]
+    assert not orphans, orphans

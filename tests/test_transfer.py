@@ -480,6 +480,94 @@ def test_assembly_bitwise_equals_tuple_definition(case):
     assert tm.words == tuple(words)
 
 
+
+def _recursive_reference_bounds(ind, phi, words, m):
+    """Extremes over viable continuations of the m window sums in the
+    recursion's order: the windows inside the word left to right from 0.0,
+    plus the first continuation window, plus the later ones added right to
+    left from 0.0."""
+    d = phi.depth
+    sup = np.full(len(words), -np.inf)
+    inf = np.full(len(words), np.inf)
+    for i, v in enumerate(words):
+        inner = 0.0
+        for j in range(m - d + 1):
+            inner += phi.value(v[j : j + d])
+        exts = [v]
+        for _ in range(d - 1):
+            exts = [w + (c,) for w in exts for c in ind.successors[w[-1]]]
+        for w in exts:
+            if w[-1] in ind.viable_symbols:
+                tail = 0.0
+                for j in range(m - 1, m - d + 1, -1):
+                    tail = phi.value(w[j : j + d]) + tail
+                s = (inner + phi.value(w[m - d + 1 : m + 1])) + tail
+                sup[i] = max(sup[i], s)
+                inf[i] = min(inf[i], s)
+    return sup, inf
+
+
+def _depth4_cases():
+    from ruelle import HoleSpec
+
+    full4 = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(full4, 4, 22)
+    for m in (3, 5):
+        yield f"full4-m{m}", full4, phi, m, None
+    # The bounds step over the index's own transitions, not the open matrix.
+    hole = HoleSpec.from_hole(full4, [(1, 1), (2, 3)])
+    yield "open-on-closed-m3", hole.open_, phi, 3, hole.closed
+    dead = full4.restrict([(3, 0), (3, 1), (3, 2), (3, 3)])
+    yield "pure-open-nonviable-m4", dead, _seeded_weights(dead, 4, 23), 4, None
+    # 3 -> 0 -> 1 is transient, 4 is isolated, {1, 2} is the one cycle.
+    transient = from_entries((0, 1, 2, 3, 4), [(0, 1), (1, 2), (2, 1), (2, 2), (3, 0)])
+    yield "transient-m3", transient, _seeded_weights(transient, 4, 24), 3, None
+
+
+@pytest.mark.parametrize("case", list(_depth4_cases()), ids=lambda c: c[0])
+def test_depth4_bounds_bitwise_equal_the_recursion_order(case):
+    from ruelle.transfer import _continuation_bounds
+
+    _, ts, phi, m, ind = case
+    tm = build_transfer_matrix(ts, phi, depth=m, index_structure=ind)
+    sup, inf = _continuation_bounds(tm)
+    ref_sup, ref_inf = _recursive_reference_bounds(tm.index_structure, phi, tm.words, m)
+    assert sup.tobytes() == ref_sup.tobytes()
+    assert inf.tobytes() == ref_inf.tobytes()
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_deep_bounds_match_the_left_to_right_sums(d):
+    from ruelle.transfer import _continuation_bounds
+
+    ts = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(ts, d, d)
+    tm = build_transfer_matrix(ts, phi)
+    sup, inf = _continuation_bounds(tm)
+    # 64 words spread over the index: each has 4**(d-1) continuations.
+    rows = np.arange(0, tm.dim, 4 ** (d - 4))
+    ref_sup, ref_inf = _reference_bounds(ts, phi, [tm.words[i] for i in rows], tm.depth)
+    assert np.abs(sup[rows] - ref_sup).max() <= 4e-15
+    assert np.abs(inf[rows] - ref_inf).max() <= 4e-15
+
+
+def test_deep_pressure_holds_no_continuation_window():
+    import tracemalloc
+
+    # The d = 6 bounds range over 4**5 continuations of each of the 1024
+    # index words; held as windows they take over 300 MiB.
+    peak_limit = 16 * 2**20
+    ts = full_shift((0, 1, 2, 3))
+    phi = _seeded_weights(ts, 6, 6)
+    tracemalloc.start()
+    try:
+        rep = topological_pressure(ts, phi, n_max=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_limit
+    assert rep.bracket[0] <= rep.spectral <= rep.bracket[1]
+
 def test_eigendata_and_pressure_leave_words_unbuilt(monkeypatch):
     import ruelle.transfer as transfer
 
