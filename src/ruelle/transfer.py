@@ -82,7 +82,8 @@ class TransferMatrix:
     def _edges(self) -> tuple:
         """(first, src, tgt, values): the entries as edges from source q to
         target q', in runs by source row starting at ``first``, valued
-        phi(q q'[-1]) off the potential (``_step``)."""
+        phi(q q'[-1]) off the potential (``_step``).  Ungoverned, every row
+        has one: every index word ends in a viable symbol."""
         lt = self.matrix.T.tocsr()
         first, tgt = lt.indptr[:-1], lt.indices
         src = np.repeat(np.arange(self.dim), np.diff(lt.indptr))

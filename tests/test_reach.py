@@ -1,6 +1,5 @@
 """Every public function of ``ruelle`` runs under a shipped command or is
-named in the README's "Library-only functions" section, and every private
-module-level helper has a caller."""
+named in the README's "Library-only functions" section."""
 
 import ast
 import inspect
