@@ -20,14 +20,16 @@ class PreconditionError(RuelleError):
 class NonUniqueDominantError(PreconditionError):
     """Several transitive components or irreducible blocks share the maximal pressure.
 
-    Carries the tied index set in ``tied`` and the common radius, which a
-    tie leaves well defined, in ``lam``.
+    Carries the tied index set in ``tied``, the common radius, which a tie
+    leaves well defined, in ``lam``, and from the block route every block's
+    (rows, radius) in ``blocks``, which ``tied`` indexes.
     """
 
-    def __init__(self, message, tied, lam):
+    def __init__(self, message, tied, lam, blocks=()):
         super().__init__(message)
         self.tied = tuple(tied)
         self.lam = lam
+        self.blocks = blocks
 
 
 class ConvergenceError(RuelleError):

@@ -72,17 +72,18 @@ def log_survivor_masses(
 
     Masses decay exponentially, so they are read in log space off the
     sup-normalized orbit of h under the open operator (``_orbit``); once the
-    orbit dies out every later mass is 0 (log -inf).
+    orbit dies out every later mass is 0 (log -inf), and so is a step whose
+    orbit lives only on words of nu-mass 0.
     """
     if n_max < 1:
         raise PreconditionError("need at least one step")
     tm_open = open_operator(hole, phi, triplet_closed.tm.depth)
     lam = triplet_closed.lam
     nu = triplet_closed.nu
-    out = [
-        log_scale + math.log(float(nu @ v)) - n * math.log(lam)
-        for n, log_scale, v in _orbit(tm_open, triplet_closed.h, n_max, _sup)
-    ]
+    out = []
+    for n, log_scale, v in _orbit(tm_open, triplet_closed.h, n_max, _sup):
+        mass = float(nu @ v)
+        out.append(log_scale + math.log(mass) - n * math.log(lam) if mass > 0.0 else -math.inf)
     return out + [-math.inf] * (n_max - len(out))
 
 
@@ -120,9 +121,9 @@ def escape_rate(
 
     if n_max < p + 1:
         raise PreconditionError(f"need n_max > period {p} for a slope fit")
-    diffs = [logs[i + 1] - logs[i] for i in range(len(logs) - 1) if math.isfinite(logs[i + 1])]
+    diffs = [b - a for a, b in zip(logs, logs[1:]) if math.isfinite(a) and math.isfinite(b)]
     if not diffs:
-        raise PreconditionError("survivor masses vanish after the first step: no decay rate to fit")
+        raise PreconditionError("survivor masses vanish: no two successive ones are positive")
     window = diffs[-p:]
     fitted = -sum(window) / len(window)
     return EscapeReport(

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, NonUniqueDominantError, PreconditionError
 from .potentials import DEFAULT_K, DEFAULT_THETA, Potential, _lex_min_extension
 from .shifts import TransitionStructure, admissible_words, nonempty_cylinder_words, period_classes
 from .transfer import (
@@ -31,9 +31,7 @@ from .transfer import (
     _cylinder_masses,
     _dominant,
     _extend,
-    _lift,
     _minimal,
-    _perron_pair,
     build_transfer_matrix,
     rpf_triplet,
 )
@@ -352,38 +350,16 @@ def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
 # -- reducible structures --------------------------------------------------------
 
 
-def component_pressures(
-    ts: TransitionStructure, phi: Potential, depth: Optional[int] = None,
-    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple:
-    """Log spectral radius of the restriction to each transitive component,
-    -inf for one without a cycle, from ``_component_pairs``."""
-    # The radii are those of every exact depth: solve at the least one.
-    pairs = _component_pairs(_minimal(ts, phi, depth), tol, max_iter)
-    return tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
-
-
-def _component_pairs(tm: TransferMatrix, tol: float, max_iter: int) -> list:
-    """(rows, Perron pair) of each transitive component's diagonal block:
-    L over the words whose symbols all lie in the component (``rows``), the
-    operator of its own structure and potential.  A component without a
-    cycle gets (rows, None); a pair that misses ``tol`` raises
-    ConvergenceError naming the component and carrying the pair."""
-    dag = tm.governing.quotient
-    labels = dag.labels[tm.ranks]
-    first = labels[:, 0]
-    within = (labels == first[:, None]).all(axis=1)
-    out = []
-    for c, comp in enumerate(dag.components):
-        rows = within & (first == c)
-        if not comp.has_periodic_point:
-            out.append((rows, None))
-            continue
-        block = tm.matrix[rows][:, rows]
-        what = f"component {c} ({len(comp.symbols)} symbols): "
-        pair = _perron_pair(block, comp.period, tol, max_iter, bool(block.data.all()), what=what)
-        out.append((rows, pair))
-    return out
+def _pressures(small: TransferMatrix, blocks) -> tuple:
+    """Each transitive component's pressure: the log of the largest radius
+    among its ``blocks`` (rows of ``small``, from ``rpf_triplet``'s block
+    route), -inf for a component without one."""
+    labels = small.governing.quotient.labels
+    out = [-math.inf] * len(small.governing.quotient.components)
+    for rows, lam in blocks:
+        c = int(labels[small.ranks[rows[0], 0]])
+        out[c] = max(out[c], math.log(lam))
+    return tuple(out)
 
 
 def component_decomposition(
@@ -395,38 +371,35 @@ def component_decomposition(
 ) -> SpectralDecomposition:
     """Decomposition for a reducible structure with one dominant component.
 
-    Each component's pressure comes from its diagonal block
-    (``_component_pairs``) in the reduction at the potential's least exact
-    depth, the one its potential holds (``transfer._reduction``); above it
-    the dominant block's pair is lifted to ``depth`` like
-    ``rpf_triplet``'s (``transfer._lift``).  Its peripheral pair extends
-    across the remaining blocks by resolvent solves; the
+    The pair is ``rpf_triplet``'s at ``depth``: its block route solves each
+    cyclic block of the reduction at the potential's least exact depth (the
+    one its potential holds, ``transfer._reduction``), extends the dominant
+    block's pair and lifts it to ``depth``.  A component's pressure is the
+    log of its largest block radius.  The pair on the dominant component's
+    words extends across the remaining blocks by resolvent solves; the
     eigenfunction spreads to components reachable from the dominant one, the
     eigenvector to components that reach it.  A pressure tie within
-    ``TIE_RTOL`` is an error carrying the tied set.
+    ``TIE_RTOL`` is an error carrying the tied components.
     """
+    dag = ts.quotient
+    if not any(comp.has_periodic_point for comp in dag.components):
+        raise PreconditionError("no component carries a cycle; spectral radius is zero")
     small = _minimal(ts, phi, depth)
     tm = small if depth in (None, small.depth) else build_transfer_matrix(ts, phi, depth=depth)
-    pairs = _component_pairs(small, tol, max_iter)
-    pressures = tuple(math.log(pair.lam) if pair else -math.inf for _, pair in pairs)
-    if not math.isfinite(max(pressures, default=-math.inf)):
-        raise PreconditionError("no component carries a cycle; spectral radius is zero")
-    dom = _dominant(pressures, "component")
-    dag = ts.quotient
+    try:
+        trip = rpf_triplet(tm, tol=tol, max_iter=max_iter)
+    except NonUniqueDominantError as exc:
+        # The tie names blocks; name the tied components instead.
+        _dominant(_pressures(small, exc.blocks), "component")
+        raise
+    pressures = _pressures(small, trip.blocks)
+    dom = pressures.index(max(pressures))
     classes = period_classes(ts, component=dag.components[dom].symbols)
-    rows, pair = pairs[dom]
-    h, nu = pair.h, pair.nu
-    if small is not tm:
-        # Pad the block pair to the whole index, lift it and keep the deep
-        # words inside the dominant component.
-        g, nu = np.zeros(small.dim), np.zeros(small.dim)
-        g[rows], nu[rows] = pair.g, pair.nu
-        g, nu = _lift(tm, small, g, nu, pair.lam)
-        rows = (dag.labels[tm.ranks] == dom).all(axis=1)
-        g, nu = g[rows], nu[rows] / float(nu[rows].sum())
-        h = g / float(nu @ g)
+    rows = (dag.labels[tm.ranks] == dom).all(axis=1)
+    g, nu = trip.g[rows], trip.nu[rows]
+    nu = nu / float(nu.sum())
     dec = _decompose(
-        tm, rows, classes, math.exp(pressures[dom]), h, nu,
+        tm, rows, classes, trip.lam, g / float(nu @ g), nu,
         component_pressures=pressures, dominant_component=dom,
     )
     return replace(dec, support_patterns=_support_patterns(tm, dag, dom, dec.peripherals))

@@ -239,11 +239,12 @@ class RpfTriplet:
 
     ``g`` is sup-normalized; ``nu`` sums to one over the index words.
     ``h = g / nu(g)`` gives the invariant density so that mu = h nu has total
-    mass one.  ``tm`` is None for the pair of a component's diagonal block
-    (``spectral._component_pairs``), which has no word index of its own.
+    mass one.  ``blocks`` holds the (rows, radius) of each cyclic block of
+    the depth-b reduction the pair was solved on (``_block_pair``), one
+    block of every row on the irreducible route.
     """
 
-    tm: Optional[TransferMatrix]
+    tm: TransferMatrix
     lam: float
     g: np.ndarray
     nu: np.ndarray
@@ -252,6 +253,7 @@ class RpfTriplet:
     iterations: int
     converged: bool
     period_used: int
+    blocks: tuple
 
     @cached_property
     def nu_g(self) -> float:
@@ -332,6 +334,12 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     the remaining error by ``tol`` (``_settled``), so a vector spanning
     hundreds of decades converges entry by entry.  ``_perron_pair`` sends
     only irreducible matrices here, whose eigenvectors are positive.
+    The loop runs on the entries scaled by the power of two that puts the
+    largest in [1, 2), divided out of the returned radius, so no constant
+    shift of the potential underflows or overflows the iterates.  The
+    scale stays exact: it scales down only as far as the least entry stays
+    normal, and its exponent is clamped at 1023, where a subnormal largest
+    entry would overflow it.
     Each matvec calls scipy's ``csr_matvec`` (the kernel of ``mat @ x``, so
     the same sums) into a zeroed buffer; a step allocates no new vector.
     Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
@@ -339,7 +347,11 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     # The kernel writes into ``out`` only when every array has its dtype.
     mat = mat.tocsr().astype(np.float64, copy=False)
     n = mat.shape[0]
-    csr = (n, n, mat.indptr, mat.indices, mat.data)
+    shift = min(1 - math.frexp(_sup(mat.data))[1], 1023)
+    if shift < 0:
+        least = float(mat.data.min(where=mat.data > 0.0, initial=math.inf))
+        shift = min(0, max(shift, -1021 - math.frexp(least)[1]))
+    csr = (n, n, mat.indptr, mat.indices, np.ldexp(mat.data, shift) if shift else mat.data)
     tiny = np.finfo(float).tiny
     u, new = np.ones(n), np.empty(n)
     rel, big, diff, live = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
@@ -367,10 +379,10 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         np.divide(diff, big, out=rel, where=np.greater_equal(big, tiny, out=live))
         change = float(rel.max(initial=0.0))
         if _settled(change, change_prev, tol):
-            return lam, new, it, True
+            return math.ldexp(lam, -shift), new, it, True
         u, new = new, u
         change_prev = change
-    return lam, u, it, False
+    return math.ldexp(lam, -shift), u, it, False
 
 
 def _settled(change: float, prev: float, tol: float) -> bool:
@@ -383,27 +395,30 @@ def _settled(change: float, prev: float, tol: float) -> bool:
     return change <= tol and (rho >= 1.0 or change * rho <= tol * (1.0 - rho))
 
 
-def _dominant(logs, what: str) -> int:
+def _dominant(logs, what: str, blocks=()) -> int:
     """Index of the largest of the log radii ``logs``; another within
-    ``TIE_RTOL`` of it raises NonUniqueDominantError with the common radius."""
+    ``TIE_RTOL`` of it raises NonUniqueDominantError with the common radius
+    and ``blocks``."""
     best = max(logs)
     tied = [i for i, q in enumerate(logs) if best - q <= TIE_RTOL * max(1.0, abs(best))]
     if len(tied) > 1:
         raise NonUniqueDominantError(
             f"non-unique dominant {what}: radii tie within {TIE_RTOL} on {tied}",
-            tied=tied, lam=math.exp(best),
+            tied=tied, lam=math.exp(best), blocks=blocks,
         )
     return tied[0]
 
 
 def _block_pair(mat, tol: float, max_iter: int):
-    """(g, nu, matvecs, (right ok, left ok), period) of a matrix not known
-    irreducible, through its Frobenius normal form: ``_tarjan_sccs`` splits
-    the nonzero pattern (an underflowed explicit 0 is no entry) into
-    strongly connected components, numbered by first row; each cyclic one
+    """(g, nu, matvecs, (right ok, left ok), period, blocks) of a matrix not
+    known irreducible, through its Frobenius normal form: ``_tarjan_sccs``
+    splits the nonzero pattern (an underflowed explicit 0 is no entry) into
+    strongly connected components, numbered by first row.  Each cyclic one
     gets both loops on its diagonal block with its own period (``_periods``
-    on the run's DFS depths), and ``_extend`` carries the ``_dominant``
-    one's pair, whose period is returned."""
+    on the run's DFS depths) and its radius, taken as ``_perron_pair``
+    takes it, so it is bitwise the radius of the block as an operator of
+    its own; ``blocks`` holds each one's (rows, radius).  ``_extend``
+    carries the ``_dominant`` one's pair, whose period is returned."""
     live = sp.csr_matrix(mat, dtype=np.float64, copy=True)
     live.eliminate_zeros()
     n = live.shape[0]
@@ -426,14 +441,16 @@ def _block_pair(mat, tol: float, max_iter: int):
         p = period[int(labels[rows[0]])]
         _, g, it_g, og = _perron_vector(sub, p, tol, max_iter)
         _, nu, it_l, ol = _perron_vector(sub.T, p, tol, max_iter)
+        nu = nu / float(nu.sum())
         pairs.append((float(nu @ (sub @ g)) / float(nu @ g), g, nu, p))
         its, ok_g, ok_l = its + it_g + it_l, ok_g and og, ok_l and ol
-    dom = _dominant([math.log(lam) for lam, _, _, _ in pairs], "block")
+    found = tuple((np.array(rows), pair[0]) for rows, pair in zip(blocks, pairs))
+    dom = _dominant([math.log(lam) for _, lam in found], "block", found)
     rows = np.zeros(n, dtype=bool)
     rows[blocks[dom]] = True
     lam, g, nu, p = pairs[dom]
     g, nu = _extend(live, rows, lam, g, nu, nilpotent=len(blocks) == 1)
-    return g / float(g.max()), nu, its, (ok_g, ok_l), p
+    return g / float(g.max()), nu, its, (ok_g, ok_l), p, found
 
 
 def _extend(mat, rows, lam, h1, nu1, nilpotent: bool) -> tuple:
@@ -468,8 +485,8 @@ def _extend(mat, rows, lam, h1, nu1, nilpotent: bool) -> tuple:
     return h, nu
 
 
-def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=None,
-                 what: str = "") -> RpfTriplet:
+def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool,
+                 tm: TransferMatrix) -> RpfTriplet:
     """Right and left Perron vectors of the nonnegative sparse ``mat``.
 
     With ``irreducible`` (the caller knows the nonzero entries form an
@@ -480,20 +497,24 @@ def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=N
     normalized to sum one and the radius is the Rayleigh quotient
     nu(mat g) / nu(g).  The pair converged when every loop stopped and both
     relative residuals are at most ten times ``tol``; otherwise
-    ConvergenceError, its message led by ``what``, carries the partial
-    triplet.  A zero radius (no periodic point) is a precondition error.
+    ConvergenceError carries the partial triplet.  A zero radius (no
+    periodic point) is a precondition error, and so is a radius the
+    Rayleigh quotient cannot hold as a positive float (it underflowed).
     """
     if max_iter < 1:
         raise PreconditionError(f"max_iter = {max_iter} allows no matvec; it must be positive")
     if irreducible:
         _, g, it_g, ok_g = _perron_vector(mat, p, tol, max_iter)
         _, nu, it_nu, ok_l = _perron_vector(mat.T, p, tol, max_iter)
-        its = it_g + it_nu
+        its, blocks = it_g + it_nu, None
     else:
-        g, nu, its, (ok_g, ok_l), p = _block_pair(mat, tol, max_iter)
+        g, nu, its, (ok_g, ok_l), p, blocks = _block_pair(mat, tol, max_iter)
     nu = nu / float(nu.sum())
     lg = mat @ g
-    lam = float(nu @ lg) / float(nu @ g)
+    nu_g = float(nu @ g)
+    lam = float(nu @ lg) / nu_g if nu_g > 0.0 else 0.0
+    if not lam > 0.0:
+        raise PreconditionError("the spectral radius underflows the float range")
     res_g = float(np.abs(lg - lam * g).max()) / lam
     res_nu = float(np.abs(mat.T @ nu - lam * nu).sum()) / lam
     converged = ok_g and ok_l and res_g <= 10 * tol and res_nu <= 10 * tol
@@ -507,6 +528,7 @@ def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=N
         iterations=its,
         converged=converged,
         period_used=p,
+        blocks=blocks or ((np.arange(len(g)), lam),),
     )
     if not converged:
         loops = (("eigenfunction", ok_g), ("eigenvector", ok_l))
@@ -515,7 +537,7 @@ def _perron_pair(mat, p: int, tol: float, max_iter: int, irreducible: bool, tm=N
         if capped:
             stop = f"{capped} hit the cap of {max_iter} matvecs"
         raise ConvergenceError(
-            f"{what}power iteration did not reach tol={tol}: {stop} "
+            f"power iteration did not reach tol={tol}: {stop} "
             f"(residuals {res_g:.3e}, {res_nu:.3e}); partial triplet attached",
             partial=trip,
         )

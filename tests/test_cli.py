@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -274,6 +275,96 @@ class TestCli:
         cfgp = write_config(tmp_path, doc)
         assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
         assert message in capsys.readouterr().err
+
+    # Every weight at -700: the 2-cycle {1, 2} and the loop {3} both have
+    # radius e^-700, a real tie.  Unscaled, the 2-cycle's loop took
+    # L^2 u = e^-1400 u, which underflows to the zero vector.
+    TIED_AT_MINUS_700 = {
+        "alphabet": {"symbols": [0, 1, 2, 3]},
+        "transitions": {"entries": [[0, 1], [0, 3], [1, 2], [2, 1], [3, 2], [3, 3]]},
+        "holes": {"entries": []},
+        "potential": {"constant": -700},
+        "n_max": 10,
+        "mc": {"n": 2, "samples": 100},
+        "epsilons": {"ratio": 0.5, "count": 3},
+        "test_cylinders": [[1]],
+    }
+
+    @pytest.mark.parametrize("command", ["rpf", "perturb", "escape", "spectrum"])
+    def test_tie_at_minus_700_exits_3(self, tmp_path, capsys, command):
+        cfgp = write_config(tmp_path, self.TIED_AT_MINUS_700)
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+        assert "error: non-unique dominant" in capsys.readouterr().err
+
+    def test_pressure_at_minus_700_reports_the_tied_radius(self, tmp_path):
+        cfgp = write_config(tmp_path, self.TIED_AT_MINUS_700)
+        out = tmp_path / "o"
+        assert main(["pressure", "--config", str(cfgp), "--out", str(out)]) == 0
+        spectral = json.loads((out / "report.json").read_text())["results"]["pressure"]["spectral"]
+        assert spectral == pytest.approx(-700.0, rel=1e-12)
+
+    def test_weight_below_the_normal_range(self, tmp_path):
+        # Symbol 3 at -710: its loop's only entry, e^-710, is subnormal, and
+        # the 2-cycle's radius e^-700 dominates.
+        weights = {"0": -700, "1": -700, "2": -700, "3": -710}
+        doc = dict(self.TIED_AT_MINUS_700, potential={"weights": weights})
+        cfgp = write_config(tmp_path, doc)
+        for command in ("rpf", "pressure"):
+            assert main([command, "--config", str(cfgp), "--out", str(tmp_path / command)]) == 0
+        rpf = json.loads((tmp_path / "rpf" / "report.json").read_text())["results"]
+        assert rpf["lam"] == pytest.approx(math.exp(-700.0), rel=1e-12)
+        pressure = json.loads((tmp_path / "pressure" / "report.json").read_text())["results"]
+        assert pressure["pressure"]["spectral"] == pytest.approx(-700.0, rel=1e-12)
+
+    def test_period_three_at_minus_700_writes_no_nan(self, tmp_path):
+        # Solved at depth 1 and lifted to depth 3: the period-3 loop's
+        # L^3 u = e^-2100 u underflowed, and the bundle held NaN residuals.
+        doc = {
+            "alphabet": {"symbols": [0, 1, 2]},
+            "transitions": {"entries": [[0, 1], [1, 2], [2, 0]]},
+            "potential": {"constant": -700},
+            "depth": 3,
+        }
+        cfgp = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["rpf", "--config", str(cfgp), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["results"]["period_used"] == 3
+        assert rep["results"]["log_lam"] == pytest.approx(-700.0, rel=1e-12)
+        for residual in rep["results"]["residuals"].values():
+            assert isinstance(residual, float) and residual <= 1e-11
+
+    def test_radius_below_the_float_range_exits_3(self, tmp_path, capsys):
+        # At -745 each entry is the least subnormal, 5e-324: the scaled loop
+        # finds the pair, but no Rayleigh quotient holds the radius e^-745.
+        doc = {
+            "alphabet": {"symbols": [0, 1]},
+            "transitions": {"entries": [[0, 1], [1, 0]]},
+            "potential": {"constant": -745},
+        }
+        cfgp = write_config(tmp_path, doc)
+        assert main(["rpf", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+        assert "spectral radius underflows" in capsys.readouterr().err
+
+    def test_survivors_on_words_of_mass_zero_log_minus_inf(self, tmp_path):
+        # The third step's survivors live only on words where the closed nu
+        # is 0: log mass -inf, where math.log(0) used to raise.
+        doc = {
+            "alphabet": {"symbols": [0, 1, 2, 3]},
+            "transitions": {
+                "entries": [[0, 0], [0, 1], [1, 0], [1, 2], [1, 3], [2, 0], [2, 3], [3, 3]]
+            },
+            "holes": {"entries": [[0, 0], [1, 0], [1, 2]]},
+            "potential": {"constant": 3},
+            "depth": 3,
+            "n_max": 3,
+            "mc": {"n": 2, "samples": 100},
+        }
+        cfgp = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["escape", "--config", str(cfgp), "--out", str(out)]) == 0
+        rows = (out / "survivor_masses.csv").read_text().splitlines()
+        assert rows[-1] == "3,-inf,0.0"
 
     def test_spectrum_honours_max_iter(self, tmp_path, capsys):
         root = Path(__file__).resolve().parents[1]

@@ -474,6 +474,15 @@ class TestComponentDecomposition:
         assert set(exc.value.tied) == {0, 1}
 
 
+    def test_tie_names_components_not_blocks(self):
+        # The acyclic {0} is component 0, so the tied 2-cycles {1, 2} and
+        # {3, 4} are components 1 and 2; the block route numbers them 0, 1.
+        ts = from_entries((0, 1, 2, 3, 4), [(0, 1), (0, 3), (1, 2), (2, 1), (3, 4), (4, 3)])
+        with pytest.raises(NonUniqueDominantError) as exc:
+            component_decomposition(ts, zero_potential(ts))
+        assert exc.value.tied == (1, 2)
+
+
 class TestComponentPressuresFromOneMatrix:
     @staticmethod
     def induced_operator(ts, phi, symbols, depth):
@@ -489,20 +498,20 @@ class TestComponentPressuresFromOneMatrix:
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_blocks_and_pressures_equal_the_induced_route(self, depth):
-        from ruelle.spectral import _component_pairs, component_pressures
-
+        # A component's rows are the words whose symbols all lie in it.
         ts, phi = two_banded_blocks(30)
         tm = build_transfer_matrix(ts, phi, depth=depth)
-        pairs = _component_pairs(tm, 1e-12, 100_000)
+        labels = ts.quotient.labels[tm.ranks]
         expected = []
-        for comp, (rows, _) in zip(ts.quotient.components, pairs):
+        for c, comp in enumerate(ts.quotient.components):
+            rows = (labels == c).all(axis=1)
             ref = self.induced_operator(ts, phi, comp.symbols, depth)
             block = tm.matrix[rows][:, rows]
             for name in ("indptr", "indices", "data"):
                 got, want = getattr(block, name), getattr(ref.matrix, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
             expected.append(math.log(rpf_triplet(ref).lam))
-        assert component_pressures(ts, phi, depth=depth) == tuple(expected)
+        assert len(rpf_triplet(tm).blocks) == len(expected)
         dec = component_decomposition(ts, phi, depth=depth)
         assert dec.component_pressures == tuple(expected)
 
@@ -517,12 +526,13 @@ class TestComponentPressuresFromOneMatrix:
 
     def test_capped_component_pair_is_a_convergence_error(self):
         ts, phi = two_banded_blocks(30)
-        with pytest.raises(ConvergenceError, match=r"component 0 \(30 symbols\).*cap of 5") as exc:
+        # The block route runs both loops on each of the two blocks.
+        with pytest.raises(ConvergenceError, match=r"eigenvector loop hit the cap of 5") as exc:
             component_decomposition(ts, phi, max_iter=5)
         pair = exc.value.partial
-        assert not pair.converged and pair.iterations == 10 and pair.lam > 0.0
-        assert pair.tm is None
-        assert len(pair.g) == len(pair.nu) == 30
+        assert not pair.converged and pair.iterations == 20 and pair.lam > 0.0
+        assert pair.tm.dim == 60 and len(pair.blocks) == 2
+        assert len(pair.g) == len(pair.nu) == 60
 
 
 class TestGibbsCheck:

@@ -339,15 +339,15 @@ class TestStructureProperties:
         ts, phi = two_component_dag(forward=True)
         tm = build_transfer_matrix(ts, phi, depth=1)
         lam_full = rpf_triplet(tm).lam
-        from ruelle.spectral import component_pressures
+        from ruelle.spectral import component_decomposition
 
-        per_comp = component_pressures(ts, phi)
+        per_comp = component_decomposition(ts, phi).component_pressures
         assert lam_full == pytest.approx(math.exp(max(per_comp)), abs=1e-10)
         assert sorted(math.exp(q) for q in per_comp) == pytest.approx([1.5, 2.0], abs=1e-10)
 
     def test_three_component_max(self):
         from ruelle import from_entries
-        from ruelle.spectral import component_pressures
+        from ruelle.spectral import component_decomposition
 
         ts = from_entries(
             (0, 1, 2, 3),
@@ -359,7 +359,8 @@ class TestStructureProperties:
         tm = build_transfer_matrix(ts, phi, depth=1)
         lam = rpf_triplet(tm).lam
         assert lam == pytest.approx(1.9, abs=1e-10)
-        assert math.exp(max(component_pressures(ts, phi))) == pytest.approx(1.9, abs=1e-10)
+        per_comp = component_decomposition(ts, phi).component_pressures
+        assert math.exp(max(per_comp)) == pytest.approx(1.9, abs=1e-10)
 
     def test_monotone_under_holes(self):
         lam_closed = rpf_triplet(build_transfer_matrix(f1(), zero_potential(f1()), depth=1)).lam
@@ -801,12 +802,12 @@ def test_lift_bitwise_equals_the_window_product(case):
 
 @pytest.mark.parametrize("forward", [True, False])
 def test_component_lift_bitwise_equals_the_window_product(monkeypatch, forward):
-    import ruelle.spectral as spectral
+    import ruelle.transfer as transfer
     from ruelle import component_decomposition
 
     ts, phi = two_component_dag(forward=forward)
     got = component_decomposition(ts, phi, depth=3)
-    monkeypatch.setattr(spectral, "_lift", _window_lift)
+    monkeypatch.setattr(transfer, "_lift", _window_lift)
     want = component_decomposition(ts, phi, depth=3)
     assert got.lam == want.lam
     for x, y in zip(got.peripherals, want.peripherals):
@@ -988,6 +989,26 @@ def test_perron_vector_same_bytes_on_csr_and_csc():
     _, ref, _, _ = _perron_vector(sp.csr_matrix(golden.astype(float)), 1, 1e-12)
     assert ok and lam == pytest.approx(PHI, abs=1e-12)
     assert vec.tobytes() == ref.tobytes()
+
+
+def test_perron_vector_scales_instead_of_underflowing():
+    # 2-cycles: unscaled, L^2 u = e^-1400 u underflows to the zero vector at
+    # weights e^-700 and overflows at e^700.  At e^700 and e^-700 (radius 1)
+    # a scale putting the largest entry in [1, 2) would flush the least to
+    # 0, so the scale goes down only while the least entry stays normal.
+    import scipy.sparse as sp
+
+    from ruelle.transfer import _perron_vector
+
+    for a, b in ((-700.0, -700.0), (700.0, 700.0), (700.0, -700.0)):
+        mat = sp.csr_matrix([[0.0, math.exp(a)], [math.exp(b), 0.0]])
+        lam, vec, _, ok = _perron_vector(mat, 2, 1e-12)
+        assert ok and lam == pytest.approx(math.exp((a + b) / 2), rel=1e-12)
+        assert vec.max() == 1.0 and vec.min() > 0.0
+    # A subnormal largest entry takes the clamped scale 2^1023.
+    tiny = math.exp(-710.0)
+    lam, vec, _, ok = _perron_vector(sp.csr_matrix([[tiny]]), 1, 1e-12)
+    assert ok and lam == tiny and vec.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("seed", range(5))
