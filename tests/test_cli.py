@@ -277,7 +277,7 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     # Every weight at -700: the 2-cycle {1, 2} and the loop {3} both have
-    # radius e^-700, a real tie.  Unscaled, the 2-cycle's loop took
+    # radius e^-700, a real tie.  Unscaled, the 2-cycle's loop would take
     # L^2 u = e^-1400 u, which underflows to the zero vector.
     TIED_AT_MINUS_700 = {
         "alphabet": {"symbols": [0, 1, 2, 3]},
@@ -317,8 +317,8 @@ class TestCli:
         assert pressure["pressure"]["spectral"] == pytest.approx(-700.0, rel=1e-12)
 
     def test_period_three_at_minus_700_writes_no_nan(self, tmp_path):
-        # Solved at depth 1 and lifted to depth 3: the period-3 loop's
-        # L^3 u = e^-2100 u underflowed, and the bundle held NaN residuals.
+        # Solved at depth 1 and lifted to depth 3; unscaled, the period-3
+        # loop's L^3 u = e^-2100 u underflows and leaves NaN residuals.
         doc = {
             "alphabet": {"symbols": [0, 1, 2]},
             "transitions": {"entries": [[0, 1], [1, 2], [2, 0]]},
@@ -348,7 +348,7 @@ class TestCli:
 
     def test_survivors_on_words_of_mass_zero_log_minus_inf(self, tmp_path):
         # The third step's survivors live only on words where the closed nu
-        # is 0: log mass -inf, where math.log(0) used to raise.
+        # is 0: their mass is 0, logged as -inf.
         doc = {
             "alphabet": {"symbols": [0, 1, 2, 3]},
             "transitions": {
