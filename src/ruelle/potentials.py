@@ -33,6 +33,8 @@ DEFAULT_N_MAX = 40
 DEFAULT_S_RANGE = (0.0, 8.0)
 # Above every code of a compiled weight table (``_compile``).
 _NO_CODE = 2**63 - 1
+# The largest weight whose exp is a float (about 709.78).
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,11 @@ class Potential:
                 raise ConfigError(f"weight key {w!r} does not have depth {self.depth}")
             if not math.isfinite(v):
                 raise ConfigError(f"weight for {w!r} is not finite")
+            if v > _LOG_FLOAT_MAX:
+                raise PreconditionError(
+                    f"weight {v} for {w!r} exceeds {_LOG_FLOAT_MAX}, "
+                    "the log of the largest float, so its exp overflows"
+                )
 
     def value(self, word) -> float:
         """Value on the cylinder of ``word``."""

@@ -120,14 +120,16 @@ def spectral_decomposition(
     return _decompose(tm, every, period_classes(tm.governing), triplet.lam, triplet.h, triplet.nu)
 
 
-def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecomposition:
-    """Peripheral decomposition from the positive pair of the dominant rows.
+def _decompose(tm, dom_rows, classes, lam, h, nu, **extra) -> SpectralDecomposition:
+    """Peripheral decomposition from the positive pair (h, nu) of ``tm``.
 
-    ``dom_rows`` marks the words of the dominant component and (h1, nu1) is
-    the positive pair of its block.  The pair is twisted by the cyclic
-    classes and extended across the other rows by ``transfer._extend`` at
-    each peripheral eigenvalue lam_i (B22 is nilpotent when the dominant
-    component is the only cyclic one), then nu_i . h_i = 1.
+    ``dom_rows`` marks the words of the dominant component, and (h, nu),
+    nu . h = 1, is the positive pair on every row, so it is the first
+    peripheral pair as it stands.  Each other one twists the pair on the
+    dominant rows by the cyclic classes and extends it across the other
+    rows by ``transfer._extend`` at its eigenvalue lam_i (B22 is nilpotent
+    when the dominant component is the only cyclic one), then
+    nu_i . h_i = 1.
     Everything here reads the sparse L and the p pairs; no n x n array is
     formed above ``DENSE_RADIUS_LIMIT``.  The remainder's radius is the
     largest modulus among its eigenvalues: up to the limit dense LAPACK on
@@ -144,8 +146,9 @@ def _decompose(tm, dom_rows, classes, lam, h1, nu1, **extra) -> SpectralDecompos
     word_class = class_of[tm.ranks[dom_rows, 0]]
     masks = [(word_class == j).astype(float) for j in range(p)]
     nilpotent = sum(c.has_periodic_point for c in tm.governing.quotient.components) == 1
-    peripherals = []
-    for i in range(p):
+    h1, nu1 = h[dom_rows], nu[dom_rows]
+    peripherals = [Peripheral(eigenvalue=complex(lam), h=h.astype(complex), nu=nu.astype(complex))]
+    for i in range(1, p):
         lam_i = lam * kappa**i
         hi1 = np.zeros(len(word_class), dtype=complex)
         nui1 = np.zeros(len(word_class), dtype=complex)
@@ -396,10 +399,8 @@ def component_decomposition(
     dom = pressures.index(max(pressures))
     classes = period_classes(ts, component=dag.components[dom].symbols)
     rows = (dag.labels[tm.ranks] == dom).all(axis=1)
-    g, nu = trip.g[rows], trip.nu[rows]
-    nu = nu / float(nu.sum())
     dec = _decompose(
-        tm, rows, classes, trip.lam, g / float(nu @ g), nu,
+        tm, rows, classes, trip.lam, trip.h, trip.nu,
         component_pressures=pressures, dominant_component=dom,
     )
     return replace(dec, support_patterns=_support_patterns(tm, dag, dom, dec.peripherals))

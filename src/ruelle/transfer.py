@@ -37,6 +37,9 @@ from .shifts import (
 
 # Component pressures within this relative distance of the largest tie it.
 TIE_RTOL = 1e-9
+# The Perron loop folds its iterate's binary exponents into the matrix once
+# an entry falls below this, 62 binades above the least normal float.
+FOLD_BELOW = 2.0**-960
 
 
 @dataclass(frozen=True)
@@ -339,7 +342,12 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     shift of the potential underflows or overflows the iterates.  The
     scale stays exact: it scales down only as far as the least entry stays
     normal, and its exponent is clamped at 1023, where a subnormal largest
-    entry would overflow it.
+    entry would overflow it.  Once the least iterate entry falls below
+    ``FOLD_BELOW``, ``_fold`` moves each entry's binary exponent e into the
+    similarity D^-1 mat D, D = diag(2^e): entries stay normal, the sums
+    giving lam are weighted by 2^e, and an entry still counts in the
+    change only when its true value is normal.  Powers of two are exact,
+    so the loop iterates the same vector; ``_unfold`` rounds it once.
     Each matvec calls scipy's ``csr_matvec`` (the kernel of ``mat @ x``, so
     the same sums) into a zeroed buffer; a step allocates no new vector.
     Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
@@ -351,8 +359,10 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     if shift < 0:
         least = float(mat.data.min(where=mat.data > 0.0, initial=math.inf))
         shift = min(0, max(shift, -1021 - math.frexp(least)[1]))
-    csr = (n, n, mat.indptr, mat.indices, np.ldexp(mat.data, shift) if shift else mat.data)
+    data = np.ldexp(mat.data, shift) if shift else mat.data
+    csr = [n, n, mat.indptr, mat.indices, data]
     tiny = np.finfo(float).tiny
+    exps, weight, floor = np.zeros(n, dtype=np.int32), None, tiny
     u, new = np.ones(n), np.empty(n)
     rel, big, diff, live = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     block = [u] + [np.empty(n) for _ in range(p)]
@@ -365,10 +375,13 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
             block[i + 1].fill(0.0)
             _csr_matvec(*csr, block[i], block[i + 1])
         it += p
-        norm_p = float(block[-1].sum())
+        if weight is None:
+            norm_p, norm_u = float(block[-1].sum()), float(u.sum())
+        else:
+            norm_p, norm_u = float(block[-1] @ weight), float(u @ weight)
         if norm_p == 0.0:
             return 0.0, np.zeros(n), it, True
-        lam = (norm_p / float(u.sum())) ** (1.0 / p)
+        lam = (norm_p / norm_u) ** (1.0 / p)
         np.divide(block[1], lam, out=new)
         for i in range(2, p + 1):
             new += np.divide(block[i], lam**i, out=big)
@@ -376,13 +389,37 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         np.maximum(new, u, out=big)
         np.abs(np.subtract(new, u, out=diff), out=diff)
         rel.fill(0.0)
-        np.divide(diff, big, out=rel, where=np.greater_equal(big, tiny, out=live))
+        np.divide(diff, big, out=rel, where=np.greater_equal(big, floor, out=live))
         change = float(rel.max(initial=0.0))
         if _settled(change, change_prev, tol):
-            return math.ldexp(lam, -shift), new, it, True
+            return math.ldexp(lam, -shift), _unfold(new, exps), it, True
+        if float(new.min()) < FOLD_BELOW:
+            new, exps = _fold(new, exps)
+            rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+            scaled = np.ldexp(data, exps[mat.indices] - exps[rows])
+            scaled[scaled < tiny] = 0.0
+            csr[4] = scaled
+            weight, floor = np.ldexp(1.0, exps), np.ldexp(tiny, np.minimum(-exps, 2045))
         u, new = new, u
         change_prev = change
-    return math.ldexp(lam, -shift), u, it, False
+    return math.ldexp(lam, -shift), _unfold(u, exps), it, False
+
+
+def _fold(u: np.ndarray, exps: np.ndarray) -> tuple:
+    """(v, e): v sup-normalized with every positive entry in (1/2, 1], and
+    e the binary exponents, at most 0, with ldexp(u, exps) equal to
+    ldexp(v, e) up to a scalar."""
+    mant, e = np.frexp(u)
+    e += exps
+    return mant / float(mant.max()), e - e.max()
+
+
+def _unfold(u: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """The sup-normalized ldexp(u, exps), each entry rounded into the
+    subnormal or zero range at most once; u itself when exps is 0."""
+    top = int((np.frexp(u)[1] + exps).max())
+    k = int(np.argmax(np.ldexp(u, exps - top)))
+    return np.ldexp(u / u[k], exps - exps[k])
 
 
 def _settled(change: float, prev: float, tol: float) -> bool:

@@ -346,6 +346,18 @@ class TestCli:
         assert main(["rpf", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
         assert "spectral radius underflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pressure", "rpf", "spectrum"])
+    def test_weight_above_the_float_range_exits_3(self, tmp_path, capsys, command):
+        # e^710 is past the largest float, about e^709.78.
+        doc = {
+            "alphabet": {"symbols": [0, 1]},
+            "transitions": {"full": True},
+            "potential": {"weights": {"0": 710, "1": 0}},
+        }
+        cfgp = write_config(tmp_path, doc)
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+        assert "error: weight 710.0 for (0,) exceeds" in capsys.readouterr().err
+
     def test_survivors_on_words_of_mass_zero_log_minus_inf(self, tmp_path):
         # The third step's survivors live only on words where the closed nu
         # is 0: their mass is 0, logged as -inf.

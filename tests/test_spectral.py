@@ -418,6 +418,25 @@ class TestComponentDecomposition:
         lhs = tm.dense() @ per.h
         assert np.abs(lhs - per.eigenvalue * per.h).max() <= 1e-10
 
+    def test_dominant_pair_extended_once(self, monkeypatch):
+        # rpf_triplet's block route extends the dominant pair; with p = 1
+        # the decomposition takes that pair as it stands and extends nothing.
+        from ruelle import spectral, transfer
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return extend(*args, **kwargs)
+
+        extend = transfer._extend
+        monkeypatch.setattr(transfer, "_extend", counted)
+        monkeypatch.setattr(spectral, "_extend", counted)
+        ts, phi = two_banded_blocks(20)
+        dec = component_decomposition(ts, phi)
+        assert dec.p == 1 and len(calls) == 1
+        assert max(dec.checks.values()) <= 1e-8
+
     def test_single_component_reduces(self):
         dec = component_decomposition(f2(), zero_potential(f2()))
         assert dec.lam == pytest.approx(PHI, abs=1e-11)

@@ -183,6 +183,36 @@ class TestRpfTriplet:
             rpf_triplet(tm, max_iter=40)
         assert not exc.value.partial.converged
 
+    def test_loop_never_multiplies_a_subnormal_iterate(self, monkeypatch):
+        # Summable weights: most entries of g and nu end below the normal
+        # range.  The loop folds each entry's binary exponent into the
+        # matrix before the iterate reaches it, so no matvec sees a
+        # subnormal input, in as many matvecs as an unfolded loop takes.
+        from ruelle import TailModel, transfer
+
+        tiny = np.finfo(float).tiny
+        seen = []
+
+        def spy(*args):
+            x = args[-2]
+            seen.append(bool(np.any((x > 0.0) & (x < tiny))))
+            return matvec(*args)
+
+        matvec = transfer._csr_matvec
+        monkeypatch.setattr(transfer, "_csr_matvec", spy)
+        noise = np.random.default_rng(1101).uniform(-0.5, 0.5, size=800)
+        weights = {(i,): -2.0 * math.log(i) + float(e) for i, e in zip(range(1, 801), noise)}
+        ts = banded_structure(800, 2)
+        phi = potential_from_weights(weights, tail=TailModel.geometric(1.0, 0.5))
+        tm = build_transfer_matrix(ts, phi)
+        trip = rpf_triplet(tm)
+        assert len(seen) == trip.iterations == 194
+        assert not any(seen)
+        for vec, op in ((trip.g, tm.apply), (trip.nu, lambda nu: tm.matrix.T @ nu)):
+            live = vec >= tiny
+            rel = (op(vec) - trip.lam * vec)[live] / (trip.lam * vec[live])
+            assert float(np.abs(rel).max()) <= 1e-10
+
     def test_error_names_the_capped_loops(self):
         # Period 2 and max_iter 1: each loop runs one Cesaro block of two
         # matvecs and stops at the cap.
