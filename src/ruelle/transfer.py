@@ -342,12 +342,14 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     shift of the potential underflows or overflows the iterates.  The
     scale stays exact: it scales down only as far as the least entry stays
     normal, and its exponent is clamped at 1023, where a subnormal largest
-    entry would overflow it.  Once the least iterate entry falls below
-    ``FOLD_BELOW``, ``_fold`` moves each entry's binary exponent e into the
-    similarity D^-1 mat D, D = diag(2^e): entries stay normal, the sums
-    giving lam are weighted by 2^e, and an entry still counts in the
-    change only when its true value is normal.  Powers of two are exact,
-    so the loop iterates the same vector; ``_unfold`` rounds it once.
+    entry would overflow it.  Once the least positive iterate entry falls
+    below ``FOLD_BELOW``, the loop moves each entry's binary exponent
+    (``np.frexp``) into exps and iterates the similarity D^-1 mat D,
+    D = diag(2^exps): entries stay normal, the sums giving lam are weighted
+    by 2^exps, each step divides by the largest true entry, and an entry
+    still counts in the change only when its true value is normal.  Powers
+    of two are exact, so the loop iterates the same vector and stops where
+    the unfolded loop stops; ``_unfold`` rounds it into the float range once.
     Each matvec calls scipy's ``csr_matvec`` (the kernel of ``mat @ x``, so
     the same sums) into a zeroed buffer; a step allocates no new vector.
     Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
@@ -385,7 +387,10 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         np.divide(block[1], lam, out=new)
         for i in range(2, p + 1):
             new += np.divide(block[i], lam**i, out=big)
-        new /= float(new.max())
+        if weight is None:
+            new /= float(new.max())
+        else:
+            new /= float(np.multiply(new, weight, out=big).max())
         np.maximum(new, u, out=big)
         np.abs(np.subtract(new, u, out=diff), out=diff)
         rel.fill(0.0)
@@ -393,8 +398,10 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         change = float(rel.max(initial=0.0))
         if _settled(change, change_prev, tol):
             return math.ldexp(lam, -shift), _unfold(new, exps), it, True
-        if float(new.min()) < FOLD_BELOW:
-            new, exps = _fold(new, exps)
+        # The least positive entry decides: a zero has no exponent to fold.
+        if new.min() < FOLD_BELOW and new.min(where=new > 0.0, initial=1.0) < FOLD_BELOW:
+            new, e = np.frexp(new)
+            exps += e
             rows = np.repeat(np.arange(n), np.diff(mat.indptr))
             scaled = np.ldexp(data, exps[mat.indices] - exps[rows])
             scaled[scaled < tiny] = 0.0
@@ -405,20 +412,10 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     return math.ldexp(lam, -shift), _unfold(u, exps), it, False
 
 
-def _fold(u: np.ndarray, exps: np.ndarray) -> tuple:
-    """(v, e): v sup-normalized with every positive entry in (1/2, 1], and
-    e the binary exponents, at most 0, with ldexp(u, exps) equal to
-    ldexp(v, e) up to a scalar."""
-    mant, e = np.frexp(u)
-    e += exps
-    return mant / float(mant.max()), e - e.max()
-
-
 def _unfold(u: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """The sup-normalized ldexp(u, exps), each entry rounded into the
     subnormal or zero range at most once; u itself when exps is 0."""
-    top = int((np.frexp(u)[1] + exps).max())
-    k = int(np.argmax(np.ldexp(u, exps - top)))
+    k = int(np.argmax(np.ldexp(u, exps)))
     return np.ldexp(u / u[k], exps - exps[k])
 
 

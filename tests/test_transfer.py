@@ -213,6 +213,23 @@ class TestRpfTriplet:
             rel = (op(vec) - trip.lam * vec)[live] / (trip.lam * vec[live])
             assert float(np.abs(rel).max()) <= 1e-10
 
+    def test_folded_loop_stops_where_the_unfolded_loop_stops(self):
+        # The t = 60 renewal chain's g reaches 2^-1065, so its loop folds
+        # three times.  Each step still divides by the largest true entry,
+        # so the change on every normal entry, and with it the count, is the
+        # unfolded loop's: 45 matvecs for g and 14 for nu.
+        from ruelle import renewal_structure
+        from ruelle.applications import renewal_potential
+
+        tiny = np.finfo(float).tiny
+        ts = renewal_structure(60)
+        tm = build_transfer_matrix(ts, renewal_potential(f4_spec(60), ts))
+        trip = rpf_triplet(tm)
+        assert trip.iterations == 59
+        live = trip.g >= tiny
+        rel = (tm.apply(trip.g) - trip.lam * trip.g)[live] / (trip.lam * trip.g[live])
+        assert float(np.abs(rel).max()) <= 1e-10
+
     def test_error_names_the_capped_loops(self):
         # Period 2 and max_iter 1: each loop runs one Cesaro block of two
         # matvecs and stops at the cap.
