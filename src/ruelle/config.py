@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -180,6 +181,24 @@ def _word(tokens):
     return tuple(_symbol(t) for t in tokens)
 
 
+def _non_finite(doc, path=()):
+    """(path, value) of the first NaN or infinite number in ``doc``, or None.
+    JSON schema ranges let NaN through, so this is checked on its own."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else (path, doc)
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 def _with_defaults(doc: dict, *path, schema: dict = CONFIG_SCHEMA) -> dict:
     """The section of ``doc`` at ``path`` (``doc`` itself when empty) as a new
     dict over the defaults ``schema`` declares there; a missing one is empty."""
@@ -205,6 +224,10 @@ class SystemConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "SystemConfig":
+        bad = _non_finite(doc)
+        if bad is not None:
+            path = "/".join(str(p) for p in bad[0]) or "<root>"
+            raise ConfigError(f"config number at {path} is not finite: {bad[1]}")
         err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
         if err is not None:
             path = "/".join(str(p) for p in err.absolute_path) or "<root>"

@@ -350,8 +350,19 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
     still counts in the change only when its true value is normal.  Powers
     of two are exact, so the loop iterates the same vector and stops where
     the unfolded loop stops; ``_unfold`` rounds it into the float range once.
+    Only a change <= tol can stop the loop, and one counted entry whose
+    change exceeds tol forces the largest change above tol.  So each step
+    first reads one probe entry, where the last full change peaked, with
+    the IEEE operations of the full change; when it counts and exceeds tol,
+    the step's full change stays untaken.  ``_change`` takes it only when
+    the next step's probe fails and that step's own change is <= tol, the
+    one case in which ``_settled`` reads it.  Its arrays are held, and a
+    fold binds the iterate and the floor to new arrays instead of writing
+    them, so the change taken late is the one the step would have taken:
+    every stop, radius and vector is the full loop's bit for bit.
     Each matvec calls scipy's ``csr_matvec`` (the kernel of ``mat @ x``, so
-    the same sums) into a zeroed buffer; a step allocates no new vector.
+    the same sums) into a zeroed buffer; a step that takes no full change
+    allocates no new vector.
     Returns (lam, vector, matvecs, converged); ``max_iter`` caps the matvecs.
     """
     # The kernel writes into ``out`` only when every array has its dtype.
@@ -363,12 +374,13 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
         shift = min(0, max(shift, -1021 - math.frexp(least)[1]))
     data = np.ldexp(mat.data, shift) if shift else mat.data
     csr = [n, n, mat.indptr, mat.indices, data]
-    tiny = np.finfo(float).tiny
+    tiny = float(np.finfo(float).tiny)
     exps, weight, floor = np.zeros(n, dtype=np.int32), None, tiny
-    u, new = np.ones(n), np.empty(n)
-    rel, big, diff, live = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    u, new, spare, big = np.ones(n), np.empty(n), np.empty(n), np.empty(n)
     block = [u] + [np.empty(n) for _ in range(p)]
-    change_prev = math.inf
+    # change_prev is None while the last step's change is untaken; untaken
+    # then holds its arguments, which no later step or fold overwrites.
+    change_prev, probe, untaken = math.inf, 0, None
     lam = 0.0
     it = 0
     while it < max_iter:
@@ -391,13 +403,20 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
             new /= float(new.max())
         else:
             new /= float(np.multiply(new, weight, out=big).max())
-        np.maximum(new, u, out=big)
-        np.abs(np.subtract(new, u, out=diff), out=diff)
-        rel.fill(0.0)
-        np.divide(diff, big, out=rel, where=np.greater_equal(big, floor, out=live))
-        change = float(rel.max(initial=0.0))
-        if _settled(change, change_prev, tol):
-            return math.ldexp(lam, -shift), _unfold(new, exps), it, True
+        # A counted probe entry whose change exceeds tol proves the largest
+        # change does, so the step cannot stop: its change stays untaken.
+        a, b = new.item(probe), u.item(probe)
+        top = a if a > b else b
+        least = floor if weight is None else floor.item(probe)
+        if top >= least > 0.0 and abs(a - b) / top > tol:  # least > 0: no 0 / 0
+            change, untaken = None, (new, u, floor)
+        else:
+            change, probe = _change(new, u, floor)
+            if change <= tol:  # _settled reads change_prev only then
+                if change_prev is None:
+                    change_prev = _change(*untaken)[0]
+                if _settled(change, change_prev, tol):
+                    return math.ldexp(lam, -shift), _unfold(new, exps), it, True
         # The least positive entry decides: a zero has no exponent to fold.
         if new.min() < FOLD_BELOW and new.min(where=new > 0.0, initial=1.0) < FOLD_BELOW:
             new, e = np.frexp(new)
@@ -407,9 +426,20 @@ def _perron_vector(mat, p: int, tol: float, max_iter: int = DEFAULT_MAX_ITER):
             scaled[scaled < tiny] = 0.0
             csr[4] = scaled
             weight, floor = np.ldexp(1.0, exps), np.ldexp(tiny, np.minimum(-exps, 2045))
-        u, new = new, u
+        spare, u, new = u, new, spare
         change_prev = change
     return math.ldexp(lam, -shift), _unfold(u, exps), it, False
+
+
+def _change(new: np.ndarray, u: np.ndarray, floor) -> tuple:
+    """The largest componentwise relative change |new - u| / max(new, u) over
+    the entries with max(new, u) >= floor (0.0 when none), and an entry
+    attaining it."""
+    big = np.maximum(new, u)
+    rel = np.zeros(len(big))
+    np.divide(np.abs(new - u), big, out=rel, where=big >= floor)
+    i = int(rel.argmax())
+    return float(rel[i]), i
 
 
 def _unfold(u: np.ndarray, exps: np.ndarray) -> np.ndarray:

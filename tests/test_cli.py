@@ -248,6 +248,26 @@ class TestCli:
         assert f"violation at {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, doc, path",
+        [
+            (["--tol", "nan"], {}, "tolerance"),
+            (["--tol", "inf"], {}, "tolerance"),
+            ([], {"tolerance": math.nan}, "tolerance"),
+            ([], {"theta": math.nan}, "theta"),
+            ([], {"epsilons": [0.5, math.inf]}, "epsilons/1"),
+        ],
+        ids=["tol-nan", "tol-inf", "json-nan-tolerance", "json-nan-theta", "json-inf-epsilon"],
+    )
+    def test_non_finite_number_exits_3(self, tmp_path, capsys, flags, doc, path):
+        # The schema's ranges let NaN through; json writes and reads NaN and
+        # Infinity as bare tokens.
+        cfgp = write_config(tmp_path, {**GOLDEN, **doc})
+        out = tmp_path / "o"
+        assert main(["rpf", "--config", str(cfgp), "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err.startswith(f"error: config number at {path} is not finite")
+        assert not out.exists()
+
     def test_override_on_a_document_that_is_not_an_object(self, tmp_path, capsys):
         cfgp = tmp_path / "list.json"
         cfgp.write_text("[]")

@@ -1075,6 +1075,162 @@ def test_bound_kernel_equals_matmul(seed):
     assert out.tobytes() == (mat @ x).tobytes()
 
 
+def _full_change_loop(mat, p, tol, max_iter=DEFAULT_MAX_ITER):
+    """The Perron loop taking the full componentwise change on every step:
+    ``_perron_vector`` without its probe."""
+    from ruelle.transfer import FOLD_BELOW, _csr_matvec, _settled, _sup, _unfold
+
+    mat = mat.tocsr().astype(np.float64, copy=False)
+    n = mat.shape[0]
+    shift = min(1 - math.frexp(_sup(mat.data))[1], 1023)
+    if shift < 0:
+        least = float(mat.data.min(where=mat.data > 0.0, initial=math.inf))
+        shift = min(0, max(shift, -1021 - math.frexp(least)[1]))
+    data = np.ldexp(mat.data, shift) if shift else mat.data
+    csr = [n, n, mat.indptr, mat.indices, data]
+    tiny = np.finfo(float).tiny
+    exps, weight, floor = np.zeros(n, dtype=np.int32), None, tiny
+    u, new = np.ones(n), np.empty(n)
+    rel, big, diff, live = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    block = [u] + [np.empty(n) for _ in range(p)]
+    change_prev = math.inf
+    lam = 0.0
+    it = 0
+    while it < max_iter:
+        block[0] = u
+        for i in range(p):
+            block[i + 1].fill(0.0)
+            _csr_matvec(*csr, block[i], block[i + 1])
+        it += p
+        if weight is None:
+            norm_p, norm_u = float(block[-1].sum()), float(u.sum())
+        else:
+            norm_p, norm_u = float(block[-1] @ weight), float(u @ weight)
+        if norm_p == 0.0:
+            return 0.0, np.zeros(n), it, True
+        lam = (norm_p / norm_u) ** (1.0 / p)
+        np.divide(block[1], lam, out=new)
+        for i in range(2, p + 1):
+            new += np.divide(block[i], lam**i, out=big)
+        if weight is None:
+            new /= float(new.max())
+        else:
+            new /= float(np.multiply(new, weight, out=big).max())
+        np.maximum(new, u, out=big)
+        np.abs(np.subtract(new, u, out=diff), out=diff)
+        rel.fill(0.0)
+        np.divide(diff, big, out=rel, where=np.greater_equal(big, floor, out=live))
+        change = float(rel.max(initial=0.0))
+        if _settled(change, change_prev, tol):
+            return math.ldexp(lam, -shift), _unfold(new, exps), it, True
+        if new.min() < FOLD_BELOW and new.min(where=new > 0.0, initial=1.0) < FOLD_BELOW:
+            new, e = np.frexp(new)
+            exps += e
+            rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+            scaled = np.ldexp(data, exps[mat.indices] - exps[rows])
+            scaled[scaled < tiny] = 0.0
+            csr[4] = scaled
+            weight, floor = np.ldexp(1.0, exps), np.ldexp(tiny, np.minimum(-exps, 2045))
+        u, new = new, u
+        change_prev = change
+    return math.ldexp(lam, -shift), _unfold(u, exps), it, False
+
+
+def _fuzz_draws(count):
+    """The first ``count`` systems of the seeded fuzz of badly scaled
+    weights: 2 to 5 symbols, random transitions, depth 1 to 3, weights
+    U(-A, A/6) with A in {1, 30, 300}, built at the least depth."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(count):
+        k = int(rng.integers(2, 6))
+        syms = tuple(range(k))
+        ent = {(i, j) for i in syms for j in syms if rng.random() < 0.5}
+        if not ent:
+            continue
+        d = int(rng.integers(1, 4))
+        a = float(rng.choice([1.0, 30.0, 300.0]))
+        ts = from_entries(syms, ent)
+        words = admissible_words(ts, d)
+        if not words:
+            continue
+        weights = dict(zip(words, rng.uniform(-a, a / 6, size=len(words)).tolist()))
+        rng.integers(0, 2)  # a depth offset, unused at the least depth
+        tm = build_transfer_matrix(ts, potential_from_weights(weights))
+        if tm.dim:
+            yield tm
+
+
+def test_probed_loop_is_bitwise_the_full_change_loop(monkeypatch):
+    # Every stop, radius, vector, matvec count and flag of the probed loop
+    # equals the loop that takes the full change on every step: on plain,
+    # folding, periodic and badly scaled matrices, and at small caps that
+    # stop it between a probe and the late full change.
+    import scipy.sparse as sp
+
+    from ruelle import TailModel, renewal_structure, transfer
+    from ruelle.applications import renewal_potential
+
+    def result(out):
+        lam, vec, it, ok = out
+        return float(lam).hex(), vec.tobytes(), it, ok
+
+    full4 = full_shift((0, 1, 2, 3))
+    noise = np.random.default_rng(1101).uniform(-0.5, 0.5, size=800)
+    weights = {(i,): -2.0 * math.log(i) + float(e) for i, e in zip(range(1, 801), noise)}
+    phi = potential_from_weights(weights, tail=TailModel.geometric(1.0, 0.5))
+    banded = build_transfer_matrix(banded_structure(800, 2), phi)
+    renewal = renewal_structure(60)
+    cases = [
+        (tm, tm.cesaro_period)
+        for tm in (
+            build_transfer_matrix(full4, _seeded_weights(full4, 3, 16), depth=3),
+            banded,
+            build_transfer_matrix(renewal, renewal_potential(f4_spec(60), renewal)),
+            _cyclic_operator(120),
+        )
+    ]
+    loops = [(mat, p, DEFAULT_MAX_ITER) for tm, p in cases for mat in (tm.matrix, tm.matrix.T)]
+    for a, b in ((-700.0, -700.0), (700.0, 700.0), (700.0, -700.0)):
+        mat = sp.csr_matrix([[0.0, math.exp(a)], [math.exp(b), 0.0]])
+        loops.append((mat, 2, DEFAULT_MAX_ITER))
+    loops += [(mat, p, cap) for mat, p, _ in list(loops) for cap in (1, 2, 5, 17)]
+    # Every loop the fuzz's solves run, blocks included, at 3000 matvecs.
+    solve = transfer._perron_vector
+
+    def record(mat, p, tol, max_iter):
+        loops.append((mat, p, max_iter))
+        return solve(mat, p, tol, max_iter)
+
+    monkeypatch.setattr(transfer, "_perron_vector", record)
+    for tm in _fuzz_draws(40):
+        try:
+            rpf_triplet(tm, max_iter=3000)
+        except (ConvergenceError, NonUniqueDominantError, PreconditionError):
+            pass
+    monkeypatch.undo()
+    assert len(loops) > 150
+    for mat, p, cap in loops:
+        got = solve(mat, p, DEFAULT_TOL, cap)
+        assert result(got) == result(_full_change_loop(mat, p, DEFAULT_TOL, cap))
+
+
+def test_loop_takes_the_full_change_on_few_steps(monkeypatch):
+    # The probe entry keeps proving the change above tol; the full change
+    # is taken on the last steps only, 3 of about 40 per loop here.
+    from ruelle import transfer
+
+    takes = []
+    change = transfer._change
+    monkeypatch.setattr(transfer, "_change", lambda *a: takes.append(1) or change(*a))
+    full4 = full_shift((0, 1, 2, 3))
+    tm = build_transfer_matrix(full4, _seeded_weights(full4, 3, 16), depth=2)
+    for mat in (tm.matrix, tm.matrix.T):
+        takes.clear()
+        _, _, steps, ok = transfer._perron_vector(mat, 1, DEFAULT_TOL)
+        assert ok and steps >= 40
+        assert len(takes) <= 4
+
+
 def test_assembly_refuses_over_cap_before_allocating():
     import time
 
