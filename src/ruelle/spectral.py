@@ -259,6 +259,67 @@ def _arpack_radius(matrix, peripherals, real: bool) -> float:
     return float(np.abs(vals).max())
 
 
+def _block_bounds(matrix, peripherals, h_sup, nu_sup) -> tuple:
+    """Upper bounds, per block of ``_BLOCK_ROWS`` rows, on the |recon_ij|
+    and |Im R_ij| that the matrix-free pass of ``_projection_checks``
+    computes, from L = ``matrix`` (CSR or dense) in O(nnz + p n).
+
+    That pass forms R_ij = L_ij - sum_k lam_k (h_ik nu_kj), the p terms
+    subtracted one after another, and recon_ij = (G_ij + R_ij) - L_ij with
+    G_ij = sum_k (h_ik lam_k) nu_kj a gemm dot.  Exactly, recon_ij = 0, so
+    the computed value is rounding alone (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sections 2-3).  With u = 2^-53 and
+    T_ij = sum_k |lam_k| |h_ik| |nu_kj|, to first order in u:
+    - a complex product of four real products is within sqrt(5) u of its
+      value, so each lam_k (h_ik nu_kj) is within 2 sqrt(5) u and each
+      h_ik lam_k within sqrt(5) u;
+    - the p subtractions add at most p u (|L_ij| + T_ij);
+    - G's real and imaginary parts are dots of 2p real terms, each within
+      2p u sum_k |h_ik lam_k| |nu_kj|, so G is within 2 sqrt(2) p u T_ij;
+    - the addition of R, the subtraction of L and the modulus add u |L_ij|
+      and a relative 3u of the result.
+    So |recon_ij| <= (3 sqrt(5) + (1 + 2 sqrt(2)) p) u T_ij + (p + 1) u |L_ij|,
+    and gamma = (10p + 4) u (1 + 2^-40) leaves room for the second-order
+    terms and for the bound's own roundings, which leave it low by at most
+    (2p + 20) u relative.  The imaginary part of R never sees L:
+    |Im R_ij| <= (1 + (p + 2 sqrt(5)) u) T_ij, below (1 + gamma) T_ij.
+    Underflow adds at most 2^-1075 per real product, carried by at most
+    |lam_k| or |nu_kj|, so at most sqrt(2) p (2 + lam + N) 2^-1074 with
+    lam = max_k |lam_k| and N = max_k |nu_k|_inf; eta = (10p + 4) 2^-1074
+    (2 + lam + N) covers it and the last 2^-1074 of the modulus.
+    Bounding |L_ij| by l_i = max_j |L_ij| and T_ij by
+    P_i = sum_k |lam_k| |h_ik| |nu_k|_inf gives per block the maxima of
+    gamma (l + P) + eta and of (1 + gamma) P + eta.  The argument assumes no
+    intermediate overflows, which holds while max_i l_i + p lam H N stays
+    below 2^1020 (each factor taken at least 1, H = max_k |h_k|_inf); past
+    that every bound is inf.  A NaN bound compares false, so a block with a
+    NaN in its data is never skipped either.
+    """
+    p = len(peripherals)
+    mod = max(abs(per.eigenvalue) for per in peripherals)
+    if sp.issparse(matrix):
+        csr = matrix.tocsr()
+        ell = np.zeros(csr.shape[0])
+        full = np.flatnonzero(np.diff(csr.indptr))
+        if full.size:
+            ell[full] = np.maximum.reduceat(np.abs(csr.data), csr.indptr[full])
+    else:
+        ell = np.abs(matrix).max(axis=1, initial=0.0)
+    weight = sum(abs(per.eigenvalue) * sup * np.abs(per.h) for per, sup in zip(peripherals, nu_sup))
+    pad = -len(ell) % _BLOCK_ROWS
+
+    def block_max(v):
+        return np.pad(v, (0, pad)).reshape(-1, _BLOCK_ROWS).max(axis=1)
+
+    gamma = (10 * p + 4) * 2.0**-53 * (1 + 2.0**-40)
+    eta = (10 * p + 4) * 2.0**-1074 * (2 + mod + max(nu_sup))
+    recon, imag = gamma * block_max(ell + weight) + eta, (1 + gamma) * block_max(weight) + eta
+    top = float(ell.max(initial=0.0)) + p * max(mod, 1.0) * max(*h_sup, 1.0) * max(*nu_sup, 1.0)
+    if not top < 2.0**1020:
+        recon[:] = imag[:] = np.inf
+    return recon, imag
+
+
 def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
     """Projection identities of P_i = h_i (x) nu_i in rank-one form.
 
@@ -312,7 +373,14 @@ def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
         # duplicate entries each value lands as stored.
         csr = matrix.tocsr()
         row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
-    for start in range(0, n, _BLOCK_ROWS):
+    blocks = range(-(-n // _BLOCK_ROWS))
+    if remainder is None:
+        recon_bound, imag_bound = _block_bounds(matrix, peripherals, h_sup, nu_sup)
+        blocks = np.argsort(-recon_bound, kind="stable")
+    for c in blocks:
+        if remainder is None and recon_bound[c] <= recon_err and (real or imag_bound[c] <= imag):
+            continue
+        start = int(c) * _BLOCK_ROWS
         stop = min(start + _BLOCK_ROWS, n)
         rows = slice(start, stop)
         if sp.issparse(matrix):
