@@ -46,9 +46,11 @@ DENSE_RADIUS_LIMIT = 80
 # tie in modulus at the top of the remainder's spectrum is resolved too.
 ARPACK_K = 4
 # Rows per block of the reconstruction check, which so holds 32 n entries at
-# a time instead of the n x n of a whole remainder.  The check takes 6.5 /
-# 8.3 / 5.4 ms at 32 / 16 / 64 rows for n = 800 and 149 / 140 / 239 ms for
-# n = 4000 (banded, 2-core Xeon).
+# a time instead of the n x n of a whole remainder.  The checks take 0.6 /
+# 0.5 / 0.8 ms at 32 / 16 / 64 rows for banded n = 800 and 3.4 / 1.8 /
+# 5.3 ms for n = 4000, where the pass scans one block, and 6.8 / 7.1 /
+# 7.3 ms on the flat full 4-shift at depth 5 (n = 1024), where it scans
+# every block (2-core Xeon, medians of 41 calls).
 _BLOCK_ROWS = 32
 # A Lasota-Yorke seminorm below this share of its sample's sup norm is
 # rounding, counted as zero.
@@ -262,7 +264,7 @@ def _arpack_radius(matrix, peripherals, real: bool) -> float:
 def _block_bounds(matrix, peripherals, h_sup, nu_sup) -> tuple:
     """Upper bounds, per block of ``_BLOCK_ROWS`` rows, on the |recon_ij|
     and |Im R_ij| that the matrix-free pass of ``_projection_checks``
-    computes, from L = ``matrix`` (CSR or dense) in O(nnz + p n).
+    computes, from L = ``matrix`` in O(nnz + p n).
 
     That pass forms R_ij = L_ij - sum_k lam_k (h_ik nu_kj), the p terms
     subtracted one after another, and recon_ij = (G_ij + R_ij) - L_ij with
@@ -297,14 +299,11 @@ def _block_bounds(matrix, peripherals, h_sup, nu_sup) -> tuple:
     """
     p = len(peripherals)
     mod = max(abs(per.eigenvalue) for per in peripherals)
-    if sp.issparse(matrix):
-        csr = matrix.tocsr()
-        ell = np.zeros(csr.shape[0])
-        full = np.flatnonzero(np.diff(csr.indptr))
-        if full.size:
-            ell[full] = np.maximum.reduceat(np.abs(csr.data), csr.indptr[full])
-    else:
-        ell = np.abs(matrix).max(axis=1, initial=0.0)
+    csr = sp.csr_matrix(matrix)
+    ell = np.zeros(csr.shape[0])
+    full = np.flatnonzero(np.diff(csr.indptr))
+    if full.size:
+        ell[full] = np.maximum.reduceat(np.abs(csr.data), csr.indptr[full])
     weight = sum(abs(per.eigenvalue) * sup * np.abs(per.h) for per, sup in zip(peripherals, nu_sup))
     pad = -len(ell) % _BLOCK_ROWS
 
@@ -330,9 +329,13 @@ def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
     |a|_inf |b|_inf, so no projection is formed.  Without a dense R,
     nu_i R and R h_i come from ``_apply_remainder`` in O(nnz + p^2 n).  The
     reconstruction error R + sum lam_i P_i - L is taken entrywise over
-    blocks of ``_BLOCK_ROWS`` rows (O(n) memory per row, O(n^2) time); the
-    same pass returns the largest |imaginary part| of R as
-    ``remainder_imag``, for the caller to pop.  The eigen-residuals
+    blocks of ``_BLOCK_ROWS`` rows (O(n) memory per row); the same pass
+    returns the largest |imaginary part| of R as ``remainder_imag``, for
+    the caller to pop.  Without a dense R, the blocks are visited by
+    descending ``_block_bounds`` bound, and a block whose bounds cannot
+    raise either running maximum is skipped: both values are the full
+    scan's bit for bit, in O(n^2) time only when the blocks' bounds are
+    alike (flat h and nu).  The eigen-residuals
     |L h_i - lam_i h_i|_inf / (lam |h_i|_inf) and the same for L^T nu_i are
     taken on ``matrix``.
     """
@@ -374,11 +377,13 @@ def _projection_checks(matrix, peripherals, remainder, lam) -> dict:
         csr = matrix.tocsr()
         row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
     blocks = range(-(-n // _BLOCK_ROWS))
-    if remainder is None:
+    # A lone block is always scanned, so it needs no bound.
+    skip = remainder is None and len(blocks) > 1
+    if skip:
         recon_bound, imag_bound = _block_bounds(matrix, peripherals, h_sup, nu_sup)
         blocks = np.argsort(-recon_bound, kind="stable")
     for c in blocks:
-        if remainder is None and recon_bound[c] <= recon_err and (real or imag_bound[c] <= imag):
+        if skip and recon_bound[c] <= recon_err and (real or imag_bound[c] <= imag):
             continue
         start = int(c) * _BLOCK_ROWS
         stop = min(start + _BLOCK_ROWS, n)

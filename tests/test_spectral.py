@@ -14,6 +14,7 @@ from ruelle import (
     build_transfer_matrix,
     component_decomposition,
     from_entries,
+    full_shift,
     gibbs_check,
     lasota_yorke_check,
     potential_from_weights,
@@ -383,6 +384,143 @@ class TestMatrixFreeDecomposition:
             checks = _projection_checks(tm.matrix, dec.peripherals, bad, dec.lam)
             scale = max(dec.lam, 1.0)
             assert checks["reconstruction_error"] == pytest.approx(1e-3 / scale, rel=1e-9)
+
+
+def full_scan(matrix, peripherals):
+    """Each row block's largest |recon_ij| and |Im R_ij|, every block taken
+    in order: the matrix-free reconstruction pass before it skipped blocks."""
+    from ruelle.spectral import _BLOCK_ROWS, _real_data, _remainder_rows
+
+    eigs = np.array([per.eigenvalue for per in peripherals])
+    left = np.stack([per.h for per in peripherals], axis=1) * eigs
+    right = np.stack([per.nu for per in peripherals])
+    real = _real_data(peripherals)
+    if real and not (left.imag.any() or right.imag.any()):
+        left, right = left.real, right.real
+    csr = matrix.tocsr()
+    n = csr.shape[0]
+    row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
+    recon_top, imag_top = [], []
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        lo, hi = csr.indptr[start], csr.indptr[stop]
+        l_rows = np.zeros((stop - start, n), dtype=csr.dtype)
+        l_rows[row_of[lo:hi] - start, csr.indices[lo:hi]] = csr.data[lo:hi]
+        r_rows = _remainder_rows(l_rows, peripherals, slice(start, stop), real)
+        imag_top.append(float(np.abs(r_rows.imag).max(initial=0.0)) if not real else 0.0)
+        recon = left[start:stop] @ right
+        recon += r_rows
+        recon -= l_rows
+        recon_top.append(float(np.abs(recon).max(initial=0.0)))
+    return np.array(recon_top), np.array(imag_top)
+
+
+def flat_full_shift():
+    """The full 4-shift at depth 5 under the zero potential: h and nu are
+    constant, so every row block has the same bound."""
+    ts = full_shift((0, 1, 2, 3))
+    return build_transfer_matrix(ts, zero_potential(ts), depth=5)
+
+
+class TestReconstructionSkip:
+    def pass_inputs(self):
+        """(name, L, peripherals, lam): the decompositions as solved; the
+        pair of the corrupted-decomposition test on L and on L^T; banded 150
+        with a large h entry in its last, partial block; and seeded random
+        sparse L with random pairs, p = 1 and 3.  At p = 3 the first block's
+        rows of L are scaled by 2^20 and those of each h by 2^-20: that
+        block's rounding then dwarfs every other block's bound, but not
+        their imaginary parts."""
+        import scipy.sparse as sp
+
+        solved = [(f"banded{n}", banded_system(n)) for n in (150, 800, 4000)]
+        solved += [("cyclic300", cyclic_system(300)), ("flat_full4", flat_full_shift())]
+        for name, (ts, phi) in [
+            ("two_cycle", (f3(), zero_potential(f3()))),
+            ("period2_rich", period2_rich()),
+        ]:
+            solved.append((name, build_transfer_matrix(ts, phi, depth=1)))
+        for name, tm in solved:
+            dec = spectral_decomposition(tm)
+            yield name, tm.matrix, dec.peripherals, dec.lam
+        dec = component_decomposition(*two_banded_blocks(150))
+        yield "blocks300", dec.tm.matrix, dec.peripherals, dec.lam
+        rng = np.random.default_rng(3030)
+        first = np.arange(200) < 32
+        for p in (1, 3):
+            matrix = sp.random(200, 200, density=0.1, format="csr", rng=rng)
+            twist = 1j if p > 1 else 0.0
+            pers = tuple(
+                Peripheral(
+                    complex(rng.uniform(0.5, 2.0)) * (1.0 + twist * k),
+                    rng.uniform(-1.0, 1.0, 200) + twist * rng.uniform(-1.0, 1.0, 200),
+                    rng.uniform(-1.0, 1.0, 200) + twist * rng.uniform(-1.0, 1.0, 200),
+                )
+                for k in range(p)
+            )
+            if p > 1:
+                matrix = (sp.diags(np.where(first, 2.0**20, 1.0)) @ matrix).tocsr()
+                shrink = np.where(first, 2.0**-20, 1.0)
+                pers = tuple(Peripheral(q.eigenvalue, shrink * q.h, q.nu) for q in pers)
+            yield f"random_p{p}", matrix, pers, 1.0
+        ts, phi = period2_rich()
+        tm = build_transfer_matrix(ts, phi, depth=1)
+        dec = spectral_decomposition(tm)
+        (p0, p1) = dec.peripherals
+        bad = (Peripheral(p0.eigenvalue, p0.h + 0.25 * p1.h, 1.01 * p0.nu + 0.2 * p1.nu), p1)
+        yield "corrupted", tm.matrix, bad, dec.lam
+        swapped = tuple(Peripheral(q.eigenvalue, q.nu, q.h) for q in bad)
+        yield "corrupted_transposed", tm.matrix.T, swapped, dec.lam
+        tm = banded_system(150)
+        dec = spectral_decomposition(tm)
+        (per,) = dec.peripherals
+        h = per.h.copy()
+        h[149] = 1e3
+        yield "planted_last_block", tm.matrix, (Peripheral(per.eigenvalue, h, per.nu),), dec.lam
+
+    def test_checks_are_bitwise_the_full_scan(self):
+        from ruelle.spectral import _block_bounds
+
+        seen = set()
+        for name, matrix, pers, lam in self.pass_inputs():
+            recon_top, imag_top = full_scan(matrix, pers)
+            got = _projection_checks(matrix, pers, None, lam)
+            want = float(recon_top.max()) / max(lam, 1.0)
+            assert got["reconstruction_error"].hex() == want.hex(), name
+            assert got["remainder_imag"].hex() == float(imag_top.max()).hex(), name
+            # The bound holds on every block, not only where the maxima are.
+            h_sup = [float(np.abs(per.h).max()) for per in pers]
+            nu_sup = [float(np.abs(per.nu).max()) for per in pers]
+            recon_bound, imag_bound = _block_bounds(matrix.tocsr(), pers, h_sup, nu_sup)
+            assert (recon_top <= recon_bound).all(), name
+            assert (imag_top <= imag_bound).all(), name
+            seen.add(name)
+        assert len(seen) == 13
+        # The planted entry's rounding, in the last block, is the largest.
+        assert recon_top.argmax() == len(recon_top) - 1
+
+    def test_scans_only_the_blocks_the_bound_cannot_rule_out(self, monkeypatch):
+        from ruelle import spectral
+
+        scanned = []
+        rows = spectral._remainder_rows
+        monkeypatch.setattr(
+            spectral, "_remainder_rows", lambda *a: scanned.append(a[2]) or rows(*a)
+        )
+        # h and nu decay along the band: the first block's rounding exceeds
+        # every other block's bound.
+        tm = banded_system(4000)
+        dec = spectral_decomposition(tm)
+        scanned.clear()
+        _projection_checks(tm.matrix, dec.peripherals, None, dec.lam)
+        assert len(scanned) <= 2
+        assert scanned[0] == slice(0, 32)
+        # Flat vectors give every block the same bound: nothing is skipped.
+        tm = flat_full_shift()
+        dec = spectral_decomposition(tm)
+        scanned.clear()
+        _projection_checks(tm.matrix, dec.peripherals, None, dec.lam)
+        assert sorted(s.start for s in scanned) == list(range(0, tm.dim, 32))
 
 
 class TestComponentDecomposition:

@@ -1191,6 +1191,16 @@ def test_probed_loop_is_bitwise_the_full_change_loop(monkeypatch):
     for a, b in ((-700.0, -700.0), (700.0, 700.0), (700.0, -700.0)):
         mat = sp.csr_matrix([[0.0, math.exp(a)], [math.exp(b), 0.0]])
         loops.append((mat, 2, DEFAULT_MAX_ITER))
+    # A slowly mixing two-state block, with a nine-step chain of weight
+    # e^-230 leaving state 0 and closing back into it.  The loop folds, the
+    # chain's far end stays far below the normal range and lags nine steps
+    # behind, and the stop reads the change of a step taken late: it counts
+    # only what that step's own floor counts.
+    chain = np.zeros((11, 11))
+    chain[:2, :2] = [[0.6, 0.1], [0.1, 0.8]]
+    chain[range(2, 11), [0, *range(2, 10)]] = math.exp(-230.0)
+    chain[0, 10] = 1.0
+    loops += [(sp.csr_matrix(mat), 1, DEFAULT_MAX_ITER) for mat in (chain, chain.T)]
     loops += [(mat, p, cap) for mat, p, _ in list(loops) for cap in (1, 2, 5, 17)]
     # Every loop the fuzz's solves run, blocks included, at 3000 matvecs.
     solve = transfer._perron_vector
