@@ -225,9 +225,14 @@ def monte_carlo_survival(
             break
         rng = np.random.default_rng(chunk_seed)
         state = rng.choice(tm.dim, size=size, p=init)
-        alive = block_ok[state]
+        # Only the live paths step; a path that dies is dropped.  Each step
+        # still draws u for the whole chunk, so path i reads the same u[i].
+        live = np.flatnonzero(block_ok[state])
+        state = state[live]
         for _ in range(steps):
-            u = rng.random(size)
+            if not len(live):
+                break
+            u = rng.random(size)[live]
             # Bisect each path's row of the flat cumulative table for the
             # first entry above u (searchsorted side="right").
             lo, hi = start[state], stop[state]
@@ -237,9 +242,9 @@ def monte_carlo_survival(
                 lo = np.where((lo < hi) & below, mid + 1, lo)
                 hi = np.where(below, hi, mid)
             slot = np.minimum(lo, stop[state] - 1)
-            state = targets[slot]
-            alive &= step_ok[slot]
-        survived += int(alive.sum())
+            keep = step_ok[slot]
+            live, state = live[keep], targets[slot[keep]]
+        survived += len(live)
         drawn += size
     p_hat = survived / drawn
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / drawn)

@@ -416,10 +416,10 @@ class QuotientDag:
     reaches: bit b is set when a reaches b (reflexive and transitive).
     Symbols with no entries at all are excluded from every component and
     listed in ``isolated``.  Over the alphabet ranks, ``labels`` holds each
-    symbol's component (-1 when isolated) and ``distances`` its DFS-tree
-    depth less that of its component's first symbol inside a cyclic
-    component (-1 off them), which is the symbol's cyclic class modulo the
-    component's period.
+    symbol's component (-1 when isolated) and ``distances`` its cyclic class
+    offset 0..p-1 inside a cyclic component of period p (-1 off them), the
+    class of the component's first symbol being 0.  Both routes of
+    ``_quotient`` (the chain certificate and the DFS) give equal fields.
     """
 
     components: tuple  # of ComponentInfo
@@ -503,13 +503,51 @@ def scc_quotient(ts: TransitionStructure) -> QuotientDag:
 
 
 def _quotient(ts: TransitionStructure) -> QuotientDag:
-    """Components, reach masks, periods and period offsets from the pair
-    codes: periods by ``_periods`` from the DFS depths of ``_tarjan_sccs``,
-    and each cyclic component's offsets as those depths less its first
-    symbol's."""
+    """Components, reach masks, periods and class offsets from the pair
+    codes: by ``_chain_quotient`` when it certifies the structure, else by
+    ``_dfs_quotient``."""
     k = len(ts.alphabet)
-    codes = ts.pair_codes
-    heads, tails = codes // k, codes % k
+    heads, tails = ts.pair_codes // k, ts.pair_codes % k
+    dag = _chain_quotient(ts, heads, tails)
+    return _dfs_quotient(ts, heads, tails) if dag is None else dag
+
+
+def _chain_quotient(ts: TransitionStructure, heads: np.ndarray, tails: np.ndarray):
+    """The quotient of a structure whose ranks form a chain, or None.
+
+    The certificate takes O(nnz): (i) every rank r < k - 1 has the entry
+    r -> r + 1 and rank k - 1 has a successor; (ii) the walk along each
+    rank's least successor, absorbed at rank 0, reaches rank 0 from every
+    rank (``k.bit_length()`` doublings cover k steps).  Then rank 0 reaches
+    every rank along the chain and every rank reaches rank 0, so the
+    structure is one transitive component with no isolated symbol.  The
+    chain is a spanning tree with depth(r) = r, so the period is the gcd of
+    |a + 1 - b| over all entries (a, b), as in ``_periods``, and rank r's
+    class offset is r mod p.  None when either condition fails.
+    """
+    k = len(ts.alphabet)
+    indptr, succ = ts.successor_ranks
+    # Pair codes are distinct, so each head has at most one entry a -> a + 1.
+    if np.count_nonzero(tails == heads + 1) != k - 1 or indptr[k - 1] == indptr[k]:
+        return None
+    walk = succ[indptr[:-1]].astype(np.intp)  # intp indices gather fastest
+    walk[0] = 0
+    for _ in range(k.bit_length()):
+        walk = walk[walk]
+    if walk.any():
+        return None
+    p = int(np.gcd.reduce(np.abs(heads + 1 - tails)))
+    info = ComponentInfo(symbols=ts.alphabet.symbols, irreducible=True, has_periodic_point=True,
+                         period=p)
+    return QuotientDag(components=(info,), reach=(1,), isolated=(),
+                       labels=np.zeros(k, dtype=int), distances=np.arange(k) % p)
+
+
+def _dfs_quotient(ts: TransitionStructure, heads: np.ndarray, tails: np.ndarray) -> QuotientDag:
+    """The quotient by ``_tarjan_sccs``: periods by ``_periods`` from its DFS
+    depths, and each cyclic component's class offsets as those depths less
+    its first symbol's, modulo its period."""
+    k = len(ts.alphabet)
     indptr, succ = ts.successor_ranks
     active = np.zeros(k, dtype=bool)
     active[heads] = active[tails] = True
@@ -525,9 +563,9 @@ def _quotient(ts: TransitionStructure) -> QuotientDag:
     depth = np.array(depth)
     period = _periods(heads, tails, labels, depth)
     dist = np.full(k, -1)
-    for comp, cyc in zip(comps, cyclic):
+    for c, (comp, cyc) in enumerate(zip(comps, cyclic)):
         if cyc:
-            dist[comp] = depth[comp] - depth[comp[0]]
+            dist[comp] = (depth[comp] - depth[comp[0]]) % period[c]
 
     syms = ts.alphabet.symbols
     infos = tuple(
@@ -616,8 +654,7 @@ def period_classes(ts: TransitionStructure, component=None) -> PeriodClasses:
     components, in any order; by default ``ts`` must be a single transitive
     component.  Any other symbol set is a precondition error, and so is a
     component without a cycle, whose period is undefined ("no periodic
-    point").  The classes are the depth offsets that the quotient kept,
-    modulo the period.
+    point").  The classes are the class offsets that the quotient kept.
     """
     dag = ts.quotient
     c = 0 if len(dag.components) == 1 else -1
@@ -638,7 +675,7 @@ def period_classes(ts: TransitionStructure, component=None) -> PeriodClasses:
         raise RuntimeError("period class property violated; period computation is wrong")
     syms = ts.alphabet.symbols
     classes = tuple(
-        tuple(syms[r] for r in np.flatnonzero(members & (dist % p == j)).tolist())
+        tuple(syms[r] for r in np.flatnonzero(members & (dist == j)).tolist())
         for j in range(p)
     )
     return PeriodClasses(p=p, classes=classes, base=comp.symbols[0])

@@ -260,3 +260,78 @@ def test_sampler_estimate_equals_word_loop(case):
         trip = rpf_triplet(build_transfer_matrix(hole.closed, phi, depth=depth))
         est = monte_carlo_survival(hole, phi, trip, n, 12_000, seed=31, chunk_size=5_000)
         assert est.estimate == _reference_sampler(hole, trip, n, 12_000, 31, 5_000)
+
+
+# -- the compacted sampler against the loop that steps every path ------------------------
+
+
+def _every_path_sampler(hole, trip, n, sample_count, seed, chunk_size):
+    """(estimate, stderr, samples) of the sampler loop that bisects and steps
+    every path of the chunk at every step, dead or alive."""
+    from ruelle.opensystem import _allows, _step_table
+
+    tm = trip.tm
+    m, ranks = tm.depth, tm.ranks
+    init = np.maximum(trip.h * trip.nu, 0.0)
+    init = init / init.sum()
+    indptr, targets, cum, step_ok = _step_table(hole, trip)
+    start, stop = indptr[:-1], indptr[1:]
+    block_ok = np.ones(tm.dim, dtype=bool)
+    for t in range(min(m - 1, n)):
+        block_ok &= _allows(hole.open_, ranks[:, t], ranks[:, t + 1])
+    halvings = int((stop - start).max(initial=0)).bit_length()
+    survived = drawn = 0
+    for chunk_seed in np.random.SeedSequence(seed).spawn(max(1, math.ceil(sample_count / chunk_size))):
+        size = min(chunk_size, sample_count - drawn)
+        rng = np.random.default_rng(chunk_seed)
+        state = rng.choice(tm.dim, size=size, p=init)
+        alive = block_ok[state]
+        for _ in range(max(0, (n + 1) - m)):
+            u = rng.random(size)
+            lo, hi = start[state], stop[state]
+            for _ in range(halvings):
+                mid = (lo + hi) >> 1
+                below = cum[np.minimum(mid, len(cum) - 1)] <= u
+                lo = np.where((lo < hi) & below, mid + 1, lo)
+                hi = np.where(below, hi, mid)
+            slot = np.minimum(lo, stop[state] - 1)
+            state = targets[slot]
+            alive &= step_ok[slot]
+        survived += int(alive.sum())
+        drawn += size
+    p_hat = survived / drawn
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / drawn), drawn
+
+
+def _low_survival_hole():
+    """Full 6-shift with a seeded depth-2 potential; the hole takes every
+    step into symbols 0-2, so about half the paths die at each step."""
+    from ruelle import admissible_words, full_shift
+
+    full6 = full_shift(tuple(range(6)))
+    words = admissible_words(full6, 2)
+    vals = np.random.default_rng(3107).uniform(-1.0, 1.0, len(words))
+    hole = HoleSpec.from_hole(full6, [(a, b) for a in range(6) for b in range(3)])
+    return hole, potential_from_weights(dict(zip(words, vals.tolist())))
+
+
+@pytest.mark.parametrize("case", ["golden", "golden-d3", "low-survival", "all-die"])
+def test_compacted_sampler_is_bitwise_the_every_path_loop(case):
+    if case.startswith("golden"):
+        hole, phi = golden_hole(), zero_potential(f1())
+        trip = closed_triplet(depth=3 if case == "golden-d3" else 1)
+        runs = [(10, 100_000, 20240501, 50_000), (1, 20_000, 11, 50_000), (25, 30_000, 99, 7_000)]
+    else:
+        hole, phi = _low_survival_hole()
+        trip = rpf_triplet(build_transfer_matrix(hole.closed, phi, depth=2))
+        # At n = 8 about 0.5 % survive; at n = 40 every chunk dies early.
+        n = 8 if case == "low-survival" else 40
+        runs = [(n, 20_000, 3108, 1_000), (n, 5_000, 3109, 5_000)]
+    for n, count, seed, chunk in runs:
+        est = monte_carlo_survival(hole, phi, trip, n, count, seed=seed, chunk_size=chunk)
+        ref = _every_path_sampler(hole, trip, n, count, seed, chunk)
+        assert (est.estimate, est.stderr, est.samples) == ref
+        if case == "low-survival":
+            assert 0.0 < est.estimate < 0.02
+        if case == "all-die":
+            assert est.estimate == 0.0

@@ -285,6 +285,117 @@ class TestPeriodClasses:
                 assert g % pc.p == 0
 
 
+def _routes(ts):
+    """(certified quotient or None, DFS quotient) of a structure."""
+    from ruelle import shifts
+
+    heads, tails = np.divmod(ts.pair_codes, len(ts.alphabet))
+    return shifts._chain_quotient(ts, heads, tails), shifts._dfs_quotient(ts, heads, tails)
+
+
+def _assert_same_quotient(a, b):
+    assert (a.components, a.reach, a.isolated) == (b.components, b.reach, b.isolated)
+    for name in ("labels", "distances"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _count_tarjan(monkeypatch):
+    from ruelle import shifts
+
+    calls, tarjan = [], shifts._tarjan_sccs
+    monkeypatch.setattr(shifts, "_tarjan_sccs", lambda *a: calls.append(1) or tarjan(*a))
+    return calls
+
+
+def _cyclic300():
+    n = 300
+    return from_entries(
+        tuple(range(n)), {(i, i + d) for i in range(n) for d in (1, -2, 4) if 0 <= i + d < n}
+    )
+
+
+class TestChainCertificate:
+    """The O(nnz) quotient of structures whose ranks form a chain."""
+
+    def test_fuzz_certified_quotients_equal_the_dfs(self):
+        # Every extra entry (a, b) has a + 1 - b divisible by p, so periods
+        # 2 and 3 are drawn as often as aperiodic structures.
+        rng = np.random.default_rng(3101)
+        certified, refused, periods = 0, 0, set()
+        while certified < 1000:
+            k, p = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+            extra = [(a, b) for a in range(k) for b in range(k) if b != a + 1 and (a + 1 - b) % p == 0]
+            keep = rng.random(len(extra)) < rng.uniform(0.05, 0.6)
+            pairs = {(r, r + 1) for r in range(k - 1)} | {e for e, x in zip(extra, keep) if x}
+            ts = from_entries(tuple(range(k)), pairs)
+            chain, dfs = _routes(ts)
+            if chain is None:
+                refused += 1
+                continue
+            certified += 1
+            _assert_same_quotient(chain, dfs)
+            _assert_same_quotient(ts.quotient, dfs)
+            periods.add(chain.components[0].period)
+        assert {1, 2, 3} <= periods and refused > 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: banded_structure(2, 1), lambda: banded_structure(50, 2),
+        lambda: banded_structure(1600, 2), lambda: banded_structure(6, 5),
+        lambda: banded_structure(5, 9), lambda: renewal_structure(2),
+        lambda: renewal_structure(30), lambda: renewal_structure(60),
+        lambda: full_truncated(1), lambda: full_truncated(6), lambda: full_shift((0,)),
+        lambda: full_shift(tuple(range(4))), _cyclic300,
+    ], ids=["banded2_1", "banded50_2", "banded1600_2", "banded6_5", "banded5_9", "renewal2",
+            "renewal30", "renewal60", "full_truncated1", "full_truncated6", "full1", "full4",
+            "cyclic300"])
+    def test_families_are_certified(self, make, monkeypatch):
+        ts = make()
+        chain, dfs = _routes(ts)
+        assert chain is not None
+        _assert_same_quotient(chain, dfs)
+        calls = _count_tarjan(monkeypatch)
+        _assert_same_quotient(ts.quotient, dfs)
+        assert not calls
+
+    @pytest.mark.parametrize("symbols, pairs, periods, isolated", [
+        # Chain-ordered but reducible: the least-successor walk sticks at 2.
+        ((0, 1, 2), {(0, 1), (1, 2), (2, 2)}, (None, None, 1), ()),
+        # Irreducible with period 2, but the walk cycles 1 <-> 2.
+        ((0, 1, 2, 3), {(0, 1), (1, 2), (2, 1), (2, 3), (3, 0)}, (2,), ()),
+        # Rank 2 has no successor.
+        ((0, 1, 2), {(0, 1), (1, 2), (1, 0)}, (2, None), ()),
+        # One symbol without a loop.
+        ((0,), set(), (), (0,)),
+        # Symbol 2 is isolated.
+        ((0, 1, 2), {(0, 1), (1, 0)}, (2,), (2,)),
+        # Loops only: no chain entry.
+        ((0, 1, 2), {(0, 0), (1, 1), (2, 2)}, (1, 1, 1), ()),
+    ], ids=["reducible-chain", "period2-walk-cycles", "no-successor", "one-symbol-no-loop",
+            "isolated", "loops-only"])
+    def test_refused_structures_take_the_dfs(self, symbols, pairs, periods, isolated, monkeypatch):
+        ts = from_entries(symbols, pairs)
+        chain, dfs = _routes(ts)
+        assert chain is None
+        calls = _count_tarjan(monkeypatch)
+        _assert_same_quotient(ts.quotient, dfs)
+        assert len(calls) == 1
+        assert tuple(c.period for c in dfs.components) == periods
+        assert dfs.isolated == isolated
+
+    def test_distances_are_class_offsets_on_both_routes(self):
+        ts = from_entries(range(6), {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (2, 0),
+                                     (4, 2), (3, 1)})
+        chain, dfs = _routes(ts)
+        assert chain is not None and chain.components[0].period == 3
+        assert chain.distances.tolist() == dfs.distances.tolist() == [0, 1, 2, 0, 1, 2]
+        # The DFS reaches 3 at depth 3 inside a period-2 component; 4 is acyclic.
+        tail = from_entries(range(5), {(0, 1), (1, 2), (2, 3), (3, 0), (1, 0), (3, 4)})
+        chain, dfs = _routes(tail)
+        assert chain is None and dfs.components[0].period == 2
+        assert dfs.distances.tolist() == [0, 1, 0, 1, -1]
+
+
 def _cycle_lengths_through(ts, base, comp, max_len):
     lengths = set()
     frontier = {(base,)}

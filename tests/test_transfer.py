@@ -703,20 +703,21 @@ def test_structure_quotient_computed_once(monkeypatch):
     import ruelle.shifts as shifts
     from ruelle import spectral_decomposition
 
-    calls = []
-
-    def counting_tarjan(*args):
-        calls.append(1)
-        return tarjan(*args)
-
-    tarjan = shifts._tarjan_sccs
-    monkeypatch.setattr(shifts, "_tarjan_sccs", counting_tarjan)
-    ts = from_entries((0, 1, 2), [(0, 1), (1, 0), (1, 2), (2, 2), (2, 0)])
-    for phi in (zero_potential(ts), potential_from_weights({(0,): 0.3, (1,): -0.2, (2,): 0.1})):
-        tm = build_transfer_matrix(ts, phi, depth=2)
-        rpf_triplet(tm)
-        spectral_decomposition(tm)
-    assert len(calls) == 1
+    builds, dfs = [], []
+    quotient, tarjan = shifts._quotient, shifts._tarjan_sccs
+    monkeypatch.setattr(shifts, "_quotient", lambda ts: builds.append(ts) or quotient(ts))
+    monkeypatch.setattr(shifts, "_tarjan_sccs", lambda *a: dfs.append(1) or tarjan(*a))
+    certified = from_entries((0, 1, 2), [(0, 1), (1, 0), (1, 2), (2, 2), (2, 0)])
+    # Irreducible with period 2, refused by the chain certificate.
+    refused = from_entries((0, 1, 2, 3), [(0, 1), (1, 2), (2, 1), (2, 3), (3, 0)])
+    weights = {(0,): 0.3, (1,): -0.2, (2,): 0.1, (3,): 0.05}
+    for ts, dfs_calls in ((certified, 0), (refused, 1)):
+        for phi in (zero_potential(ts), potential_from_weights(weights)):
+            tm = build_transfer_matrix(ts, phi, depth=2)
+            rpf_triplet(tm)
+            spectral_decomposition(tm)
+        assert builds.count(ts) == 1 and len(dfs) == dfs_calls
+    assert len(builds) == 2
 
 
 def _cyclic_operator(n):
