@@ -358,6 +358,16 @@ class TestChainCertificate:
         _assert_same_quotient(ts.quotient, dfs)
         assert not calls
 
+    def test_walk_covers_k_steps(self):
+        # On the k-cycle the least-successor walk from rank 1 takes k - 1
+        # steps to reach rank 0.
+        for k in range(1, 70):
+            ts = from_entries(range(k), {(r, (r + 1) % k) for r in range(k)})
+            chain, dfs = _routes(ts)
+            assert chain is not None and chain.components[0].period == k
+            assert chain.distances.tolist() == list(range(k))
+            _assert_same_quotient(chain, dfs)
+
     @pytest.mark.parametrize("symbols, pairs, periods, isolated", [
         # Chain-ordered but reducible: the least-successor walk sticks at 2.
         ((0, 1, 2), {(0, 1), (1, 2), (2, 2)}, (None, None, 1), ()),
