@@ -230,8 +230,6 @@ def monte_carlo_survival(
         live = np.flatnonzero(block_ok[state])
         state = state[live]
         for _ in range(steps):
-            if not len(live):
-                break
             u = rng.random(size)[live]
             # Bisect each path's row of the flat cumulative table for the
             # first entry above u (searchsorted side="right").

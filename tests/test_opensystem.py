@@ -324,7 +324,7 @@ def test_compacted_sampler_is_bitwise_the_every_path_loop(case):
     else:
         hole, phi = _low_survival_hole()
         trip = rpf_triplet(build_transfer_matrix(hole.closed, phi, depth=2))
-        # At n = 8 about 0.5 % survive; at n = 40 every chunk dies early.
+        # At n = 8 about 0.5 % survive; at n = 40 every chunk dies out early.
         n = 8 if case == "low-survival" else 40
         runs = [(n, 20_000, 3108, 1_000), (n, 5_000, 3109, 5_000)]
     for n, count, seed, chunk in runs:
